@@ -138,7 +138,6 @@ def _solver_config(cfg: io_mod.RunConfig) -> SolverConfig:
     return SolverConfig(
         tau=cfg.tau,
         tol_residual=cfg.tol_residual,
-        tol_norm=cfg.tol_norm,
         max_iterations=cfg.max_iterations,
     ).validate()
 
@@ -165,7 +164,7 @@ def _state_summary(state, grid, alpha0) -> dict:
     }
 
 
-def _write_state_artifacts(cfg, grid, state, summary_name, snapshot_path):
+def _write_state_artifacts(cfg, grid, state, snapshot_path):
     if "csv" in cfg.formats:
         io_mod.write_profiles_csv(
             _out(cfg, "profiles.csv"),
@@ -213,7 +212,7 @@ def _cmd_solve(args) -> int:
     summary = _state_summary(state, grid, cfg.alpha0)
     if "json" in cfg.formats:
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), summary)
-    _write_state_artifacts(cfg, grid, state, "solve_summary.json", args.snapshot)
+    _write_state_artifacts(cfg, grid, state, args.snapshot)
     if args.trace and "csv" in cfg.formats:
         io_mod.write_trace_csv(_out(cfg, "trace.csv"), state.trace)
     print(
@@ -229,7 +228,6 @@ def _cmd_scan(args) -> int:
     solver_cfg = _solver_config(cfg)
     scan_cfg = ScanConfig(
         a_start=cfg.a_start,
-        delta_a=cfg.delta_a,
         tol_k=cfg.tol_k,
         max_evals=cfg.max_evals,
         trial_b=cfg.trial_b,
@@ -257,7 +255,7 @@ def _cmd_scan(args) -> int:
     if "csv" in cfg.formats:
         io_mod.write_history_csv(_out(cfg, "k_history.csv"), result.k_history)
     snapshot_path = args.snapshot or _out(cfg, "a0_state.json")
-    _write_state_artifacts(cfg, grid, result.solution, None, snapshot_path)
+    _write_state_artifacts(cfg, grid, result.solution, snapshot_path)
     print(
         f"scan: a0 = {result.a0:.6g}, T = {report.T:.6g}, "
         f"E0/m0 = {report.E0_over_m0:.6g}, "

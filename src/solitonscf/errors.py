@@ -80,9 +80,10 @@ class WrongBranchError(SolitonError, RuntimeError):
 
 
 class ScanFailureError(SolitonError, RuntimeError):
-    """The coupling scan could not bracket or refine k(a) = 1.
+    """The coupling scan could not reach k(a) = 1.
 
-    ``k_history`` holds (a, k) pairs for every attempted coupling.
+    ``k_history`` holds (a, k, iterations, residual) rows for every
+    attempted coupling.
     """
 
     def __init__(self, message: str, k_history=None):

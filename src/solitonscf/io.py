@@ -58,10 +58,8 @@ class RunConfig:
     n_nodes: int = 2000
     tau: float = 0.5
     tol_residual: float = 1e-8
-    tol_norm: float = 1e-10
     max_iterations: int = 200
     a_start: float = -3.3
-    delta_a: float = 0.05
     tol_k: float = 1e-6
     max_evals: int = 30
     alpha0: float = 10.0

@@ -1,16 +1,13 @@
 """Outer coupling scan: locate a0 where the embedded frequency returns to one.
 
 solve_fixed_a delivers k(a) for any coupling on the attractive branch; the
-physical state is the root of g(a) = k(a)^2 - 1. Working with k^2 rather
-than k makes g nearly linear in 1/a (the embedding satisfies k^2 a = const
-up to discretization), so a secant iteration converges in a handful of
-evaluations. Each new coupling is solved warm-started from the previous
-converged fields and frequency, which keeps the inner iteration count small
-along the scan.
+physical state is the coupling a0 with k(a0) = 1. Every coefficient of the
+embedded problem depends on k and a only through k^2 a, so k(a)^2 a = a0
+holds exactly for every a, the discrete problem included. The scan is
+therefore the fixed-point map a <- k(a)^2 a: one cold solve at a_start
+lands the next coupling on a0, and a warm solve there (from the previous
+converged fields and frequency) confirms |k^2 - 1| <= tol_k.
 
-Safeguards: once two evaluations bracket the root, any secant proposal
-outside the bracket is replaced by its midpoint; a coupling where the inner
-solve fails is abandoned by bisecting back toward the last good coupling.
 The scan records every (a, k) it evaluates, so a failure still returns the
 measured history inside the exception.
 """
@@ -31,16 +28,14 @@ __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 
 @dataclass
 class ScanConfig:
-    """Controls for the outer root find in the coupling.
+    """Controls for the outer fixed-point iteration in the coupling.
 
     a_start seeds the scan (the attractive branch needs a_start < 0);
-    delta_a offsets the second evaluation that starts the secant;
     tol_k bounds |k^2 - 1| at acceptance; max_evals caps the total number
-    of inner solves, failed attempts included.
+    of inner solves; trial_b sets the scale of the cold solve's seed.
     """
 
     a_start: float = -3.3
-    delta_a: float = 0.05
     tol_k: float = 1e-6
     max_evals: int = 30
     trial_b: float = 1.0
@@ -50,10 +45,10 @@ class ScanConfig:
             raise ConfigurationError(
                 f"a_start must be negative and finite, got {self.a_start!r}"
             )
-        if not (np.isfinite(self.delta_a) and self.delta_a != 0.0):
-            raise ConfigurationError(f"delta_a must be nonzero, got {self.delta_a!r}")
-        if self.tol_k <= 0:
-            raise ConfigurationError(f"tol_k must be positive, got {self.tol_k!r}")
+        if not (np.isfinite(self.tol_k) and self.tol_k > 0):
+            raise ConfigurationError(
+                f"tol_k must be positive and finite, got {self.tol_k!r}"
+            )
         if self.max_evals < 2:
             raise ConfigurationError(
                 f"max_evals must be >= 2, got {self.max_evals!r}"
@@ -93,16 +88,17 @@ def find_a0(
 ) -> ScanResult:
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
-    Runs a secant iteration on g(a) = k(a)^2 - 1 from (a_start,
-    a_start + delta_a), warm-starting every inner solve from the previous
-    converged state. Returns the converged ScanResult with the full
+    Iterates a <- k(a)^2 a from a_start: a cold solve at a_start, then warm
+    solves seeded with the previous converged pair and frequency until
+    |k^2 - 1| <= tol_k. Returns the converged ScanResult with the full
     (a, k, iterations, residual) history and an energy report at a0.
 
     Raises
     ------
     ScanFailureError
-        When max_evals inner solves do not reach |k^2 - 1| <= tol_k, or
-        when repeated inner failures pin the scan; carries k_history.
+        When an inner solve fails, when k^2 - 1 does not change between two
+        consecutive couplings, or when max_evals inner solves do not reach
+        |k^2 - 1| <= tol_k; carries k_history.
     """
     if grid is None:
         raise ConfigurationError("find_a0 requires a grid")
@@ -110,109 +106,41 @@ def find_a0(
     solver_config = solver_config or SolverConfig()
 
     k_history: List[Tuple[float, float, int, float]] = []
-    warm_pair = trial_functions(config.trial_b, grid).normalized(grid)
-    warm_k = 1.0
-    evals = 0
-
-    def evaluate(a: float) -> IterationState:
-        nonlocal evals
-        evals += 1
-        state = solve_fixed_a(
-            a, grid, config=solver_config, init=warm_pair, k0=warm_k
-        )
-        k_history.append((a, state.k, state.iteration, state.residual_norm))
-        return state
-
-    def attempt(a: float, a_good: Optional[float]) -> Tuple[float, IterationState]:
-        """Evaluate at a, bisecting toward the last good coupling on failure."""
-        nonlocal evals
-        target = a
-        while True:
-            try:
-                return target, evaluate(target)
-            except ScanFailureError:
-                raise
-            except SolitonError as exc:
-                if a_good is None or evals >= config.max_evals:
-                    raise ScanFailureError(
-                        f"inner solve failed at a={target!r}: {exc}",
-                        k_history=k_history,
-                    ) from exc
-                nxt = 0.5 * (target + a_good)
-                if abs(nxt - a_good) < 1e-12 * max(1.0, abs(a_good)):
-                    raise ScanFailureError(
-                        f"scan pinned at a={a_good!r}; no admissible step "
-                        f"(last failure: {exc})",
-                        k_history=k_history,
-                    ) from exc
-                target = nxt
-
-    def finish(a: float, state: IterationState) -> ScanResult:
-        warnings = _monotonicity_warnings(k_history)
-        report = energy_report(state.pair, grid, a, alpha0=alpha0)
-        return ScanResult(
-            a0=float(a),
-            solution=state,
-            k_history=k_history,
-            report=report,
-            warnings=warnings,
-        )
-
-    # Two seed evaluations for the secant.
-    a_prev, state_prev = attempt(config.a_start, None)
-    g_prev = state_prev.k**2 - 1.0
-    warm_pair, warm_k = state_prev.pair, state_prev.k
-    if abs(g_prev) <= config.tol_k:
-        return finish(a_prev, state_prev)
-
-    a_cur, state_cur = attempt(config.a_start + config.delta_a, a_prev)
-    g_cur = state_cur.k**2 - 1.0
-    warm_pair, warm_k = state_cur.pair, state_cur.k
-
-    # Bracket endpoints (a_lo < a_hi with g of opposite signs) once seen.
-    bracket = None
-    if g_prev * g_cur < 0:
-        bracket = sorted(
-            [(a_prev, g_prev), (a_cur, g_cur)], key=lambda t: t[0]
-        )
-
-    while evals < config.max_evals:
-        if abs(g_cur) <= config.tol_k:
-            return finish(a_cur, state_cur)
-        denom = g_cur - g_prev
-        if denom == 0.0:
+    pair = trial_functions(config.trial_b, grid).normalized(grid)
+    k = 1.0
+    a = config.a_start
+    g_prev = None
+    while True:
+        try:
+            state = solve_fixed_a(a, grid, config=solver_config, init=pair, k0=k)
+        except SolitonError as exc:
             raise ScanFailureError(
-                f"secant stalled: g({a_prev!r}) == g({a_cur!r}) == {g_cur!r}",
+                f"inner solve failed at a={a!r}: {exc}", k_history=k_history
+            ) from exc
+        k_history.append((a, state.k, state.iteration, state.residual_norm))
+        g = state.k**2 - 1.0
+        if abs(g) <= config.tol_k:
+            return ScanResult(
+                a0=float(a),
+                solution=state,
+                k_history=k_history,
+                report=energy_report(state.pair, grid, a, alpha0=alpha0),
+                warnings=_monotonicity_warnings(k_history),
+            )
+        if g == g_prev:
+            raise ScanFailureError(
+                f"scan stalled: k^2 - 1 = {g!r} at a={k_history[-2][0]!r} "
+                f"and a={a!r}",
                 k_history=k_history,
             )
-        a_next = a_cur - g_cur * (a_cur - a_prev) / denom
-        if bracket is not None and not (bracket[0][0] < a_next < bracket[1][0]):
-            a_next = 0.5 * (bracket[0][0] + bracket[1][0])
-        a_next, state_next = attempt(a_next, a_cur)
-        g_next = state_next.k**2 - 1.0
-        warm_pair, warm_k = state_next.pair, state_next.k
-        if bracket is None:
-            if g_next * g_cur < 0:
-                bracket = sorted(
-                    [(a_cur, g_cur), (a_next, g_next)], key=lambda t: t[0]
-                )
-        else:
-            lo, hi = bracket
-            if lo[1] * g_next < 0:
-                bracket = [lo, (a_next, g_next)]
-            else:
-                bracket = [(a_next, g_next), hi]
-            bracket.sort(key=lambda t: t[0])
-        a_prev, g_prev = a_cur, g_cur
-        a_cur, g_cur, state_cur = a_next, g_next, state_next
-
-    if abs(g_cur) <= config.tol_k:
-        return finish(a_cur, state_cur)
-    raise ScanFailureError(
-        f"no root of k^2 - 1 within {config.max_evals} evaluations; "
-        f"best |k^2 - 1| = {abs(g_cur):.3e} at a = {a_cur!r}",
-        k_history=k_history,
-    )
+        if len(k_history) >= config.max_evals:
+            raise ScanFailureError(
+                f"|k^2 - 1| = {abs(g):.3e} above {config.tol_k:g} after "
+                f"{config.max_evals} evaluations, last at a = {a!r}",
+                k_history=k_history,
+            )
+        pair, k, g_prev = state.pair, state.k, g
+        a = state.k**2 * a
 
 
 def verify_extremum(result: ScanResult, grid: Grid) -> float:

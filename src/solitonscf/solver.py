@@ -80,19 +80,19 @@ class SolverConfig:
 
     tau damps the field update; the frequency update is always the full mu.
     Convergence requires both the residual norm and |mu| below tol_residual.
-    tol_norm bounds the norm drift tolerated between renormalizations.
     """
 
     tau: float = 0.5
     tol_residual: float = 1e-8
-    tol_norm: float = 1e-10
     max_iterations: int = 200
 
     def validate(self) -> "SolverConfig":
         if not (0.0 < self.tau <= 1.0):
             raise ConfigurationError(f"tau must be in (0, 1], got {self.tau!r}")
-        if self.tol_residual <= 0 or self.tol_norm <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ConfigurationError(
+                f"tol_residual must be positive and finite, got {self.tol_residual!r}"
+            )
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
@@ -152,7 +152,12 @@ def _origin_row(k: float, phi0_origin: float):
 def _tail_row(k: float, phi_end: float, x_end: float):
     """Decaying Riccati root r = u/v at the outer edge and its k-derivative."""
     p, q, dp, dq = _coefficients(k, np.asarray(phi_end))
-    s = np.sqrt(1.0 / (x_end * x_end) + p * q)
+    disc = 1.0 / (x_end * x_end) + p * q
+    if not disc > 0.0:
+        raise DegenerateLinearizationError(
+            f"no decaying tail root at k={k!r}: 1/x^2 + P Q = {float(disc)!r}"
+        )
+    s = np.sqrt(disc)
     r = (1.0 / x_end - s) / q
     ds = (p * dq + q * dp) / (2.0 * s)
     dr = -ds / q - (1.0 / x_end - s) * dq / (q * q)

@@ -341,6 +341,7 @@ def test_cli_trial_eval(tmp_path, capsys):
         ["dispersion", "--e0", "-1.0"],                   # negative energy
         ["dispersion", "--e0", "1.0", "--p-count", "0"],  # empty table
         ["dispersion", "--e0", "1.0", "--p-min", "2.0", "--p-max", "1.0"],
+        ["scan", "--tol", "nan"],                         # rejected before a solve
     ],
 )
 def test_cli_usage_errors(tmp_path, capsys, argv):
@@ -387,6 +388,20 @@ def test_cli_scan_failure_exit(tmp_path, capsys):
     assert code == EXIT_SCAN_FAILURE
     assert (tmp_path / "k_history.csv").exists()
     capsys.readouterr()
+
+
+def test_cli_missing_tail_root_is_a_numerical_failure(tmp_path, capsys):
+    # A cold start here steps k far enough that the outer edge has no
+    # decaying root; that is a solver failure, not a usage error.
+    a = "-2.181168"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a_start = {a}\n")
+    code = main(["scan", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert code == EXIT_SCAN_FAILURE
+    assert "tail root" in capsys.readouterr().err
+    code = main(["solve", "--a", a, "--output-dir", str(tmp_path)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "tail root" in capsys.readouterr().err
 
 
 def test_cli_io_error_exits(tmp_path, capsys):

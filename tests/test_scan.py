@@ -1,4 +1,4 @@
-"""Outer coupling scan: root find on k(a)^2 = 1 and consistency checks."""
+"""Outer coupling scan: fixed point a <- k(a)^2 a and consistency checks."""
 
 from types import SimpleNamespace
 
@@ -73,9 +73,18 @@ def test_extremum_arithmetic(monkeypatch, grid):
     assert mismatch < 1e-3
 
 
+def test_scan_uses_the_invariance(scan_result):
+    # k(a)^2 a = a0 for every a, so the cold solve's k lands the next
+    # coupling on a0 and one cheap warm solve confirms it
+    assert len(scan_result.k_history) == 2
+    (a1, k1, _, _), (a2, _, iterations2, _) = scan_result.k_history
+    assert a2 == k1**2 * a1
+    assert iterations2 <= 5
+
+
 def test_scan_path_independence(coarse_grid):
-    cfg_a = ScanConfig(a_start=-3.3, delta_a=0.05)
-    cfg_b = ScanConfig(a_start=-2.0, delta_a=-0.05)
+    cfg_a = ScanConfig(a_start=-3.3)
+    cfg_b = ScanConfig(a_start=-2.0)
     res_a = find_a0(cfg_a, coarse_grid)
     res_b = find_a0(cfg_b, coarse_grid)
     assert res_a.a0 == pytest.approx(res_b.a0, abs=1e-5)
@@ -103,7 +112,7 @@ def test_secant_on_synthetic_frequency(monkeypatch, coarse_grid):
 
 def test_secant_from_the_other_side(monkeypatch, coarse_grid):
     monkeypatch.setattr("solitonscf.scan.solve_fixed_a", _stub_solver(-2.5))
-    result = find_a0(ScanConfig(a_start=-1.5, delta_a=-0.1), coarse_grid)
+    result = find_a0(ScanConfig(a_start=-1.5), coarse_grid)
     assert result.a0 == pytest.approx(-2.5, abs=1e-5)
 
 
@@ -143,8 +152,8 @@ def test_scan_eval_cap(coarse_grid):
     [
         {"a_start": 1.0},
         {"a_start": np.nan},
-        {"delta_a": 0.0},
         {"tol_k": 0.0},
+        {"tol_k": np.nan},
         {"max_evals": 1},
     ],
 )

@@ -330,7 +330,7 @@ def test_seed_scale_insensitivity(coarse_grid):
         {"tau": 0.0},
         {"tau": 1.5},
         {"tol_residual": -1e-8},
-        {"tol_norm": 0.0},
+        {"tol_residual": np.nan},
         {"max_iterations": 0},
     ],
 )
