@@ -31,7 +31,7 @@ from .errors import (
     SnapshotError,
     SolitonError,
 )
-from .functional import energy_report, kinetic_T, potential_Pi
+from .functional import check_alpha0, energy_report, kinetic_T, potential_Pi
 from .grid import integrate
 from .model import density, trial_functions
 from .scan import ScanConfig, find_a0, verify_extremum
@@ -131,7 +131,10 @@ def _run_config(args) -> io_mod.RunConfig:
             overrides["tol_k"] = args.tol
         else:
             overrides["tol_residual"] = args.tol
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    # alpha0 is read only after the solve; reject it before spending one.
+    check_alpha0(cfg.alpha0)
+    return cfg
 
 
 def _solver_config(cfg: io_mod.RunConfig) -> SolverConfig:

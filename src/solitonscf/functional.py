@@ -74,6 +74,14 @@ def potential_Pi(pair: SpinorPair, grid: Grid, phi0: np.ndarray = None) -> float
     return integrate(phi0 * rho, grid)
 
 
+def check_alpha0(alpha0: float) -> None:
+    """Raise ConfigurationError unless alpha0 is finite and positive."""
+    if not (np.isfinite(alpha0) and alpha0 > 0):
+        raise ConfigurationError(
+            f"alpha0 must be positive and finite, got {alpha0!r}"
+        )
+
+
 def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
     """Charge observables at coupling a.
 
@@ -84,7 +92,8 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
     e0 : float
         Positive unit in which the second charge is measured; e = 4 pi a / e0.
     alpha0 : float
-        Mixing scale; |a| < alpha0 required for meaningful delta, C.
+        Mixing scale, finite and positive; |a| < alpha0 required for
+        meaningful delta, C.
 
     Returns
     -------
@@ -94,6 +103,7 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
         raise ConfigurationError(f"e0 must be a positive number, got {e0!r}")
     if not np.isfinite(a):
         raise ConfigurationError(f"coupling a must be finite, got {a!r}")
+    check_alpha0(alpha0)
     if abs(a) >= alpha0:
         raise UnphysicalMixingError(
             f"|a| = {abs(a):g} >= alpha0 = {alpha0:g}: mixing parameters undefined"

@@ -78,7 +78,8 @@ def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
     Parameters
     ----------
     theta_min, theta_max : float
-        Finite bounds with theta_min < theta_max.
+        Finite bounds with theta_min < theta_max whose e^theta is finite
+        and positive.
     n_nodes : int
         At least 2.
     """
@@ -90,6 +91,13 @@ def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
         raise ConfigurationError(
             f"grid bounds reversed or equal: theta_min={theta_min!r} "
             f">= theta_max={theta_max!r}"
+        )
+    with np.errstate(over="ignore"):
+        x_bounds = np.exp([theta_min, theta_max])
+    if not (np.all(np.isfinite(x_bounds)) and x_bounds[0] > 0.0):
+        raise ConfigurationError(
+            f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
+            f"outside the positive finite range: {x_bounds.tolist()!r}"
         )
     n_nodes = int(n_nodes)
     if n_nodes < 2:

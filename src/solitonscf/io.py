@@ -163,14 +163,25 @@ def _snapshot_checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temporary file and an atomic rename."""
+    """Write text to path via a temporary file and an atomic rename.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask), not the owner-only mode of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -31,6 +31,18 @@ homogeneous in (u, v), the fixed-k correction is always psi = -u, psi1 = -v
 (the linear solve reproduces minus the state), so all real motion is carried
 by the mu terms; the identity is kept as a cheap internal consistency check.
 
+This damped fixed-point step converges only linearly (residual ratio about
+0.72 per step at tau = 0.5). Once the residual norm is at or below 0.1 the
+fields are Anderson-mixed instead (type II, Walker & Ni 2011): with
+x = (u, v) and f = tau (psi + mu psi_mu, psi1 + mu psi1_mu) the damped step
+above, the last five differences dX, dF of iterates and steps give the
+proposal x + f - (dX + dF) gamma, gamma = lstsq(dF, f), renormalized as
+before; k still moves by the full mu. A cold solve at a = -3.3 then takes
+13 iterations instead of 45. A mixed proposal that yields no valid state or
+sends k to the floor is dropped together with the history, and that
+iteration takes the safeguarded damped step (tau halving, then the
+least-bad candidate). Above the threshold every step is the damped step.
+
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
 origin the regular branch gives v = c0 x u with c0 = (1 + k^2 phi(0))/3; at
@@ -72,14 +84,19 @@ __all__ = [
 
 _K_FLOOR = 0.05
 _MU_DENOM_TOL = 1e-14
+_MIX_DEPTH = 5          # Anderson history: differences kept
+_MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 
 
 @dataclass
 class SolverConfig:
     """Iteration controls.
 
-    tau damps the field update; the frequency update is always the full mu.
-    Convergence requires both the residual norm and |mu| below tol_residual.
+    tau damps the field step; the frequency update is always the full mu.
+    Far from convergence the fields move by that damped step; near it the
+    damped step is the residual that Anderson mixing combines, so tau still
+    scales every field update. Convergence requires both the residual norm
+    and |mu| below tol_residual.
     """
 
     tau: float = 0.5
@@ -352,6 +369,72 @@ def newton_step(
     return new
 
 
+class _AndersonMixer:
+    """Type-II Anderson mixing of the fields x = (u, v) with the damped step f.
+
+    The last _MIX_DEPTH differences of iterates and steps are kept as the
+    rows of two preallocated ring buffers; the proposal is
+    x + f - (dX + dF) gamma with gamma the least-squares solution of
+    dF gamma = f. The frequency is not mixed: it moves by the full mu.
+    """
+
+    def __init__(self, n_nodes: int):
+        self.d_x = np.empty((_MIX_DEPTH, 2 * n_nodes))
+        self.d_f = np.empty((_MIX_DEPTH, 2 * n_nodes))
+        self.zero = np.zeros(n_nodes)
+        self.clear()
+
+    def clear(self) -> None:
+        self.x = self.f = None
+        self.count = 0
+        self.head = 0
+
+    def step(self, state, corrections, config, tau, grid):
+        """Record the current (x, f) and return the mixed IterationState.
+
+        Returns None while there is no history yet, and when the proposal
+        is rejected (no valid state, or k at or below _K_FLOOR); a rejection
+        also clears the history.
+        """
+        mu = corrections.mu
+        x = np.concatenate((state.pair.u, state.pair.v))
+        f = tau * np.concatenate(
+            (
+                corrections.psi + mu * corrections.psi_mu,
+                corrections.psi1 + mu * corrections.psi1_mu,
+            )
+        )
+        if self.x is not None:
+            np.subtract(x, self.x, out=self.d_x[self.head])
+            np.subtract(f, self.f, out=self.d_f[self.head])
+            self.head = (self.head + 1) % _MIX_DEPTH
+            self.count = min(self.count + 1, _MIX_DEPTH)
+        self.x, self.f = x, f
+        if self.count == 0:
+            return None
+        d_x = self.d_x[: self.count]
+        d_f = self.d_f[: self.count]
+        # Least squares through the small normal equations: lstsq on the
+        # tall history would copy it and add its LAPACK workspace.
+        gamma = np.linalg.lstsq(d_f @ d_f.T, d_f @ f, rcond=None)[0]
+        step = f - gamma @ d_x - gamma @ d_f
+        # The mixed step enters newton_step as an undamped correction with
+        # no frequency direction, so the fields move by exactly that step
+        # while k moves by the full mu.
+        n = grid.n_nodes
+        mixed = CorrectionSet(
+            psi=step[:n], psi1=step[n:], psi_mu=self.zero, psi1_mu=self.zero, mu=mu
+        )
+        try:
+            new = newton_step(state, mixed, config, grid, tau=1.0)
+        except (DivergenceError, StepRejectedError):
+            new = None
+        if new is None or new.k <= _K_FLOOR:
+            self.clear()
+            return None
+        return new
+
+
 def count_nodes(values: np.ndarray, threshold: float = 1e-8) -> int:
     """Interior sign changes of a profile, ignoring sub-threshold noise."""
     z = np.asarray(values, dtype=float)
@@ -413,6 +496,9 @@ def solve_fixed_a(
         Converged to a state whose u has interior nodes.
     DivergenceError, DegenerateLinearizationError, StalledUpdateError
         Propagated from the inner steps when damping cannot recover.
+
+    Near convergence the field update is Anderson-mixed; see the module
+    docstring.
     """
     config = (config or SolverConfig()).validate()
     if not np.isfinite(a):
@@ -424,6 +510,7 @@ def solve_fixed_a(
     tau = config.tau
     tau_floor = config.tau / 64.0
     accepted_streak = 0
+    mixer = _AndersonMixer(grid.n_nodes)
 
     for _ in range(config.max_iterations):
         corrections = solve_corrections(state, grid)
@@ -439,6 +526,15 @@ def solve_fixed_a(
             return state
 
         accepted = None
+        if state.residual_norm > _MIX_THRESHOLD:
+            mixer.clear()
+        else:
+            accepted = mixer.step(state, corrections, config, tau, grid)
+            if accepted is not None:
+                accepted_streak += 1
+                if accepted_streak >= 2:
+                    tau = config.tau
+
         tau_k = 1.0
         while accepted is None:
             try:

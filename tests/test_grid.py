@@ -24,6 +24,8 @@ def test_build_grid_basic():
         (0.0, 0.0, 100),        # equal
         (np.nan, 1.0, 100),     # non-finite
         (0.0, np.inf, 100),
+        (0.0, 1e308, 100),      # e^theta overflows
+        (-1e308, 0.0, 100),     # e^theta underflows to x = 0
         (0.0, 1.0, 1),          # too few nodes
     ],
 )

@@ -168,6 +168,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_follows_umask(tmp_path):
+    target = tmp_path / "file.txt"
+    old = os.umask(0o022)
+    try:
+        io_mod.atomic_write_text(str(target), "payload\n")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == 0o644
+
+
 # ---------------------------------------------------------------------------
 # tables and summaries
 
@@ -348,6 +358,20 @@ def test_cli_usage_errors(tmp_path, capsys, argv):
     code = main(argv + ["--output-dir", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-10"])
+def test_cli_rejects_bad_alpha0(tmp_path, capsys, value):
+    # rejected before any solve, so no summary with a bare NaN is written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha0 = {value}\n")
+    for command in (["solve", "--a", "-2.3"], ["scan"]):
+        code = main(
+            command + ["--config", str(cfg), "--output-dir", str(tmp_path)] + FAST
+        )
+        assert code == EXIT_USAGE
+        assert "alpha0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):

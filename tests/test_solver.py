@@ -10,6 +10,7 @@ from solitonscf.errors import (
     StalledUpdateError,
     StepRejectedError,
 )
+from solitonscf import solver
 from solitonscf.grid import Grid, integrate
 from solitonscf.model import SpinorPair, density, make_field, trial_functions
 from solitonscf.solver import (
@@ -297,6 +298,39 @@ def test_solution_profile_properties(state_m33, grid):
     assert abs(u[-1]) < 1e-10 and abs(v[-1]) < 1e-10
     # opposite signs on the converged branch
     assert np.sign(u[np.argmax(np.abs(u))]) != np.sign(v[np.argmax(np.abs(v))])
+
+
+def test_cold_solve_is_accelerated(state_m33, scan_result):
+    # Anderson mixing near convergence; the plain damped loop took 45
+    assert state_m33.iteration <= 15
+    assert scan_result.k_history[0][2] <= 15
+
+
+def test_plain_steps_precede_mixing(state_m33):
+    # the first steps run above the mixing threshold, so they are the
+    # plain damped steps, unchanged
+    ks = [row[1] for row in state_m33.trace[:4]]
+    assert ks == pytest.approx([0.650582, 0.893278, 0.835117, 0.833273], abs=1e-6)
+
+
+def test_rejected_mixing_falls_back_to_damped_steps(grid, monkeypatch):
+    # Mixed proposals enter newton_step undamped (tau = 1); reject each one.
+    # Every iteration then takes the safeguarded damped step, which is the
+    # plain loop: 45 iterations to the same frequency.
+    plain = solver.newton_step
+    rejected = []
+
+    def reject_mixed(state, corrections, config, grid, tau=None, tau_k=1.0):
+        if tau == 1.0:
+            rejected.append(state.iteration)
+            raise DivergenceError("forced rejection")
+        return plain(state, corrections, config, grid, tau=tau, tau_k=tau_k)
+
+    monkeypatch.setattr(solver, "newton_step", reject_mixed)
+    state = solve_fixed_a(-3.3, grid)
+    assert len(rejected) > 10
+    assert state.iteration == 45
+    assert state.k == pytest.approx(K_AT_M33, abs=2e-8)
 
 
 def test_trace_records_progress(state_m33):
