@@ -4,14 +4,19 @@ Configuration files are flat key=value text with '#' comments; every key
 has a typed default in RunConfig and unknown keys are rejected loudly.
 
 Snapshots are JSON with an explicit format_version and a sha256 checksum
-over the numeric payload, so a truncated or hand-edited file is detected
-at load time rather than producing a silently wrong warm start. Arrays are
-serialized through repr, which round-trips doubles exactly.
+over the reprs of the values, so a truncated, hand-edited or mistyped file
+is detected at load time rather than producing a silently wrong warm start.
+Doubles are written through repr, which round-trips them exactly, and each
+is formatted once: the same texts feed the checksum and the file body. The
+loader keeps the text of every JSON number and verifies the checksum from
+those tokens first; only a file that spells its numbers otherwise (0.50,
+1E5) has the reprs of its values recomputed.
 
 All writers are deterministic: no timestamps, sorted JSON keys, repr
-formatting for full-precision tables and 6 significant digits for the
-human-facing summaries. Files are written to a temporary name in the
-target directory and atomically renamed into place.
+formatting for full-precision tables (one repr per double, column by
+column) and 6 significant digits for the human-facing summaries. Files are
+written to a temporary name in the target directory and atomically renamed
+into place.
 """
 
 import hashlib
@@ -147,20 +152,27 @@ class Snapshot:
         return SpinorPair(np.asarray(self.u, float), np.asarray(self.v, float))
 
 
+_CANON_SCALARS = ("format_version", "theta_min", "theta_max", "n_nodes", "a", "k")
+# JSON numbers as load_snapshot parses them: the ASCII bytes of a token with
+# a fraction or an exponent, which no JSON string parses to, or an int (bool
+# is an int subclass, not a number)
+_NUMBER_TYPES = {bytes, int}
+# json spells the non-finite doubles NaN/Infinity/-Infinity where repr
+# gives nan/inf/-inf
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _digest(texts: Sequence[str]) -> str:
+    """sha256 of the canon: the value texts in _CANON_SCALARS order, then u, v."""
+    return hashlib.sha256("|".join(texts).encode("ascii")).hexdigest()
+
+
 def _snapshot_checksum(payload: dict) -> str:
-    canon = "|".join(
-        [
-            str(payload["format_version"]),
-            repr(payload["theta_min"]),
-            repr(payload["theta_max"]),
-            str(payload["n_nodes"]),
-            repr(payload["a"]),
-            repr(payload["k"]),
-            ",".join(repr(x) for x in payload["u"]),
-            ",".join(repr(x) for x in payload["v"]),
-        ]
+    """Checksum over the reprs of a payload's values."""
+    return _digest(
+        [repr(payload[key]) for key in _CANON_SCALARS]
+        + [",".join(repr(x) for x in payload[key]) for key in ("u", "v")]
     )
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
 def _umask() -> int:
@@ -191,32 +203,86 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _float_texts(values) -> Tuple[List[str], List[str]]:
+    """The reprs of some doubles, and the same texts as json spells them."""
+    values = np.asarray(values, float)
+    texts = list(map(repr, values.tolist()))
+    if np.isfinite(values).all():
+        return texts, texts
+    return texts, [_JSON_CONSTANTS.get(t, t) for t in texts]
+
+
+def _json_array(texts: List[str]) -> str:
+    """Number texts laid out as json.dumps(..., indent=1) nests a list."""
+    if not texts:
+        return "[]"
+    return "[\n  " + ",\n  ".join(texts) + "\n ]"
+
+
 def save_snapshot(path: str, snapshot: Snapshot) -> None:
-    """Serialize a snapshot as checksummed JSON (full double precision)."""
-    payload = {
-        "format_version": int(snapshot.format_version),
-        "theta_min": float(snapshot.theta_min),
-        "theta_max": float(snapshot.theta_max),
-        "n_nodes": int(snapshot.n_nodes),
-        "a": float(snapshot.a),
-        "k": float(snapshot.k),
-        "u": [float(x) for x in np.asarray(snapshot.u, float)],
-        "v": [float(x) for x in np.asarray(snapshot.v, float)],
-    }
-    payload["checksum"] = _snapshot_checksum(payload)
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Serialize a snapshot as checksummed JSON (full double precision).
+
+    The file is json.dumps(payload, sort_keys=True, indent=1) plus a
+    newline, laid out directly: each double is formatted by repr once, and
+    the same texts feed the checksum and the body.
+    """
+    version = int(snapshot.format_version)
+    n_nodes = int(snapshot.n_nodes)
+    (t_min, t_max, a, k), (j_min, j_max, j_a, j_k) = _float_texts(
+        [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
+    )
+    u, u_json = _float_texts(snapshot.u)
+    v, v_json = _float_texts(snapshot.v)
+    checksum = _digest(
+        [str(version), t_min, t_max, str(n_nodes), a, k, ",".join(u), ",".join(v)]
+    )
+    atomic_write_text(
+        path,
+        "{\n"
+        f' "a": {j_a},\n'
+        f' "checksum": "{checksum}",\n'
+        f' "format_version": {version},\n'
+        f' "k": {j_k},\n'
+        f' "n_nodes": {n_nodes},\n'
+        f' "theta_max": {j_max},\n'
+        f' "theta_min": {j_min},\n'
+        f' "u": {_json_array(u_json)},\n'
+        f' "v": {_json_array(v_json)}\n'
+        "}\n",
+    )
+
+
+def _text(value) -> str:
+    """The text of a parsed JSON number."""
+    return value.decode("ascii") if type(value) is bytes else str(value)
+
+
+def _joined(values: list) -> str:
+    """Comma-join the texts of parsed JSON numbers."""
+    try:
+        return b",".join(values).decode("ascii")
+    except TypeError:  # JSON integers parse to int, not to token bytes
+        return ",".join(map(_text, values))
+
+
+def _parsed(value):
+    """A value as json.load without parse_float would have returned it."""
+    if isinstance(value, list):
+        return [_parsed(x) for x in value]
+    return float(value) if type(value) is bytes else value
 
 
 def load_snapshot(path: str) -> Snapshot:
     """Load and verify a snapshot.
 
-    Raises CorruptSnapshotError for unparseable, incomplete or
-    checksum-failing files and UnsupportedSnapshotError for a
-    format_version this build does not know.
+    Raises CorruptSnapshotError for unparseable, incomplete, mistyped,
+    non-finite or checksum-failing files and UnsupportedSnapshotError for a
+    format_version this build does not know. Each value must be a JSON
+    number (n_nodes a JSON integer) and finite.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_float=str.encode)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptSnapshotError(f"{path}: not valid snapshot JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -231,22 +297,46 @@ def load_snapshot(path: str) -> Snapshot:
     missing = [key for key in required if key not in payload]
     if missing:
         raise CorruptSnapshotError(f"{path}: missing keys {missing}")
-    body = {key: payload[key] for key in required if key != "checksum"}
-    body["format_version"] = version
-    if _snapshot_checksum(body) != payload["checksum"]:
-        raise CorruptSnapshotError(f"{path}: checksum mismatch")
-    u = np.asarray(payload["u"], dtype=float)
-    v = np.asarray(payload["v"], dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or u.size != int(payload["n_nodes"]):
+    scalars = [payload[key] for key in ("theta_min", "theta_max", "a", "k")]
+    u, v = payload["u"], payload["v"]
+    if not (
+        type(payload["n_nodes"]) is int
+        and set(map(type, scalars)) <= _NUMBER_TYPES
+        and all(
+            isinstance(x, list) and set(map(type, x)) <= _NUMBER_TYPES for x in (u, v)
+        )
+    ):
+        raise CorruptSnapshotError(f"{path}: snapshot values must be JSON numbers")
+    # A token that matches is the repr the writer hashed; only a file with
+    # other spellings of its numbers (0.50, 1E5) needs the reprs recomputed.
+    texts = [_text(payload[key]) for key in _CANON_SCALARS]
+    if _digest(texts + [_joined(u), _joined(v)]) != payload["checksum"]:
+        body = {key: _parsed(payload[key]) for key in _CANON_SCALARS + ("u", "v")}
+        if _snapshot_checksum(body) != payload["checksum"]:
+            raise CorruptSnapshotError(f"{path}: checksum mismatch")
+    try:
+        theta_min, theta_max, a, k = map(float, scalars)
+        u = np.array(list(map(float, u)), dtype=float)
+        v = np.array(list(map(float, v)), dtype=float)
+    except OverflowError as exc:  # an integer beyond the double range
+        raise CorruptSnapshotError(f"{path}: snapshot values must be finite") from exc
+    if not (
+        np.isfinite([theta_min, theta_max, a, k]).all()
+        and np.isfinite(u).all()
+        and np.isfinite(v).all()
+    ):
+        raise CorruptSnapshotError(f"{path}: snapshot values must be finite")
+    n_nodes = payload["n_nodes"]
+    if u.shape != v.shape or u.size != n_nodes:
         raise CorruptSnapshotError(
-            f"{path}: field arrays do not match n_nodes = {payload['n_nodes']!r}"
+            f"{path}: field arrays do not match n_nodes = {n_nodes!r}"
         )
     return Snapshot(
-        theta_min=float(payload["theta_min"]),
-        theta_max=float(payload["theta_max"]),
-        n_nodes=int(payload["n_nodes"]),
-        a=float(payload["a"]),
-        k=float(payload["k"]),
+        theta_min=theta_min,
+        theta_max=theta_max,
+        n_nodes=n_nodes,
+        a=a,
+        k=k,
         u=u,
         v=v,
         format_version=int(version),
@@ -257,32 +347,28 @@ def load_snapshot(path: str) -> Snapshot:
 # tables and summaries
 
 
-def _csv(path: str, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(repr(float(c)) for c in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _csv(path: str, header: Sequence[str], columns) -> None:
+    """Write columns of doubles as repr text, one row per line."""
+    texts = [map(repr, np.asarray(col, float).tolist()) for col in columns]
+    rows = map(",".join, zip(*texts))
+    atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def write_profiles_csv(path: str, grid: Grid, u, v, phi0) -> None:
     """Radial profiles (x, u, v, phi0, rho) at full precision."""
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    rho = u * u + v * v
-    _csv(
-        path,
-        ("x", "u", "v", "phi0", "rho"),
-        zip(grid.x, u, v, np.asarray(phi0, float), rho),
-    )
+    _csv(path, ("x", "u", "v", "phi0", "rho"), (grid.x, u, v, phi0, u * u + v * v))
 
 
 def write_history_csv(path: str, k_history: Sequence[Tuple]) -> None:
     """Scan history rows (a, k, iterations, residual)."""
-    _csv(path, ("a", "k", "iterations", "residual"), k_history)
+    _csv(path, ("a", "k", "iterations", "residual"), zip(*k_history))
 
 
 def write_trace_csv(path: str, trace: Sequence[Tuple]) -> None:
     """Inner iteration trace rows (iteration, k, residual_norm, mu)."""
-    _csv(path, ("iteration", "k", "residual_norm", "mu"), trace)
+    _csv(path, ("iteration", "k", "residual_norm", "mu"), zip(*trace))
 
 
 def write_dispersion_csv(path: str, points) -> None:
@@ -290,10 +376,7 @@ def write_dispersion_csv(path: str, points) -> None:
     _csv(
         path,
         ("P", "E_electron", "E_positron", "L", "K", "velocity"),
-        (
-            (p.P, p.E_electron, p.E_positron, p.L, p.K, p.velocity)
-            for p in points
-        ),
+        zip(*((p.P, p.E_electron, p.E_positron, p.L, p.K, p.velocity) for p in points)),
     )
 
 

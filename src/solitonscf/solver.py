@@ -490,6 +490,9 @@ def solve_fixed_a(
 
     Raises
     ------
+    ConfigurationError
+        Before iterating, for a coupling that is not finite and negative or
+        a starting frequency that is not finite and positive.
     NonConvergenceError
         Iteration cap reached; carries the trace history.
     WrongBranchError
@@ -501,8 +504,9 @@ def solve_fixed_a(
     docstring.
     """
     config = (config or SolverConfig()).validate()
-    if not np.isfinite(a):
-        raise ConfigurationError(f"coupling a must be finite, got {a!r}")
+    if not (np.isfinite(a) and a < 0):
+        # k^2 a = a0 < 0 on the bound branch, so a >= 0 has no solution
+        raise ConfigurationError(f"coupling a must be finite and negative, got {a!r}")
     if not (np.isfinite(k0) and k0 > 0):
         raise ConfigurationError(f"starting frequency must be positive, got {k0!r}")
 

@@ -1,10 +1,12 @@
 """Config parsing, snapshots, artifact writers, and the command line."""
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +158,150 @@ def test_snapshot_rejects_shape_mismatch(tmp_path):
     body = {k: payload[k] for k in payload if k != "checksum"}
     payload["checksum"] = io_mod._snapshot_checksum(body)
     path.write_text(json.dumps(payload, sort_keys=True))
+    with pytest.raises(CorruptSnapshotError):
+        io_mod.load_snapshot(str(path))
+
+
+# The byte contract, kept here as the reference recipe: the checksum is
+# sha256 over the reprs of the values, and the file is json.dumps of the
+# payload with sorted keys and indent 1.
+
+_CANON = ("format_version", "theta_min", "theta_max", "n_nodes", "a", "k", "u", "v")
+
+
+def _reference_checksum(body):
+    def text(key):
+        value = body[key]
+        if key in ("format_version", "n_nodes"):
+            return str(value)
+        if isinstance(value, list):
+            return ",".join(repr(x) for x in value)
+        return repr(value)
+
+    canon = "|".join(text(key) for key in _CANON)
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+def _reference_snapshot_text(snap):
+    payload = {
+        "format_version": 1,
+        "theta_min": float(snap.theta_min),
+        "theta_max": float(snap.theta_max),
+        "n_nodes": int(snap.n_nodes),
+        "a": float(snap.a),
+        "k": float(snap.k),
+        "u": [float(x) for x in snap.u],
+        "v": [float(x) for x in snap.v],
+    }
+    payload["checksum"] = _reference_checksum(payload)
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def _reference_csv_text(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(c)) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_CONTRACT_ARRAYS = {
+    "edge": np.array(
+        [-0.0, 5e-324, 1e16, 1e-05, 0.1, np.nan, np.inf, -np.inf, 123456.789, -1e300]
+    ),
+    "normal": np.random.default_rng(11).standard_normal(257),
+    "empty": np.zeros(0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_ARRAYS))
+@pytest.mark.parametrize("a, k", [(-2.3, 0.912345678901234567), (np.nan, -np.inf)])
+def test_snapshot_bytes_match_the_json_recipe(tmp_path, name, a, k):
+    values = _CONTRACT_ARRAYS[name]
+    snap = io_mod.Snapshot(
+        theta_min=-0.0, theta_max=float(np.log(80.0)), n_nodes=values.size,
+        a=a, k=k, u=values, v=-values[::-1],
+    )
+    path = tmp_path / "state.json"
+    io_mod.save_snapshot(str(path), snap)
+    assert path.read_text() == _reference_snapshot_text(snap)
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_ARRAYS))
+def test_csv_bytes_match_the_row_recipe(tmp_path, name):
+    u = _CONTRACT_ARRAYS[name]
+    v = 0.5 * u[::-1]
+    x = np.arange(u.size) * 0.25
+    phi0 = -u
+    path = tmp_path / "profiles.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        io_mod.write_profiles_csv(str(path), SimpleNamespace(x=x), u, v, phi0)
+        rho = u * u + v * v
+    assert path.read_text() == _reference_csv_text(
+        ("x", "u", "v", "phi0", "rho"), zip(x, u, v, phi0, rho)
+    )
+
+    history = [(a, b, i, a * 0.5) for i, (a, b) in enumerate(zip(u, v))]
+    hist = tmp_path / "hist.csv"
+    io_mod.write_history_csv(str(hist), history)
+    assert hist.read_text() == _reference_csv_text(
+        ("a", "k", "iterations", "residual"), history
+    )
+
+
+def test_snapshot_checksum_over_reprs_of_other_spellings(tmp_path):
+    # Valid JSON numbers that are not shortest reprs; the checksum covers
+    # the reprs of their values, so the file loads, bit-exact.
+    values = {
+        "format_version": 1, "theta_min": -13.0, "theta_max": 4.0, "n_nodes": 3,
+        "a": -2.3, "k": 0.9, "u": [0.5, 1e5, 1e-05], "v": [-0.5, 2.5, 1e-05],
+    }
+    text = (
+        '{"a": -2.30, "checksum": "%s", "format_version": 1, "k": 9E-1, '
+        '"n_nodes": 3, "theta_max": 4.0E0, "theta_min": -1.30e1, '
+        '"u": [0.50, 1E5, 1.0e-05], "v": [-0.50, 2.5e0, 1e-5]}'
+    )
+    path = tmp_path / "state.json"
+    path.write_text(text % _reference_checksum(values))
+    back = io_mod.load_snapshot(str(path))
+    assert (back.theta_min, back.theta_max, back.n_nodes, back.a, back.k) == (
+        -13.0, 4.0, 3, -2.3, 0.9
+    )
+    assert back.u.tolist() == values["u"] and back.v.tolist() == values["v"]
+    # the same file with one value changed is refused
+    path.write_text((text % _reference_checksum(values)).replace("0.50,", "0.51,"))
+    with pytest.raises(CorruptSnapshotError):
+        io_mod.load_snapshot(str(path))
+
+
+def _mistyped_snapshot(path, key, value):
+    """A snapshot whose `key` holds `value`, with a checksum that agrees."""
+    io_mod.save_snapshot(str(path), _sample_snapshot())
+    payload = json.loads(path.read_text())
+    payload[key] = value(payload[key]) if callable(value) else value
+    payload["checksum"] = _reference_checksum(payload)
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+
+_MISTYPED = {
+    "u-scalar": ("u", 1.5),
+    "u-words": ("u", lambda u: ["abc"] * len(u)),
+    "u-strings": ("u", lambda u: [repr(x) for x in u]),
+    "u-nan": ("u", lambda u: [float("nan")] + u[1:]),
+    "u-bools": ("u", lambda u: [True] * len(u)),
+    "a-string": ("a", "x"),
+    "a-null": ("a", None),
+    "a-huge-int": ("a", -(10**400)),
+    "k-inf": ("k", float("inf")),
+    "k-bool": ("k", True),
+    "n_nodes-string": ("n_nodes", str),
+    "n_nodes-float": ("n_nodes", float),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_snapshot_rejects_mistyped_values(tmp_path, case):
+    key, value = _MISTYPED[case]
+    path = tmp_path / "state.json"
+    _mistyped_snapshot(path, key, value)
     with pytest.raises(CorruptSnapshotError):
         io_mod.load_snapshot(str(path))
 
@@ -352,6 +498,7 @@ def test_cli_trial_eval(tmp_path, capsys):
         ["dispersion", "--e0", "1.0", "--p-count", "0"],  # empty table
         ["dispersion", "--e0", "1.0", "--p-min", "2.0", "--p-max", "1.0"],
         ["scan", "--tol", "nan"],                         # rejected before a solve
+        ["solve", "--a", "0.5"],                          # k^2 a = a0 < 0
     ],
 )
 def test_cli_usage_errors(tmp_path, capsys, argv):
@@ -441,6 +588,16 @@ def test_cli_io_error_exits(tmp_path, capsys):
     )
     assert code == EXIT_IO
     capsys.readouterr()
+
+
+def test_cli_mistyped_snapshot_is_an_io_error(tmp_path, capsys):
+    snap = tmp_path / "state.json"
+    _mistyped_snapshot(snap, "u", 1.5)
+    code = main(
+        ["solve", "--warm-start", str(snap), "--output-dir", str(tmp_path)] + FAST
+    )
+    assert code == EXIT_IO
+    assert "JSON numbers" in capsys.readouterr().err
 
 
 def test_cli_output_dir_env(tmp_path, monkeypatch, capsys):

@@ -376,6 +376,9 @@ def test_config_validation(kwargs):
 def test_rejects_bad_coupling_and_frequency(coarse_grid):
     with pytest.raises(ConfigurationError):
         solve_fixed_a(np.nan, coarse_grid)
+    for a in (0.0, 0.5):  # k^2 a = a0 < 0 rules these out before iterating
+        with pytest.raises(ConfigurationError):
+            solve_fixed_a(a, coarse_grid)
     with pytest.raises(ConfigurationError):
         solve_fixed_a(-2.3, coarse_grid, k0=-1.0)
 
