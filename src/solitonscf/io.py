@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     CorruptSnapshotError,
+    ShapeError,
     UnsupportedSnapshotError,
 )
 from .grid import Grid, build_grid
@@ -288,7 +289,8 @@ def load_snapshot(path: str) -> Snapshot:
     if not isinstance(payload, dict):
         raise CorruptSnapshotError(f"{path}: snapshot root must be an object")
     version = payload.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
+    # a JSON integer, as n_nodes must be: true == 1 in Python, but is no version
+    if type(version) is not int or version != SNAPSHOT_FORMAT_VERSION:
         raise UnsupportedSnapshotError(
             f"{path}: format_version {version!r} not supported "
             f"(this build reads {SNAPSHOT_FORMAT_VERSION})"
@@ -348,8 +350,16 @@ def load_snapshot(path: str) -> Snapshot:
 
 
 def _csv(path: str, header: Sequence[str], columns) -> None:
-    """Write columns of doubles as repr text, one row per line."""
-    texts = [map(repr, np.asarray(col, float).tolist()) for col in columns]
+    """Write columns of doubles as repr text, one row per line.
+
+    Raises ShapeError, and writes nothing, when the columns differ in length.
+    """
+    columns = [np.asarray(col, float) for col in columns]
+    if len({col.shape for col in columns}) > 1:
+        raise ShapeError(
+            f"{path}: columns of unequal shape {[col.shape for col in columns]}"
+        )
+    texts = [map(repr, col.tolist()) for col in columns]
     rows = map(",".join, zip(*texts))
     atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 

@@ -148,8 +148,14 @@ def verify_extremum(result: ScanResult, grid: Grid) -> float:
 
     The converged coupling should reproduce the energy extremum a = -T/Pi;
     the returned number is the relative distance between the two, a direct
-    consistency check between the scan and the energy functional.
+    consistency check between the scan and the energy functional. T and Pi
+    come from result.report, which find_a0 evaluates on the same pair; a
+    result without a report has them evaluated here.
     """
-    T = kinetic_T(result.solution.pair, grid)
-    Pi = potential_Pi(result.solution.pair, grid)
+    report = result.report
+    if report is None:
+        T = kinetic_T(result.solution.pair, grid)
+        Pi = potential_Pi(result.solution.pair, grid)
+    else:
+        T, Pi = report.T, report.Pi
     return float(abs(result.a0 + T / Pi) / abs(result.a0))

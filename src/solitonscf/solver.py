@@ -18,18 +18,19 @@ branch and k(a) is a smooth monotone function whose root k = 1 marks the
 self-consistent coupling a0. The tail mass sqrt(P Q) -> 1 is independent of
 k, which keeps the spatial scale fixed along the embedding.
 
-One iteration freezes phi at the current density, solves the linearized
-boundary value problem for the corrections (psi, psi1) at fixed k and for
-the frequency sensitivities (psi_mu, psi1_mu), picks the frequency increment
-mu that restores the norm constraint to first order, then applies
+One iteration freezes phi at the current density, takes the corrections
+(psi, psi1) at fixed k, solves the linearized boundary value problem for the
+frequency sensitivities (psi_mu, psi1_mu), picks the frequency increment mu
+that restores the norm constraint to first order, then applies
 
     u <- A [u + tau (psi + mu psi_mu)],   v likewise,   k <- k + mu,
 
 with A the renormalization amplitude. The fields are damped by tau; the
 frequency moves by the full mu. Because the frozen-phi system is linear and
-homogeneous in (u, v), the fixed-k correction is always psi = -u, psi1 = -v
-(the linear solve reproduces minus the state), so all real motion is carried
-by the mu terms; the identity is kept as a cheap internal consistency check.
+homogeneous in (u, v), the fixed-k correction is exactly psi = -u,
+psi1 = -v: the discrete rows applied to the state are the residual rows,
+so that correction is written down rather than solved for, and all real
+motion is carried by the mu terms.
 
 This damped fixed-point step converges only linearly (residual ratio about
 0.72 per step at tau = 0.5). Once the residual norm is at or below 0.1 the
@@ -48,15 +49,17 @@ coupling each interval's endpoints, plus one boundary row per end. At the
 origin the regular branch gives v = c0 x u with c0 = (1 + k^2 phi(0))/3; at
 the outer end u = r v with r the decaying root of the local Riccati equation
 Q r^2 - 2 r/x - P = 0, which absorbs the slow Coulomb tail of phi. Unknowns
-interleave as (u_0, v_0, u_1, v_1, ...), making the matrix pentadiagonal,
-solved banded with two right-hand sides (state residual and k-derivative).
+interleave as (u_0, v_0, u_1, v_1, ...), making the matrix pentadiagonal
+and, in blocks of two rows, block tridiagonal with 2x2 blocks. solve_banded
+solves it for the one k-derivative right-hand side by block cyclic
+reduction in numpy alone.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     ConfigurationError,
@@ -68,7 +71,14 @@ from .errors import (
     WrongBranchError,
 )
 from .grid import Grid, integrate
-from .model import SelfField, SpinorPair, density, make_field, trial_functions
+from .model import (
+    SelfField,
+    SpinorPair,
+    density,
+    make_field,
+    potential,
+    trial_functions,
+)
 
 __all__ = [
     "SolverConfig",
@@ -79,6 +89,7 @@ __all__ = [
     "mu_update",
     "newton_step",
     "solve_fixed_a",
+    "solve_banded",
     "count_nodes",
 ]
 
@@ -86,6 +97,8 @@ _K_FLOOR = 0.05
 _MU_DENOM_TOL = 1e-14
 _MIX_DEPTH = 5          # Anderson history: differences kept
 _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
+_PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
+_DENSE_BLOCKS = 32      # cyclic reduction leaves at most this many blocks
 
 
 @dataclass
@@ -137,8 +150,9 @@ class CorrectionSet:
     """Linearized corrections at frozen potential.
 
     (psi, psi1) solve the boundary value problem driven by the state
-    residual at fixed k; (psi_mu, psi1_mu) are driven by the k-derivative
-    of the operator. mu and a_norm are filled in by mu_update/newton_step.
+    residual at fixed k, which makes them (-u, -v); (psi_mu, psi1_mu) are
+    driven by the k-derivative of the operator. mu and a_norm are filled in
+    by mu_update/newton_step.
     """
 
     psi: np.ndarray
@@ -181,6 +195,155 @@ def _tail_row(k: float, phi_end: float, x_end: float):
     return float(r), float(dr)
 
 
+def solve_banded(l_and_u, ab, b):
+    """Solve the box scheme's banded system A x = b by block cyclic reduction.
+
+    Same calling convention as scipy.linalg.solve_banded with (l, u) =
+    (2, 2): A[i, j] = ab[2 + i - j, j], and b is one right-hand side of
+    length m = ab.shape[1]. A must have the box scheme's staircase pattern:
+    block row j, the rows (2j, 2j+1), reaches block j - 1 through its row 0
+    only and block j + 1 through its row 1 only (ab[0, 2::2] and
+    ab[4, 1:-2:2] are zero), so A is block tridiagonal in 2x2 blocks.
+
+    Each level eliminates the odd blocks, vectorized over all of them, and
+    leaves the even ones with the same coupling pattern (Buzbee, Golub &
+    Nielson 1970); at most _DENSE_BLOCKS blocks are left to one dense solve.
+    Nothing pivots across blocks, so each odd pivot block is checked: one
+    whose determinant has cancelled to below _PIVOT_TOL times its diagonal
+    product raises DegenerateLinearizationError, as does a singular dense
+    remainder.
+    """
+    ab = np.asarray(ab, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = ab.shape[1]
+    if tuple(l_and_u) != (2, 2) or ab.shape[0] != 5 or m % 2 or b.shape != (m,):
+        raise ValueError(
+            f"solve_banded takes (2, 2), a (5, 2n) band and one right-hand "
+            f"side; got {tuple(l_and_u)}, {ab.shape}, {b.shape}"
+        )
+    if np.any(ab[0, 2::2]) or np.any(ab[4, 1:-2:2]):
+        raise ValueError("solve_banded: the band is not block tridiagonal")
+    # One level is (d, lo, up, rhs) per block: the diagonal block d, row 0's
+    # coupling lo to the block before and row 1's coupling up to the block
+    # after (one entry per interface), and the right-hand side. Level zero
+    # reads them from the band through strided views.
+    level = (
+        (ab[2, 0::2], ab[1, 1::2], ab[3, 0::2], ab[2, 1::2]),
+        (ab[4, 0:-2:2], ab[3, 1:-2:2]),
+        (ab[1, 2::2], ab[0, 3::2]),
+        (b[0::2], b[1::2]),
+    )
+    eliminated = []
+    while len(level[0][0]) > _DENSE_BLOCKS:
+        odd, level = _reduce(*level)
+        eliminated.append(odd)
+    # Block j of level k is block j 2^k of the system, so each level's
+    # solution is written straight into place.
+    out = np.empty(m)
+    x_u, x_v = out[0::2], out[1::2]
+    step = 1 << len(eliminated)
+    x_u[::step], x_v[::step] = _dense_solve(*level)
+    for odd in reversed(eliminated):
+        half = step >> 1
+        _back_substitute(
+            odd, x_u[::step], x_v[::step], x_u[half::step], x_v[half::step]
+        )
+        step = half
+    return out
+
+
+def _reduce(d, lo, up, rhs):
+    """Eliminate the odd blocks of one level.
+
+    Returns the odd blocks' data for back substitution and the reduced
+    level on the even blocks, whose interface t joins even blocks t, t + 1.
+    """
+    d00, d01, d10, d11 = d
+    n_odd = len(d00) // 2
+    n_inner = len(d00) - n_odd - 1      # odd blocks with a right neighbour
+    p00, p01, p10, p11 = d00[1::2], d01[1::2], d10[1::2], d11[1::2]
+    diag = p00 * p11
+    det = diag - p01 * p10
+    # |det| > tol |p00 p11| also bounds |p01 p10| / |det| by 1/tol + 1
+    if not np.all(np.abs(diag) * _PIVOT_TOL < np.abs(det)):
+        raise DegenerateLinearizationError(
+            f"near-singular 2x2 pivot block in the box-scheme solve "
+            f"({len(d00)} blocks at this reduction level)"
+        )
+    # D^-1 = [[g11, -g01], [-g10, g00]]
+    g00, g01, g10, g11 = p00 / det, p01 / det, p10 / det, p11 / det
+    lo_left, lo_right = (lo[0][0::2], lo[1][0::2]), (lo[0][1::2], lo[1][1::2])
+    up_left, up_right = (up[0][0::2], up[1][0::2]), (up[0][1::2], up[1][1::2])
+    q0, q1 = rhs[0][1::2], rhs[1][1::2]
+    # beta: row 1 of the even block before, times D^-1; alpha: row 0 of the
+    # even block after, times D^-1.
+    beta0 = up_left[0] * g11 - up_left[1] * g10
+    beta1 = up_left[1] * g00 - up_left[0] * g01
+    s = slice(0, n_inner)
+    alpha0 = lo_right[0] * g11[s] - lo_right[1] * g10[s]
+    alpha1 = lo_right[1] * g00[s] - lo_right[0] * g01[s]
+
+    e00, e01, e10, e11 = (c[0::2].copy() for c in d)
+    f0, f1 = rhs[0][0::2].copy(), rhs[1][0::2].copy()
+    e00[1:] -= alpha1 * up_right[0]
+    e01[1:] -= alpha1 * up_right[1]
+    f0[1:] -= alpha0 * q0[s] + alpha1 * q1[s]
+    e10[:n_odd] -= beta0 * lo_left[0]
+    e11[:n_odd] -= beta0 * lo_left[1]
+    f1[:n_odd] -= beta0 * q0 + beta1 * q1
+    alpha0 = -alpha0
+    beta1 = -beta1[s]
+    reduced = (
+        (e00, e01, e10, e11),
+        (alpha0 * lo_left[0][s], alpha0 * lo_left[1][s]),
+        (beta1 * up_right[0], beta1 * up_right[1]),
+        (f0, f1),
+    )
+    return (g00, g01, g10, g11, lo_left, up_right, q0, q1), reduced
+
+
+def _back_substitute(odd, y_u, y_v, x_u, x_v):
+    """Fill in the odd blocks x from the solved even blocks y of a level."""
+    g00, g01, g10, g11, lo_left, up_right, q0, q1 = odd
+    n_odd = len(g00)
+    r0 = q0 - lo_left[0] * y_u[:n_odd] - lo_left[1] * y_v[:n_odd]
+    r1 = q1.copy()
+    r1[: len(y_u) - 1] -= up_right[0] * y_u[1:] + up_right[1] * y_v[1:]
+    np.subtract(g11 * r0, g01 * r1, out=x_u)
+    np.subtract(g00 * r1, g10 * r0, out=x_v)
+
+
+@lru_cache(maxsize=_DENSE_BLOCKS)
+def _dense_index(n):
+    """Flat positions of a level's (d, lo, up) in its (2n, 2n) dense matrix.
+
+    n is at most _DENSE_BLOCKS, so the cache holds every size that occurs.
+    """
+    j = 2 * np.arange(n)
+    t = j[:-1]
+    rows = np.concatenate((j, j, j + 1, j + 1, t + 2, t + 2, t + 1, t + 1))
+    cols = np.concatenate((j, j + 1, j, j + 1, t, t + 1, t + 2, t + 3))
+    index = rows * (2 * n) + cols
+    index.flags.writeable = False    # shared by every call through the cache
+    return index
+
+
+def _dense_solve(d, lo, up, rhs):
+    """Solve the last few blocks as one dense system."""
+    n = len(d[0])
+    dense = np.zeros(4 * n * n)
+    dense[_dense_index(n)] = np.concatenate(d + lo + up)
+    b = np.empty(2 * n)
+    b[0::2], b[1::2] = rhs
+    try:
+        x = np.linalg.solve(dense.reshape(2 * n, 2 * n), b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateLinearizationError(
+            f"singular reduced system in the box-scheme solve: {exc}"
+        ) from exc
+    return x[0::2], x[1::2]
+
+
 def ode_residual(state: IterationState, grid: Grid):
     """Midpoint residuals of both equations on each interval.
 
@@ -212,12 +375,14 @@ def residual_norm(state: IterationState, grid: Grid) -> float:
 
 
 def solve_corrections(state: IterationState, grid: Grid) -> CorrectionSet:
-    """Solve the linearized boundary value problem for both correction pairs.
+    """Both correction pairs of the linearized boundary value problem.
 
-    A single pentadiagonal matrix (the box-scheme Jacobian at frozen
-    potential and current k) is factored against two right-hand sides:
-    minus the state residual, giving (psi, psi1), and the k-derivative of
-    the operator applied to the state, giving (psi_mu, psi1_mu).
+    The pentadiagonal matrix J (the box-scheme Jacobian at frozen potential
+    and current k) is solved against one right-hand side, the k-derivative
+    of the operator applied to the state, giving (psi_mu, psi1_mu). The
+    residual-driven pair needs no solve: J applied to (u, v) is exactly the
+    scaled state residual (both sides are the same box rows and boundary
+    rows), so J psi = -residual has the solution (psi, psi1) = (-u, -v).
     """
     x = grid.x
     h = grid.h
@@ -257,37 +422,23 @@ def solve_corrections(state: IterationState, grid: Grid) -> CorrectionSet:
     ab[3, m - 2] = 1.0
     ab[2, m - 1] = -r_end
 
-    rhs = np.zeros((m, 2))
-    r_u, r_v = ode_residual(state, grid)
-    rhs[1:-1:2, 0] = -hx * r_u
-    rhs[2:-1:2, 0] = -hx * r_v
-    rhs[0, 0] = -(v[0] - c0 * x[0] * u[0])
-    rhs[-1, 0] = -(u[-1] - r_end * v[-1])
     # k-derivative drive: the operator's k-derivative applied to the state,
     # with the sign such that psi_mu solves J psi_mu = -(dF/dk).
-    um = 0.5 * (u[1:] + u[:-1])
-    vm = 0.5 * (v[1:] + v[:-1])
-    rhs[1:-1:2, 1] = hx * dp * vm
-    rhs[2:-1:2, 1] = hx * dq * um
-    rhs[0, 1] = dc0 * x[0] * u[0]
-    rhs[-1, 1] = dr_end * v[-1]
+    rhs = np.empty(m)
+    rhs[1:-1:2] = hx * dp * (0.5 * (v[1:] + v[:-1]))
+    rhs[2:-1:2] = hx * dq * (0.5 * (u[1:] + u[:-1]))
+    rhs[0] = dc0 * x[0] * u[0]
+    rhs[-1] = dr_end * v[-1]
 
     try:
         sol = solve_banded((2, 2), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateLinearizationError(
-            f"banded solve failed at k={state.k!r}: {exc}"
-        ) from exc
+    except DegenerateLinearizationError as exc:
+        raise DegenerateLinearizationError(f"at k={state.k!r}: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise DegenerateLinearizationError(
             f"banded solve produced non-finite corrections at k={state.k!r}"
         )
-    return CorrectionSet(
-        psi=sol[0::2, 0],
-        psi1=sol[1::2, 0],
-        psi_mu=sol[0::2, 1],
-        psi1_mu=sol[1::2, 1],
-    )
+    return CorrectionSet(psi=-u, psi1=-v, psi_mu=sol[0::2], psi1_mu=sol[1::2])
 
 
 def mu_update(state: IterationState, corrections: CorrectionSet, grid: Grid) -> float:
@@ -300,9 +451,11 @@ def mu_update(state: IterationState, corrections: CorrectionSet, grid: Grid) -> 
         I_mu = int (u psi_mu + v psi1_mu) dx,
 
     so the increment that holds the norm at one is mu = -I_s / I_mu.
-    Because psi = -u identically at frozen potential, I_s = -1 for a
-    normalized state and the formula reduces to mu = 1/I_mu, but it is
-    evaluated in full so the identity is exercised rather than assumed.
+    solve_corrections returns psi = -u, so I_s is minus the norm, -1 for a
+    normalized state, and mu = 1/I_mu there. The formula is evaluated in
+    full all the same: mu stays correct for any correction set, such as a
+    rescaled one, and a state off the unit norm is not silently assumed
+    normalized.
     """
     u, v = state.pair.u, state.pair.v
     i_s = integrate(u * corrections.psi + v * corrections.psi1, grid)
@@ -348,19 +501,22 @@ def newton_step(
         raise DivergenceError(
             f"non-finite fields after update at iteration {state.iteration}"
         )
-    raw = density(SpinorPair(u_new, v_new), grid).norm
+    dens = density(SpinorPair(u_new, v_new), grid)
+    raw = dens.norm
     if not (np.isfinite(raw) and raw > 0):
         raise DivergenceError(f"update produced unnormalizable fields (norm {raw!r})")
-    corrections.a_norm = float(1.0 / np.sqrt(raw))
-    pair = SpinorPair(u_new * corrections.a_norm, v_new * corrections.a_norm)
-    fld = make_field(pair, state.a, grid)
+    a_norm = float(1.0 / np.sqrt(raw))
+    corrections.a_norm = a_norm
+    pair = SpinorPair(u_new * a_norm, v_new * a_norm)
+    # the renormalized pair's density is the raw one scaled by a_norm^2
+    rho = dens.rho * (a_norm * a_norm)
     new = IterationState(
         pair=pair,
         k=float(k_new),
-        field=fld,
+        field=SelfField(phi0=potential(rho, grid), a=state.a),
         a=state.a,
         residual_norm=float("nan"),
-        norm_error=abs(density(pair, grid).norm - 1.0),
+        norm_error=abs(integrate(rho, grid) - 1.0),
         iteration=state.iteration + 1,
         last_mu=float(mu),
         trace=state.trace,

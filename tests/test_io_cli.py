@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from solitonscf import io as io_mod
+from solitonscf import solver
 from solitonscf.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
@@ -24,8 +25,10 @@ from solitonscf.cli import (
 from solitonscf.errors import (
     ConfigurationError,
     CorruptSnapshotError,
+    ShapeError,
     UnsupportedSnapshotError,
 )
+from solitonscf.grid import build_grid
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -146,6 +149,14 @@ def test_snapshot_rejects_unknown_version(tmp_path):
     payload = json.loads(path.read_text())
     payload["format_version"] = 2
     path.write_text(json.dumps(payload, sort_keys=True))
+    with pytest.raises(UnsupportedSnapshotError):
+        io_mod.load_snapshot(str(path))
+
+
+def test_snapshot_rejects_boolean_version(tmp_path):
+    # true == 1 in Python, but a JSON true is no format version
+    path = tmp_path / "state.json"
+    _mistyped_snapshot(path, "format_version", True)
     with pytest.raises(UnsupportedSnapshotError):
         io_mod.load_snapshot(str(path))
 
@@ -365,6 +376,14 @@ def test_csv_writers_round_trip(tmp_path, coarse_grid):
     lines = hist.read_text().splitlines()
     assert lines[0] == "a,k,iterations,residual"
     assert len(lines) == 2
+
+
+def test_csv_refuses_unequal_columns(tmp_path):
+    grid = build_grid(np.log(1e-6), np.log(80.0), 5)
+    path = tmp_path / "profiles.csv"
+    with pytest.raises(ShapeError):
+        io_mod.write_profiles_csv(str(path), grid, np.ones(5), np.ones(5), np.ones(3))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +619,37 @@ def test_cli_mistyped_snapshot_is_an_io_error(tmp_path, capsys):
     assert "JSON numbers" in capsys.readouterr().err
 
 
+def test_cli_boolean_snapshot_version_is_an_io_error(tmp_path, capsys):
+    snap = tmp_path / "state.json"
+    _mistyped_snapshot(snap, "format_version", True)
+    code = main(
+        ["solve", "--warm-start", str(snap), "--output-dir", str(tmp_path),
+         "--grid-nodes", "40"]
+    )
+    assert code == EXIT_IO
+    assert "format_version True" in capsys.readouterr().err
+
+
+def test_cli_singular_pivot_block_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a singular odd pivot block in the box-scheme solve exits 3 from solve
+    # and 4 from scan, never 2 and never with a silent bad solve
+    real = solver.solve_banded
+
+    def singular(l_and_u, ab, b):
+        ab = ab.copy()
+        # block 1 = rows 2, 3 and unknowns 2, 3, as A[i, j] = ab[2 + i - j, j]
+        ab[2, 2] = ab[1, 3] = ab[3, 2] = ab[2, 3] = 1.0
+        return real(l_and_u, ab, b)
+
+    monkeypatch.setattr(solver, "solve_banded", singular)
+    code = main(["solve", "--output-dir", str(tmp_path)] + FAST)
+    assert code == EXIT_NO_CONVERGENCE
+    assert "near-singular" in capsys.readouterr().err
+    code = main(["scan", "--output-dir", str(tmp_path)] + FAST)
+    assert code == EXIT_SCAN_FAILURE
+    assert "near-singular" in capsys.readouterr().err
+
+
 def test_cli_output_dir_env(tmp_path, monkeypatch, capsys):
     envdir = tmp_path / "from-env"
     flagdir = tmp_path / "from-flag"
@@ -641,3 +691,23 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "dispersion.csv").exists()
+
+
+def _scipy_modules(stderr):
+    """Modules named by python -X importtime that belong to scipy."""
+    names = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()]
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import solitonscf.cli"], ["-m", "solitonscf", "dispersion", "--help"]],
+    ids=["import-cli", "dispersion-help"],
+)
+def test_cli_loads_no_scipy(args):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime"] + args, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "import time:" in proc.stderr
+    assert _scipy_modules(proc.stderr) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from solitonscf.errors import ConfigurationError, DivergenceError, ScanFailureError
+from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.scan import ScanConfig, ScanResult, find_a0, verify_extremum
 from solitonscf.solver import SolverConfig
 
@@ -67,10 +68,25 @@ def test_extremum_arithmetic(monkeypatch, grid):
     # pinned numbers: T / Pi reproduces -a0 when the pair is extremal
     monkeypatch.setattr("solitonscf.scan.kinetic_T", lambda pair, g: 0.749)
     monkeypatch.setattr("solitonscf.scan.potential_Pi", lambda pair, g: 0.22724)
-    fake = SimpleNamespace(a0=-3.296, solution=SimpleNamespace(pair=None))
+    fake = SimpleNamespace(a0=-3.296, report=None, solution=SimpleNamespace(pair=None))
     mismatch = verify_extremum(fake, grid)
     assert mismatch == pytest.approx(abs(-3.296 + 0.749 / 0.22724) / 3.296, rel=1e-12)
     assert mismatch < 1e-3
+
+
+def test_extremum_reuses_the_report(scan_result, grid, monkeypatch):
+    # the report holds T and Pi of the same pair from the same functions, so
+    # reusing them gives the recomputed mismatch bit for bit
+    pair = scan_result.solution.pair
+    T, Pi = kinetic_T(pair, grid), potential_Pi(pair, grid)
+    recomputed = float(abs(scan_result.a0 + T / Pi) / abs(scan_result.a0))
+
+    def fail(*args):
+        raise AssertionError("T or Pi recomputed")
+
+    monkeypatch.setattr("solitonscf.scan.kinetic_T", fail)
+    monkeypatch.setattr("solitonscf.scan.potential_Pi", fail)
+    assert verify_extremum(scan_result, grid) == recomputed
 
 
 def test_scan_uses_the_invariance(scan_result):

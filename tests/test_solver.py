@@ -5,13 +5,14 @@ import pytest
 
 from solitonscf.errors import (
     ConfigurationError,
+    DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
     StalledUpdateError,
     StepRejectedError,
 )
 from solitonscf import solver
-from solitonscf.grid import Grid, integrate
+from solitonscf.grid import Grid, build_grid, integrate
 from solitonscf.model import SpinorPair, density, make_field, trial_functions
 from solitonscf.solver import (
     CorrectionSet,
@@ -173,6 +174,102 @@ def test_corrections_satisfy_discrete_equations(coarse_grid):
     dc0 = 2.0 * k * phi[0] / 3.0
     assert abs(originm - dc0 * x[0] * u[0]) < 1e-12 * scale
     assert np.isfinite(tail) and np.isfinite(tailm)
+
+
+# ---------------------------------------------------------------------------
+# block cyclic reduction
+
+
+def _box_system(state, grid):
+    """The band and right-hand side that solve_corrections hands to solve_banded."""
+    seen = []
+    real = solver.solve_banded
+
+    def capture(l_and_u, ab, b):
+        seen.append((ab.copy(), b.copy()))
+        return real(l_and_u, ab, b)
+
+    solver.solve_banded = capture
+    try:
+        solve_corrections(state, grid)
+    finally:
+        solver.solve_banded = real
+    return seen[0]
+
+
+def _relative_residual(ab, b, x):
+    """||A x - b|| / (||A|| ||x|| + ||b||) in the 1-norm, A[i, j] = ab[2 + i - j, j]."""
+    r = ab[2] * x - b
+    r[:-1] += ab[1, 1:] * x[1:]
+    r[:-2] += ab[0, 2:] * x[2:]
+    r[1:] += ab[3, :-1] * x[:-1]
+    r[2:] += ab[4, :-2] * x[:-2]
+    norm_a = np.max(np.sum(np.abs(ab), axis=0))
+    return np.sum(np.abs(r)) / (norm_a * np.sum(np.abs(x)) + np.sum(np.abs(b)))
+
+
+@pytest.mark.parametrize("n_nodes", [2000, 16000])
+def test_cyclic_reduction_matches_banded_lu(n_nodes):
+    # scipy's banded LU is the test-only oracle, on the solver's own matrices:
+    # a cold start at a = -3.3 and the converged state there. At convergence
+    # (u, v) is a near-null vector of the matrix, so the solutions may differ
+    # along it; both must still solve the system to rounding.
+    linalg = pytest.importorskip("scipy.linalg")
+    grid = build_grid(np.log(1e-6), np.log(80.0), n_nodes)
+    cold = _seed_state(grid, a=-3.3, k=1.0)
+    converged = solve_fixed_a(-3.3, grid)
+    for state in (cold, converged):
+        ab, b = _box_system(state, grid)
+        x = solver.solve_banded((2, 2), ab, b)
+        oracle = linalg.solve_banded((2, 2), ab, b)
+        assert _relative_residual(ab, b, x) < 1e-15
+        assert _relative_residual(ab, b, x) < 10.0 * _relative_residual(ab, b, oracle)
+    ab, b = _box_system(cold, grid)
+    x = solver.solve_banded((2, 2), ab, b)
+    oracle = linalg.solve_banded((2, 2), ab, b)
+    assert np.max(np.abs(x - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 32, 33, 34, 63, 64, 65, 130, 257])
+def test_cyclic_reduction_at_every_level_parity(n_blocks):
+    # random well-conditioned staircase systems, odd and even block counts
+    # at each reduction level, against a dense solve
+    rng = np.random.default_rng(n_blocks)
+    m = 2 * n_blocks
+    ab = np.zeros((5, m))
+    ab[2] = rng.uniform(2.0, 3.0, m) * rng.choice([-1.0, 1.0], m)
+    ab[1, 1::2] = rng.uniform(-1.0, 1.0, n_blocks)
+    ab[3, 0::2] = rng.uniform(-1.0, 1.0, n_blocks)
+    for row, start in ((4, 0), (3, 1), (1, 2), (0, 3)):
+        ab[row, start : start + m - 2 : 2] = rng.uniform(-0.5, 0.5, n_blocks - 1)
+    dense = np.zeros((m, m))
+    for i in range(m):
+        for j in range(max(0, i - 2), min(m, i + 3)):
+            dense[i, j] = ab[2 + i - j, j]
+    b = rng.standard_normal(m)
+    x = solver.solve_banded((2, 2), ab, b)
+    assert np.max(np.abs(x - np.linalg.solve(dense, b))) < 1e-13 * np.max(np.abs(x))
+
+
+def test_cyclic_reduction_refuses_singular_pivots(coarse_grid):
+    ab, b = _box_system(_seed_state(coarse_grid), coarse_grid)
+    # odd block 3 = rows 6, 7 and unknowns 6, 7, as A[i, j] = ab[2 + i - j, j]
+    for block in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        bad = ab.copy()
+        (bad[2, 6], bad[1, 7]), (bad[3, 6], bad[2, 7]) = block
+        with pytest.raises(DegenerateLinearizationError, match="near-singular"):
+            solver.solve_banded((2, 2), bad, b)
+    # a singular system small enough to go straight to the dense solve
+    small = np.zeros((5, 8))
+    small[2] = 1.0
+    small[2, 3] = 0.0
+    with pytest.raises(DegenerateLinearizationError, match="singular"):
+        solver.solve_banded((2, 2), small, np.ones(8))
+    # a band outside the box scheme's staircase pattern is refused
+    general = ab.copy()
+    general[0, 2] = 1.0
+    with pytest.raises(ValueError):
+        solver.solve_banded((2, 2), general, b)
 
 
 # ---------------------------------------------------------------------------
