@@ -52,7 +52,6 @@ from .model import (
     Density,
     SelfField,
     SpinorPair,
-    boundary_asymptotics,
     density,
     make_field,
     potential,
@@ -88,7 +87,6 @@ __all__ = [
     "potential",
     "make_field",
     "trial_functions",
-    "boundary_asymptotics",
     # functional
     "EnergyReport",
     "kinetic_T",

@@ -6,17 +6,24 @@ has a typed default in RunConfig and unknown keys are rejected loudly.
 Snapshots are JSON with an explicit format_version and a sha256 checksum
 over the reprs of the values, so a truncated, hand-edited or mistyped file
 is detected at load time rather than producing a silently wrong warm start.
-Doubles are written through repr, which round-trips them exactly, and each
-is formatted once: the same texts feed the checksum and the file body. The
+Doubles are written through repr, which round-trips them exactly. The
 loader keeps the text of every JSON number and verifies the checksum from
 those tokens first; only a file that spells its numbers otherwise (0.50,
 1E5) has the reprs of its values recomputed.
 
+Each field array is formatted once across artifacts. The module keeps the
+comma-joined reprs of the last x, u and v arrays it wrote, one slot per
+field name, with the bytes of the array they came from. A write whose
+array has the same bytes reuses the text; any other array is formatted and
+replaces its slot. So the memo never holds more than three arrays' text,
+and a snapshot followed by the profile table of the same state, or the
+reverse, formats u and v once; an unchanged grid is formatted once.
+
 All writers are deterministic: no timestamps, sorted JSON keys, repr
-formatting for full-precision tables (one repr per double, column by
-column) and 6 significant digits for the human-facing summaries. Files are
-written to a temporary name in the target directory and atomically renamed
-into place.
+formatting for full-precision tables and 6 significant digits for the
+human-facing summaries. Files are written to a temporary name in the
+target directory and atomically renamed into place; tables are streamed
+into the temporary file in chunks of rows, never built whole.
 """
 
 import hashlib
@@ -24,7 +31,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import chain, islice
+from typing import Iterable, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -182,18 +190,23 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write text to path via a temporary file and an atomic rename.
 
-    The file gets the mode a plain open() would give it (0o666 less the
-    umask), not the owner-only mode of the temporary file.
+    text is one string or an iterable of strings written in order, so a
+    table can be streamed without building it whole. If the iterable
+    raises, the temporary file is removed and path is left as it was. The
+    file gets the mode a plain open() would give it (0o666 less the umask),
+    not the owner-only mode of the temporary file.
     """
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
@@ -204,39 +217,61 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _float_texts(values) -> Tuple[List[str], List[str]]:
-    """The reprs of some doubles, and the same texts as json spells them."""
+# field name -> (bytes of the array, comma-joined reprs of its values) for
+# the last x, u and v arrays written; see the module docstring
+_FIELD_TEXTS = {}
+
+
+def _field_text(name: str, values: np.ndarray) -> str:
+    """The comma-joined reprs of a 1-D field array, formatted once per content.
+
+    The slot of name is reused while values has the bytes it was formatted
+    from. The compare is exact, so 0.0 and -0.0 never share a text; a
+    mismatch replaces the slot in one assignment.
+    """
+    data = values.tobytes()
+    slot = _FIELD_TEXTS.get(name)
+    if slot is None or slot[0] != data:
+        slot = _FIELD_TEXTS[name] = (data, ",".join(map(repr, values.tolist())))
+    return slot[1]
+
+
+def _field(path: str, name: str, values) -> np.ndarray:
+    """A field array as doubles; ShapeError unless it is one-dimensional."""
     values = np.asarray(values, float)
-    texts = list(map(repr, values.tolist()))
-    if np.isfinite(values).all():
-        return texts, texts
-    return texts, [_JSON_CONSTANTS.get(t, t) for t in texts]
+    if values.ndim != 1:
+        raise ShapeError(f"{path}: {name} must be 1-D, got shape {values.shape}")
+    return values
 
 
-def _json_array(texts: List[str]) -> str:
-    """Number texts laid out as json.dumps(..., indent=1) nests a list."""
-    if not texts:
+def _json_array(values: np.ndarray, text: str) -> str:
+    """A field's repr text laid out as json.dumps(..., indent=1) nests a list."""
+    if not text:
         return "[]"
-    return "[\n  " + ",\n  ".join(texts) + "\n ]"
+    if not np.isfinite(values).all():
+        text = ",".join(_JSON_CONSTANTS.get(t, t) for t in text.split(","))
+    return "[\n  " + text.replace(",", ",\n  ") + "\n ]"
 
 
 def save_snapshot(path: str, snapshot: Snapshot) -> None:
     """Serialize a snapshot as checksummed JSON (full double precision).
 
     The file is json.dumps(payload, sort_keys=True, indent=1) plus a
-    newline, laid out directly: each double is formatted by repr once, and
-    the same texts feed the checksum and the body.
+    newline, laid out directly. The repr text of u and v comes from the
+    field memo (the module docstring), so a state whose profile table was
+    just written is not formatted again; the same text feeds the checksum
+    and the body. Raises ShapeError, and writes nothing, unless u and v are
+    one-dimensional.
     """
     version = int(snapshot.format_version)
     n_nodes = int(snapshot.n_nodes)
-    (t_min, t_max, a, k), (j_min, j_max, j_a, j_k) = _float_texts(
-        [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
-    )
-    u, u_json = _float_texts(snapshot.u)
-    v, v_json = _float_texts(snapshot.v)
-    checksum = _digest(
-        [str(version), t_min, t_max, str(n_nodes), a, k, ",".join(u), ",".join(v)]
-    )
+    scalars = [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
+    t_min, t_max, a, k = map(repr, np.asarray(scalars, float).tolist())
+    j_min, j_max, j_a, j_k = (_JSON_CONSTANTS.get(t, t) for t in (t_min, t_max, a, k))
+    u = _field(path, "u", snapshot.u)
+    v = _field(path, "v", snapshot.v)
+    u_text, v_text = _field_text("u", u), _field_text("v", v)
+    checksum = _digest([str(version), t_min, t_max, str(n_nodes), a, k, u_text, v_text])
     atomic_write_text(
         path,
         "{\n"
@@ -247,8 +282,8 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
         f' "n_nodes": {n_nodes},\n'
         f' "theta_max": {j_max},\n'
         f' "theta_min": {j_min},\n'
-        f' "u": {_json_array(u_json)},\n'
-        f' "v": {_json_array(v_json)}\n'
+        f' "u": {_json_array(u, u_text)},\n'
+        f' "v": {_json_array(v, v_text)}\n'
         "}\n",
     )
 
@@ -349,44 +384,89 @@ def load_snapshot(path: str) -> Snapshot:
 # tables and summaries
 
 
-def _csv(path: str, header: Sequence[str], columns) -> None:
-    """Write columns of doubles as repr text, one row per line.
+# rows per piece of a streamed table
+_CHUNK_ROWS = 1024
 
-    Raises ShapeError, and writes nothing, when the columns differ in length.
+
+def _text_chunks(text: str):
+    """Lists of up to _CHUNK_ROWS texts from a comma-joined text, split lazily."""
+    while text:
+        chunk = text.split(",", _CHUNK_ROWS)
+        text = chunk.pop() if len(chunk) > _CHUNK_ROWS else ""
+        yield chunk
+
+
+def _repr_chunks(values: np.ndarray):
+    """Lists of up to _CHUNK_ROWS reprs of an array's values, formatted lazily."""
+    texts = map(repr, values.tolist())
+    return iter(lambda: list(islice(texts, _CHUNK_ROWS)), [])
+
+
+def _csv(path: str, header: Sequence[str], columns, memo: Sequence[str] = ()) -> None:
+    """Write 1-D columns of doubles as repr text, one row per line.
+
+    The columns named in memo take their text from the field memo (the
+    module docstring); the others are formatted as they are written. The
+    file is streamed in chunks of _CHUNK_ROWS rows, so neither the whole
+    text nor a whole column of texts is built. Raises ShapeError, and
+    writes nothing, when a column is not 1-D or the lengths differ.
     """
-    columns = [np.asarray(col, float) for col in columns]
+    columns = [_field(path, name, col) for name, col in zip(header, columns)]
     if len({col.shape for col in columns}) > 1:
         raise ShapeError(
             f"{path}: columns of unequal shape {[col.shape for col in columns]}"
         )
-    texts = [map(repr, col.tolist()) for col in columns]
-    rows = map(",".join, zip(*texts))
-    atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    chunks = [
+        _text_chunks(_field_text(name, col)) if name in memo else _repr_chunks(col)
+        for name, col in zip(header, columns)
+    ]
+    rows = ("\n".join(map(",".join, zip(*parts))) + "\n" for parts in zip(*chunks))
+    atomic_write_text(path, chain([",".join(header) + "\n"], rows))
+
+
+def _rows_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write rows of doubles; ShapeError, and nothing written, on a ragged row."""
+    rows = list(rows)
+    widths = {len(row) for row in rows}
+    if widths - {len(header)}:
+        raise ShapeError(
+            f"{path}: rows of width {sorted(widths)} under a header of {len(header)}"
+        )
+    _csv(path, header, zip(*rows))
 
 
 def write_profiles_csv(path: str, grid: Grid, u, v, phi0) -> None:
-    """Radial profiles (x, u, v, phi0, rho) at full precision."""
+    """Radial profiles (x, u, v, phi0, rho) at full precision.
+
+    x, u and v go through the field memo, so a profile table written next
+    to a snapshot of the same state formats only phi0 and rho.
+    """
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    _csv(path, ("x", "u", "v", "phi0", "rho"), (grid.x, u, v, phi0, u * u + v * v))
+    _csv(
+        path,
+        ("x", "u", "v", "phi0", "rho"),
+        (grid.x, u, v, phi0, u * u + v * v),
+        memo=("x", "u", "v"),
+    )
 
 
 def write_history_csv(path: str, k_history: Sequence[Tuple]) -> None:
     """Scan history rows (a, k, iterations, residual)."""
-    _csv(path, ("a", "k", "iterations", "residual"), zip(*k_history))
+    _rows_csv(path, ("a", "k", "iterations", "residual"), k_history)
 
 
 def write_trace_csv(path: str, trace: Sequence[Tuple]) -> None:
     """Inner iteration trace rows (iteration, k, residual_norm, mu)."""
-    _csv(path, ("iteration", "k", "residual_norm", "mu"), zip(*trace))
+    _rows_csv(path, ("iteration", "k", "residual_norm", "mu"), trace)
 
 
 def write_dispersion_csv(path: str, points) -> None:
     """Dispersion table (P, E_electron, E_positron, L, K, velocity)."""
-    _csv(
+    _rows_csv(
         path,
         ("P", "E_electron", "E_positron", "L", "K", "velocity"),
-        zip(*((p.P, p.E_electron, p.E_positron, p.L, p.K, p.velocity) for p in points)),
+        ((p.P, p.E_electron, p.E_positron, p.L, p.K, p.velocity) for p in points),
     )
 
 

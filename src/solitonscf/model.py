@@ -30,7 +30,6 @@ __all__ = [
     "potential",
     "make_field",
     "trial_functions",
-    "boundary_asymptotics",
 ]
 
 
@@ -127,57 +126,3 @@ def trial_functions(b: float, grid: Grid) -> SpinorPair:
     x = grid.x
     decay = np.exp(-b * x)
     return SpinorPair(u=A * x * (1.0 + b * x) * decay, v=B * x * x * decay)
-
-
-def boundary_asymptotics(
-    x: float,
-    k: float,
-    phi_origin: float = 0.0,
-    end: str = "origin",
-    amplitude: float = 1.0,
-):
-    """Asymptotic (u, v) at one end of the interval.
-
-    The coupled system reads u' = u/x + P v, v' = -v/x + Q u with local
-    coefficients P = 1 - k^2 phi, Q = 1 + k^2 phi. Near the origin the
-    regular branch is
-
-        u = A x [1 + (P0 Q0 / 6) x^2],   v = A (Q0 / 3) x^2,
-
-    so v/u -> (Q0/3) x with Q0 = 1 + k^2 phi(0). In the far tail the
-    decaying branch has u/v -> r(x), the decaying root of the local
-    Riccati equation Q r^2 - 2 r/x - P = 0:
-
-        r(x) = (1/x - sqrt(1/x^2 + P Q)) / Q,
-
-    which for a Coulomb-like potential phi ~ a/x expands to
-    u/v = -1 + (1 + k^2 a)/x + O(1/x^2); the overall decay rate is
-    sqrt(P Q) -> 1, the rest mass, independent of k.
-
-    Parameters
-    ----------
-    x : float or np.ndarray
-        Evaluation point(s).
-    k : float
-        Frequency parameter.
-    phi_origin : float
-        Local value of the full potential a * phi0 at the evaluation end
-        (at the origin for the origin branch, at x for the tail branch).
-    end : {"origin", "tail"}
-    amplitude : float
-        Overall scale A of the branch.
-    """
-    x = np.asarray(x, dtype=float)
-    p = 1.0 - k * k * phi_origin
-    q = 1.0 + k * k * phi_origin
-    if end == "origin":
-        u = amplitude * x * (1.0 + p * q / 6.0 * x * x)
-        v = amplitude * q / 3.0 * x * x
-    elif end == "tail":
-        s = np.sqrt(p * q)
-        r = (1.0 / x - np.sqrt(1.0 / (x * x) + p * q)) / q
-        v = -amplitude * np.exp(-s * x)
-        u = r * v
-    else:
-        raise ConfigurationError(f"end must be 'origin' or 'tail', got {end!r}")
-    return u, v

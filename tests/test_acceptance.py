@@ -126,7 +126,7 @@ def test_criterion_06_solution_quality(tight_solution, grid):
 
     # With phi -> k^2 a / x in the tail (x * phi0 -> 1, the edge check below),
     # r = u/v obeys r' = 2r/x + P - Q r^2, whose decaying branch is
-    # u/v = -1 + (1 + k^2 a)/x + O(1/x^2) (model.boundary_asymptotics).
+    # u/v = -1 + (1 + k^2 a)/x + O(1/x^2) (the root solver._tail_row imposes).
     coulomb = 1.0 + state.k**2 * state.a
     mask = (x > 10.0) & (np.abs(v) > 0.0)
     tail_dev = np.abs(u[mask] / v[mask] - (-1.0 + coulomb / x[mask]))

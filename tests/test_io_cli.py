@@ -386,6 +386,196 @@ def test_csv_refuses_unequal_columns(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writers_refuse_fields_that_are_not_1d(tmp_path):
+    # the writers lay out one value per row or per list entry
+    grid = build_grid(np.log(1e-6), np.log(80.0), 4)
+    with pytest.raises(ShapeError):
+        io_mod.write_profiles_csv(
+            str(tmp_path / "profiles.csv"), grid, np.ones((4, 1)), np.ones(4), grid.x
+        )
+    snap = _sample_snapshot(4)
+    snap.v = snap.v.reshape(2, 2)
+    with pytest.raises(ShapeError):
+        io_mod.save_snapshot(str(tmp_path / "state.json"), snap)
+    assert list(tmp_path.iterdir()) == []
+
+
+_RAGGED = {
+    "trace-short-row": ("write_trace_csv", [(1, 0.9, 0.1, 0.01), (2, 0.95, 0.05)]),
+    "trace-long-row": ("write_trace_csv", [(1, 0.9, 0.1, 0.01), (2, 0.9, 0.1, 0.0, 1)]),
+    "history-short-row": ("write_history_csv", [(-3.3, 0.84, 13)]),
+    "history-long-row": ("write_history_csv", [(-3.3, 0.84, 13, 1e-9, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAGGED))
+def test_row_writers_refuse_ragged_rows(tmp_path, case):
+    # zip(*rows) would cut every row to the shortest one and drop a column
+    writer, rows = _RAGGED[case]
+    with pytest.raises(ShapeError):
+        getattr(io_mod, writer)(str(tmp_path / "table.csv"), rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_trace_keeps_every_column(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["solve", "--a", "-2.3", "--trace", "--output-dir", str(out)]
+    assert main(argv + FAST) == EXIT_OK
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "iteration,k,residual_norm,mu"
+    assert len(lines) > 2 and all(len(line.split(",")) == 4 for line in lines)
+    capsys.readouterr()
+
+
+# The field memo: save_snapshot and write_profiles_csv share the repr text of
+# the last x, u and v arrays written. Every file must still be the recipe's.
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty field memo for this test only."""
+    monkeypatch.setattr(io_mod, "_FIELD_TEXTS", {})
+    return io_mod._FIELD_TEXTS
+
+
+def _memo_fields(n, kind):
+    rng = np.random.default_rng(n)
+    x = np.exp(np.linspace(np.log(1e-6), np.log(80.0), n))
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    if kind == "edge":
+        v[n // 2] = 5e-324
+        u[0], v[0], u[-1], v[-1] = -0.0, np.nan, np.inf, -np.inf
+    return x, u, v
+
+
+def _memo_writers(tmp_path, x, u, v):
+    """Write the snapshot or the profile table of (x, u, v); return its text."""
+    snap_path, csv_path = tmp_path / "state.json", tmp_path / "profiles.csv"
+
+    def snapshot():
+        snap = io_mod.Snapshot(
+            theta_min=-13.8, theta_max=4.4, n_nodes=u.size, a=-2.3, k=0.9, u=u, v=v
+        )
+        io_mod.save_snapshot(str(snap_path), snap)
+        assert snap_path.read_text() == _reference_snapshot_text(snap)
+        return snap_path.read_text()
+
+    def csv():
+        io_mod.write_profiles_csv(str(csv_path), SimpleNamespace(x=x), u, v, -u)
+        rho = u * u + v * v
+        assert csv_path.read_text() == _reference_csv_text(
+            ("x", "u", "v", "phi0", "rho"), zip(x, u, v, -u, rho)
+        )
+        return csv_path.read_text()
+
+    return {"snapshot": snapshot, "csv": csv}
+
+
+@pytest.mark.parametrize("n", [2, 16000])
+@pytest.mark.parametrize("kind", ["finite", "edge"])
+@pytest.mark.parametrize("order", ["snapshot-csv", "csv-snapshot"])
+def test_field_memo_serves_both_orders(tmp_path, memo, n, kind, order):
+    x, u, v = _memo_fields(n, kind)
+    writers = _memo_writers(tmp_path, x, u, v)
+    first, second = order.split("-")
+    texts = {first: writers[first]()}
+    shared = {name: memo[name][1] for name in ("u", "v")}
+    texts[second] = writers[second]()
+    # the second writer took the first one's text: a hit, not a re-format
+    assert all(memo[name][1] is shared[name] for name in ("u", "v"))
+    if kind == "edge":
+        body = json.loads(texts["snapshot"])
+        assert body["u"][0] == -0.0 and str(body["u"][0]) == "-0.0"
+        assert "Infinity" in texts["snapshot"] and "nan" not in texts["snapshot"]
+        rows = [line.split(",") for line in texts["csv"].splitlines()[1:]]
+        assert (rows[0][1], rows[0][2], rows[-1][1], rows[-1][2]) == (
+            "-0.0", "nan", "inf", "-inf"
+        )
+        assert n == 2 or rows[n // 2][2] == "5e-324"
+
+
+def test_field_memo_misses_on_an_in_place_change(tmp_path, memo):
+    x, u, v = _memo_fields(257, "finite")
+    writers = _memo_writers(tmp_path, x, u, v)
+    writers["snapshot"]()
+    u[7] = 42.0  # same array object, new content
+    assert writers["csv"]().splitlines()[8].split(",")[1] == "42.0"
+    v[0] = -v[0]
+    writers["snapshot"]()
+    assert memo["u"][0] == u.tobytes() and memo["v"][0] == v.tobytes()
+
+
+def test_field_memo_tells_zero_from_negative_zero(tmp_path, memo):
+    x = np.arange(3.0)
+    zeros = np.zeros(3)
+    writers = _memo_writers(tmp_path, x, zeros, zeros)
+    assert "-0.0" not in writers["snapshot"]()
+    negative = _memo_writers(tmp_path, x, -zeros, zeros)
+    assert [line.split(",")[1] for line in negative["csv"]().splitlines()[1:]] == [
+        "-0.0"
+    ] * 3
+    assert "-0.0" in negative["snapshot"]()
+
+
+def test_field_memo_holds_only_the_three_named_slots(tmp_path, memo, capsys):
+    out, snap = tmp_path / "run", tmp_path / "state.json"
+    for argv in (
+        ["scan", "--output-dir", str(out), "--snapshot", str(snap)],
+        ["solve", "--a", "-2.9", "--trace", "--output-dir", str(out)],
+        ["solve", "--warm-start", str(snap), "--output-dir", str(out)],
+        ["dispersion", "--from-summary", str(out / "scan_summary.json"),
+         "--output-dir", str(out)],
+    ):
+        assert main(argv + FAST) == EXIT_OK
+        assert set(memo) <= {"x", "u", "v"}
+    for n in (2, 300, 16000):
+        _memo_writers(tmp_path, *_memo_fields(n, "edge"))["csv"]()
+        assert sorted(memo) == ["u", "v", "x"]
+    capsys.readouterr()
+
+
+def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "profiles.csv"
+    x, u, v = _memo_fields(10, "finite")
+    old = os.umask(0o022)
+    try:
+        io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), u, v, u)
+        before = target.read_bytes()
+
+        def pieces():
+            yield "x,u\n"
+            yield "1.0,2.0\n"
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            io_mod.atomic_write_text(str(target), pieces())
+        assert target.read_bytes() == before
+
+        # the same inside the CSV writer: one chunk of rows goes out, then
+        # formatting a column fails
+        real = io_mod._repr_chunks
+
+        def failing(values):
+            chunks = real(values)
+            yield next(chunks)
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(io_mod, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(io_mod, "_repr_chunks", failing)
+        with pytest.raises(RuntimeError):
+            io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
+
+        monkeypatch.setattr(io_mod, "_repr_chunks", real)
+        io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
+    finally:
+        os.umask(old)
+    assert target.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
+    assert target.stat().st_mode & 0o777 == 0o644
+
+
 # ---------------------------------------------------------------------------
 # command line (in-process)
 

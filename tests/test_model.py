@@ -7,7 +7,6 @@ from solitonscf.errors import ConfigurationError, NumericError
 from solitonscf.grid import build_grid, integrate
 from solitonscf.model import (
     SpinorPair,
-    boundary_asymptotics,
     density,
     make_field,
     potential,
@@ -164,37 +163,6 @@ def test_make_field_scales_by_coupling(grid):
     fld = make_field(pair, -3.3, grid)
     assert fld.a == -3.3
     assert np.allclose(fld.phi, -3.3 * fld.phi0, rtol=0, atol=1e-15)
-
-
-def test_boundary_asymptotics_origin():
-    # u/x -> 1 at leading order; v/u matches the origin slope
-    x = 1e-3
-    u, v = boundary_asymptotics(x, k=1.0, phi_origin=-2.5, end="origin")
-    assert u / x == pytest.approx(1.0, abs=1e-4)
-    assert v / u == pytest.approx((1.0 - 2.5) / 3.0 * x, rel=1e-3)
-    # worked reference: k = 1, phi(0) = -2.5, x = 0.01 -> v/u = -0.005
-    u, v = boundary_asymptotics(0.01, k=1.0, phi_origin=-2.5, end="origin")
-    assert v / u == pytest.approx(-0.005, rel=1e-3)
-
-
-def test_boundary_asymptotics_tail():
-    # with no potential the decaying branch has u + v -> 0 and unit decay rate
-    x = np.array([30.0, 40.0])
-    u, v = boundary_asymptotics(x, k=1.0, phi_origin=0.0, end="tail")
-    assert abs(u[0] + v[0]) / abs(v[0]) < 0.04
-    rate = np.log(abs(v[0] / v[1])) / (x[1] - x[0])
-    assert rate == pytest.approx(1.0, rel=1e-12)
-    # Coulomb correction: with phi = a/x at the evaluation point the ratio
-    # follows -1 + (1 + a)/x
-    a = -2.3
-    xx = 50.0
-    u2, v2 = boundary_asymptotics(xx, k=1.0, phi_origin=a / xx, end="tail")
-    assert u2 / v2 == pytest.approx(-1.0 + (1.0 + a) / xx, abs=2e-3)
-
-
-def test_boundary_asymptotics_rejects_unknown_end():
-    with pytest.raises(ConfigurationError):
-        boundary_asymptotics(1.0, 1.0, end="middle")
 
 
 def test_normalized_copy(grid):

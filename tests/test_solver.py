@@ -177,6 +177,61 @@ def test_corrections_satisfy_discrete_equations(coarse_grid):
 
 
 # ---------------------------------------------------------------------------
+# boundary rows: the asymptotic branches the box scheme is closed with
+
+
+def _k_difference(row, k, *args, h=1e-6):
+    return (row(k + h, *args)[0] - row(k - h, *args)[0]) / (2.0 * h)
+
+
+def test_origin_row_is_the_regular_branch(state_m33, grid):
+    # u = A x, v = c0 A x^2 solves v' = -v/x + Q0 u at leading order iff
+    # 3 c0 = Q0 = 1 + k^2 phi(0), so v/u -> (Q0/3) x
+    c0, _ = solver._origin_row(1.0, -2.5)
+    x = 1e-3
+    assert c0 * x == pytest.approx((1.0 - 2.5) / 3.0 * x, rel=1e-12)
+    # worked reference: k = 1, phi(0) = -2.5, x = 0.01 -> v/u = -0.005
+    assert c0 * 0.01 == pytest.approx(-0.005, rel=1e-12)
+    for k in (1.0, 0.9):
+        assert solver._origin_row(k, -2.5)[1] == pytest.approx(
+            _k_difference(solver._origin_row, k, -2.5), rel=1e-8
+        )
+    # the converged state follows the branch near the origin: u/x is
+    # constant and v/u = c0 x, not only at the node the row is imposed on
+    u, v, x = state_m33.pair.u, state_m33.pair.v, grid.x
+    c0, _ = solver._origin_row(state_m33.k, state_m33.field.phi[0])
+    near = x < 1e-4
+    assert np.max(np.abs((u / x)[near] / (u[0] / x[0]) - 1.0)) < 1e-4
+    assert np.max(np.abs((v / (x * u))[near] / c0 - 1.0)) < 5e-5
+
+
+def test_tail_row_is_the_coulomb_branch(state_m33, grid):
+    # no potential: the decaying root r = u/v tends to -1
+    r, _ = solver._tail_row(1.0, 0.0, 30.0)
+    assert abs(r + 1.0) < 0.04
+    # Coulomb potential phi = a/x: u/v = -1 + (1 + k^2 a)/x + O(1/x^2)
+    a = -2.3
+    for k in (1.0, 0.9):
+        dev = []
+        for x in (25.0, 50.0, 100.0, 200.0):
+            r, dr = solver._tail_row(k, a / x, x)
+            p, q = 1.0 - k * k * a / x, 1.0 + k * k * a / x
+            # the decaying root of the Riccati equation Q r^2 - 2 r/x - P = 0
+            assert q * r * r - 2.0 * r / x - p == pytest.approx(0.0, abs=1e-14)
+            assert r < 0.0
+            fd = _k_difference(solver._tail_row, k, a / x, x)
+            assert dr == pytest.approx(fd, rel=1e-7)
+            dev.append(r - (-1.0 + (1.0 + k * k * a) / x))
+        assert abs(dev[1]) < 2e-3
+        # second order: doubling x cuts the deviation about fourfold
+        assert all(3.5 < d0 / d1 < 4.5 for d0, d1 in zip(dev, dev[1:]))
+    # the converged state ends on the root its outer row imposes
+    u, v, x = state_m33.pair.u, state_m33.pair.v, grid.x
+    r, _ = solver._tail_row(state_m33.k, state_m33.field.phi[-1], x[-1])
+    assert u[-1] / v[-1] == pytest.approx(r, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # block cyclic reduction
 
 
