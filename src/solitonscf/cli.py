@@ -211,6 +211,11 @@ def _cmd_solve(args) -> int:
         init, k0 = snap.pair(), snap.k
         if args.a is None:
             a = snap.a
+        elif all(np.isfinite(c) and c < 0 for c in (a, snap.a)):
+            # only k^2 a enters the equations, so the snapshot's state is
+            # converged at a with k = k_s sqrt(a_s / a); solve_fixed_a
+            # refuses any other a
+            k0 = snap.k * np.sqrt(snap.a / a)
     state = solve_fixed_a(a, grid, config=solver_cfg, init=init, k0=k0)
     summary = _state_summary(state, grid, cfg.alpha0)
     if "json" in cfg.formats:

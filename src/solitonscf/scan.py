@@ -5,8 +5,17 @@ physical state is the coupling a0 with k(a0) = 1. Every coefficient of the
 embedded problem depends on k and a only through k^2 a, so k(a)^2 a = a0
 holds exactly for every a, the discrete problem included. The scan is
 therefore the fixed-point map a <- k(a)^2 a: one cold solve at a_start
-lands the next coupling on a0, and a warm solve there (from the previous
-converged fields and frequency) confirms |k^2 - 1| <= tol_k.
+lands the next coupling on a0, and a warm solve there confirms
+|k^2 - 1| <= tol_k.
+
+The same invariance seeds every warm solve. A state converged at
+(a_s, k_s) is already the converged state at any other coupling a, with
+frequency k_s sqrt(a_s / a); a caller holding such a state should pass that
+frequency as k0. At the next coupling k^2 a it is exactly 1, so each warm
+solve starts at k0 = 1 from the previous fields and converges at its first
+check. The acceptance test therefore measures the frequency as k + mu, the
+converged state's k plus the increment that its last check computed, rather
+than reading the seed back.
 
 The scan records every (a, k) it evaluates, so a failure still returns the
 measured history inside the exception.
@@ -89,16 +98,18 @@ def find_a0(
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
     Iterates a <- k(a)^2 a from a_start: a cold solve at a_start, then warm
-    solves seeded with the previous converged pair and frequency until
-    |k^2 - 1| <= tol_k. Returns the converged ScanResult with the full
-    (a, k, iterations, residual) history and an energy report at a0.
+    solves seeded with the previous converged pair at k0 = 1 until the
+    measured frequency k + mu gives |k^2 - 1| <= tol_k. Returns the
+    converged ScanResult with the full (a, k, iterations, residual) history
+    and an energy report at a0.
 
     Raises
     ------
     ScanFailureError
         When an inner solve fails, when k^2 - 1 does not change between two
-        consecutive couplings, or when max_evals inner solves do not reach
-        |k^2 - 1| <= tol_k; carries k_history.
+        consecutive couplings or a solve returns its seed k = 1 without
+        meeting tol_k (the coupling would not move), or when max_evals inner
+        solves do not reach |k^2 - 1| <= tol_k; carries k_history.
     """
     if grid is None:
         raise ConfigurationError("find_a0 requires a grid")
@@ -107,18 +118,21 @@ def find_a0(
 
     k_history: List[Tuple[float, float, int, float]] = []
     pair = trial_functions(config.trial_b, grid).normalized(grid)
-    k = 1.0
     a = config.a_start
     g_prev = None
     while True:
         try:
-            state = solve_fixed_a(a, grid, config=solver_config, init=pair, k0=k)
+            # k0 = 1: the cold seed, and the invariant frequency of each
+            # warm solve at the next coupling k^2 a
+            state = solve_fixed_a(a, grid, config=solver_config, init=pair, k0=1.0)
         except SolitonError as exc:
             raise ScanFailureError(
                 f"inner solve failed at a={a!r}: {exc}", k_history=k_history
             ) from exc
         k_history.append((a, state.k, state.iteration, state.residual_norm))
-        g = state.k**2 - 1.0
+        # Measured, not read back: a warm solve that converges at its first
+        # check returns its seed k0 = 1, so add the increment of that check.
+        g = (state.k + state.last_mu) ** 2 - 1.0
         if abs(g) <= config.tol_k:
             return ScanResult(
                 a0=float(a),
@@ -139,7 +153,16 @@ def find_a0(
                 f"{config.max_evals} evaluations, last at a = {a!r}",
                 k_history=k_history,
             )
-        pair, k, g_prev = state.pair, state.k, g
+        if state.k == 1.0:
+            # A warm solve that stopped at its seed maps the coupling onto
+            # itself, so repeating it cannot shrink |k^2 - 1|.
+            raise ScanFailureError(
+                f"scan stalled at a={a!r}: the solve stopped at its seed "
+                f"k = 1 with |k^2 - 1| = {abs(g):.3e} above {config.tol_k:g}; "
+                f"a smaller solver tolerance resolves k further",
+                k_history=k_history,
+            )
+        pair, g_prev = state.pair, g
         a = state.k**2 * a
 
 

@@ -42,7 +42,8 @@ before; k still moves by the full mu. A cold solve at a = -3.3 then takes
 13 iterations instead of 45. A mixed proposal that yields no valid state or
 sends k to the floor is dropped together with the history, and that
 iteration takes the safeguarded damped step (tau halving, then the
-least-bad candidate). Above the threshold every step is the damped step.
+least-bad candidate, whose frequency step is damped by the same tau).
+Above the threshold every step is the damped step.
 
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
@@ -482,11 +483,11 @@ def newton_step(
 
     Fields move by tau times the combined correction and are renormalized;
     the frequency moves by tau_k times mu (the full step by default; the
-    safeguard loop damps it only when retrying a rejected step). The
-    potential is recomputed from the new density, so the returned state is
-    ready for the next residual evaluation. Raises DivergenceError on
-    non-finite results and StepRejectedError when the frequency would leave
-    the positive branch.
+    safeguard loop damps it when retrying a rejected step and when tau is
+    already at its floor). The potential is recomputed from the new density,
+    so the returned state is ready for the next residual evaluation. Raises
+    DivergenceError on non-finite results and StepRejectedError when the
+    frequency would leave the positive branch.
     """
     if corrections.mu is None:
         mu_update(state, corrections, grid)
@@ -642,7 +643,10 @@ def solve_fixed_a(
         Warm-start fields (renormalized on entry); the variational seed at
         unit scale is used when absent.
     k0 : float
-        Starting frequency.
+        Starting frequency. Only k^2 a enters the equations, so a state
+        converged at (a_s, k_s) is already converged at a with frequency
+        k_s sqrt(a_s / a); a caller warm-starting from such a state should
+        pass that frequency, and the solve then stops at its first check.
 
     Raises
     ------
@@ -695,7 +699,9 @@ def solve_fixed_a(
                 if accepted_streak >= 2:
                     tau = config.tau
 
-        tau_k = 1.0
+        # A step already damped to the floor would be accepted as the
+        # least-bad candidate at once, so it must not move k by the full mu.
+        tau_k = tau if tau <= tau_floor else 1.0
         while accepted is None:
             try:
                 candidate = newton_step(

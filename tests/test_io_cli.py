@@ -625,6 +625,36 @@ def test_cli_solve_warm_start(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("a", [-4.4, -1.6])
+def test_cli_warm_start_is_seeded_at_the_invariant_frequency(tmp_path, capsys, a):
+    # only k^2 a enters the equations, so the snapshot's state is already
+    # converged at a with k = k_s sqrt(a_s / a)
+    snap, moved = tmp_path / "state.json", tmp_path / "moved.json"
+    args = ["--output-dir", str(tmp_path)] + FAST
+    assert main(["solve", "--a", "-3.3", "--snapshot", str(snap)] + args) == EXIT_OK
+    code = main(
+        ["solve", "--warm-start", str(snap), "--a", str(a), "--snapshot", str(moved)]
+        + args
+    )
+    assert code == EXIT_OK
+    assert _read_json(tmp_path / "solve_summary.json")["iterations"] == 0
+    before, after = io_mod.load_snapshot(str(snap)), io_mod.load_snapshot(str(moved))
+    assert after.a == a
+    assert after.k**2 * a == pytest.approx(before.k**2 * before.a, rel=1e-12)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("a", ["0", "0.5"])
+def test_cli_warm_start_refuses_a_non_negative_coupling(tmp_path, capsys, a):
+    snap = tmp_path / "state.json"
+    args = ["--output-dir", str(tmp_path)] + FAST
+    assert main(["solve", "--a", "-3.3", "--snapshot", str(snap)] + args) == EXIT_OK
+    capsys.readouterr()
+    code = main(["solve", "--warm-start", str(snap), "--a", a] + args)
+    assert code == EXIT_USAGE
+    assert "coupling a must be finite and negative" in capsys.readouterr().err
+
+
 def test_cli_warm_start_grid_mismatch(tmp_path, capsys):
     snap = tmp_path / "state.json"
     out = tmp_path / "run"
@@ -771,17 +801,26 @@ def test_cli_scan_failure_exit(tmp_path, capsys):
 
 
 def test_cli_missing_tail_root_is_a_numerical_failure(tmp_path, capsys):
-    # A cold start here steps k far enough that the outer edge has no
-    # decaying root; that is a solver failure, not a usage error.
-    a = "-2.181168"
+    # A grid that ends at x = 2 leaves no decaying root at the outer edge
+    # for a = -3.3 at k = 1; that is a solver failure, not a usage error.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"a_start = {a}\n")
+    cfg.write_text("theta_max = 0.69\n")
     code = main(["scan", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == EXIT_SCAN_FAILURE
     assert "tail root" in capsys.readouterr().err
-    code = main(["solve", "--a", a, "--output-dir", str(tmp_path)])
+    code = main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == EXIT_NO_CONVERGENCE
     assert "tail root" in capsys.readouterr().err
+    # A cold start at this coupling used to reach the same error through a
+    # full-mu step at the damping floor; it now ends on the one-node state.
+    a = "-2.181168"
+    cfg.write_text(f"a_start = {a}\n")
+    code = main(["scan", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert code == EXIT_SCAN_FAILURE
+    assert "interior node" in capsys.readouterr().err
+    code = main(["solve", "--a", a, "--output-dir", str(tmp_path)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "interior node" in capsys.readouterr().err
 
 
 def test_cli_io_error_exits(tmp_path, capsys):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from solitonscf import solver
 from solitonscf.errors import ConfigurationError, DivergenceError, ScanFailureError
 from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.scan import ScanConfig, ScanResult, find_a0, verify_extremum
@@ -98,6 +99,44 @@ def test_scan_uses_the_invariance(scan_result):
     assert iterations2 <= 5
 
 
+def test_scan_confirms_at_the_first_check(scan_result):
+    # the confirming solve starts at the invariant frequency k0 = 1 and
+    # returns it; the acceptance test measures k + mu instead
+    (_, k2, iterations2, _) = scan_result.k_history[1]
+    solution = scan_result.solution
+    assert iterations2 == 0
+    assert k2 == solution.k == 1.0
+    assert 0.0 < abs(solution.last_mu) < SolverConfig().tol_residual
+    assert abs((solution.k + solution.last_mu) ** 2 - 1.0) <= 1e-6
+
+
+def test_confirming_solve_takes_one_banded_solve(grid, monkeypatch):
+    # one banded solve per check: cold iterations + 1 for the cold solve,
+    # then the confirming solve's single check
+    plain = solver.solve_banded
+    calls = []
+
+    def count(l_and_u, ab, b):
+        calls.append(1)
+        return plain(l_and_u, ab, b)
+
+    monkeypatch.setattr(solver, "solve_banded", count)
+    result = find_a0(ScanConfig(), grid)
+    cold_iterations = result.k_history[0][2]
+    assert len(calls) == cold_iterations + 2
+
+
+@pytest.mark.parametrize(
+    "a_start", [round(-3.8 + 0.002 * i, 6) for i in range(0, 501, 50)]
+)
+def test_confirming_solve_over_the_start_range(grid, a_start):
+    # every 50th of the 501 benchmark scan starts on [-3.8, -2.8]
+    result = find_a0(ScanConfig(a_start=a_start), grid)
+    assert len(result.k_history) == 2
+    assert result.k_history[1][2] == 0
+    assert result.a0 == pytest.approx(A0_REFERENCE, abs=5e-7)
+
+
 def test_scan_path_independence(coarse_grid):
     cfg_a = ScanConfig(a_start=-3.3)
     cfg_b = ScanConfig(a_start=-2.0)
@@ -113,7 +152,9 @@ def test_scan_path_independence(coarse_grid):
 def _stub_solver(a0_true):
     def stub(a, grid, config=None, init=None, k0=1.0):
         k = float(np.sqrt(a0_true / a))
-        return SimpleNamespace(k=k, iteration=1, residual_norm=0.0, pair=init)
+        return SimpleNamespace(
+            k=k, last_mu=0.0, iteration=1, residual_norm=0.0, pair=init
+        )
 
     return stub
 
@@ -144,11 +185,21 @@ def test_scan_failure_carries_history(monkeypatch, coarse_grid):
 
 def test_scan_stalls_on_flat_frequency(monkeypatch, coarse_grid):
     def flat(a, grid, config=None, init=None, k0=1.0):
-        return SimpleNamespace(k=2.0, iteration=1, residual_norm=0.0, pair=init)
+        return SimpleNamespace(
+            k=2.0, last_mu=0.0, iteration=1, residual_norm=0.0, pair=init
+        )
 
     monkeypatch.setattr("solitonscf.scan.solve_fixed_a", flat)
     with pytest.raises(ScanFailureError) as info:
         find_a0(ScanConfig(), coarse_grid)
+    assert len(info.value.k_history) == 2
+
+
+def test_scan_stalls_when_the_seed_returns(grid):
+    # |k^2 - 1| ~ 1e-9 at the default solver tolerance: a confirming solve
+    # that stops at its seed k0 = 1 leaves the next coupling where it is
+    with pytest.raises(ScanFailureError, match="stalled") as info:
+        find_a0(ScanConfig(tol_k=1e-10), grid)
     assert len(info.value.k_history) == 2
 
 

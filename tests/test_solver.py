@@ -10,6 +10,7 @@ from solitonscf.errors import (
     NonConvergenceError,
     StalledUpdateError,
     StepRejectedError,
+    WrongBranchError,
 )
 from solitonscf import solver
 from solitonscf.grid import Grid, build_grid, integrate
@@ -483,6 +484,27 @@ def test_rejected_mixing_falls_back_to_damped_steps(grid, monkeypatch):
     assert len(rejected) > 10
     assert state.iteration == 45
     assert state.k == pytest.approx(K_AT_M33, abs=2e-8)
+
+
+def test_floor_damped_step_damps_the_frequency(grid, monkeypatch):
+    # A cold solve at this coupling damps tau to its floor. A candidate at
+    # the floor is accepted as the least-bad step, so it must not move k by
+    # the full mu: that once sent k from 1.33 to 20.48 and the solve died
+    # with no decaying tail root.
+    plain = solver.newton_step
+    tau_floor = SolverConfig().tau / 64.0
+    at_floor = []
+
+    def record(state, corrections, config, grid, tau=None, tau_k=1.0):
+        if tau is not None and tau <= tau_floor:
+            at_floor.append((state.iteration, tau, tau_k))
+        return plain(state, corrections, config, grid, tau=tau, tau_k=tau_k)
+
+    monkeypatch.setattr(solver, "newton_step", record)
+    with pytest.raises(WrongBranchError):
+        solve_fixed_a(-2.181168, grid)
+    assert at_floor
+    assert all(tau_k == tau for _, tau, tau_k in at_floor)
 
 
 def test_trace_records_progress(state_m33):
