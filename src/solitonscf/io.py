@@ -12,12 +12,14 @@ those tokens first; only a file that spells its numbers otherwise (0.50,
 1E5) has the reprs of its values recomputed.
 
 Each field array is formatted once across artifacts. The module keeps the
-comma-joined reprs of the last x, u and v arrays it wrote, one slot per
-field name, with the bytes of the array they came from. A write whose
-array has the same bytes reuses the text; any other array is formatted and
-replaces its slot. So the memo never holds more than three arrays' text,
-and a snapshot followed by the profile table of the same state, or the
-reverse, formats u and v once; an unchanged grid is formatted once.
+comma-joined reprs of the last x, u, v, phi0 and rho arrays it wrote, one
+slot per field name, with the bytes of the array they came from. A write
+whose array has the same bytes reuses the text; any other array is
+formatted and replaces its slot. So the memo never holds more than five
+arrays' text, and a snapshot followed by the profile table of the same
+state, or the reverse, formats u and v once; an unchanged grid is
+formatted once, and a state written again (a warm solve that returned its
+input fields) has every column served from the memo.
 
 All writers are deterministic: no timestamps, sorted JSON keys, repr
 formatting for full-precision tables and 6 significant digits for the
@@ -218,7 +220,7 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
 
 
 # field name -> (bytes of the array, comma-joined reprs of its values) for
-# the last x, u and v arrays written; see the module docstring
+# the last x, u, v, phi0 and rho arrays written; see the module docstring
 _FIELD_TEXTS = {}
 
 
@@ -438,8 +440,9 @@ def _rows_csv(path: str, header: Sequence[str], rows) -> None:
 def write_profiles_csv(path: str, grid: Grid, u, v, phi0) -> None:
     """Radial profiles (x, u, v, phi0, rho) at full precision.
 
-    x, u and v go through the field memo, so a profile table written next
-    to a snapshot of the same state formats only phi0 and rho.
+    Every column goes through the field memo: a profile table written next
+    to a snapshot of the same state formats only phi0 and rho, and a table
+    of a state whose fields are unchanged formats nothing.
     """
     u = np.asarray(u, float)
     v = np.asarray(v, float)
@@ -447,7 +450,7 @@ def write_profiles_csv(path: str, grid: Grid, u, v, phi0) -> None:
         path,
         ("x", "u", "v", "phi0", "rho"),
         (grid.x, u, v, phi0, u * u + v * v),
-        memo=("x", "u", "v"),
+        memo=("x", "u", "v", "phi0", "rho"),
     )
 
 

@@ -45,6 +45,15 @@ iteration takes the safeguarded damped step (tau halving, then the
 least-bad candidate, whose frequency step is damped by the same tau).
 Above the threshold every step is the damped step.
 
+A warm solve starts at the given k0 unless its pair already solves the
+frozen-potential equations at some frequency. The box rows are affine in
+lam = k^2 a, so the least-squares lam of the pair is one O(n) projection,
+and a pair whose residual at sqrt(lam / a) is within tol_residual starts
+there: a state converged at any coupling is then returned at its first
+check, fields untouched, whatever frequency its caller passed. A warm pair
+already at unit norm (within 4 eps) is not rescaled, so it stays bit for
+bit what the caller gave.
+
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
 origin the regular branch gives v = c0 x u with c0 = (1 + k^2 phi(0))/3; at
@@ -56,7 +65,7 @@ solves it for the one k-derivative right-hand side by block cyclic
 reduction in numpy alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -76,7 +85,6 @@ from .model import (
     SelfField,
     SpinorPair,
     density,
-    make_field,
     potential,
     trial_functions,
 )
@@ -100,6 +108,7 @@ _MIX_DEPTH = 5          # Anderson history: differences kept
 _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 _PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
 _DENSE_BLOCKS = 32      # cyclic reduction leaves at most this many blocks
+_NORM_KEEP = 4 * np.finfo(float).eps   # a warm pair this close to unit norm is kept
 
 
 @dataclass
@@ -602,25 +611,58 @@ def count_nodes(values: np.ndarray, threshold: float = 1e-8) -> int:
     return int(np.sum(np.diff(np.sign(core)) != 0))
 
 
-def _initial_state(a, grid, init, k0) -> IterationState:
+def _fitted_start(state: IterationState, grid: Grid, tol: float) -> IterationState:
+    """state at the frequency its fields already solve, else state itself.
+
+    The box rows are affine in lam = k^2 a: with b the residual at lam = 0
+    and c = (phi0_m vm, -phi0_m um), r = b + lam c. The least-squares
+    lam = -<b, c> / <c, c> gives k_fit = sqrt(lam / a). A copy of state at
+    k_fit is returned when the residual at state.k is above tol, lam / a is
+    finite and positive, and the max-norm residual at k_fit is at or below
+    tol; every other state is returned unchanged.
+    """
+    if not state.residual_norm > tol:
+        return state
+    b_u, b_v = ode_residual(replace(state, k=0.0), grid)
+    phi0 = state.field.phi0
+    phi0_m = 0.5 * (phi0[1:] + phi0[:-1])
+    u, v = state.pair.u, state.pair.v
+    c_u = phi0_m * (0.5 * (v[1:] + v[:-1]))
+    c_v = -phi0_m * (0.5 * (u[1:] + u[:-1]))
+    cc = c_u @ c_u + c_v @ c_v
+    if not cc > 0.0:
+        return state
+    k2 = -(b_u @ c_u + b_v @ c_v) / cc / state.a
+    if not (np.isfinite(k2) and k2 > 0.0):
+        return state
+    fitted = replace(state, k=float(np.sqrt(k2)))
+    fitted.residual_norm = residual_norm(fitted, grid)
+    return fitted if fitted.residual_norm <= tol else state
+
+
+def _initial_state(a, grid, init, k0, tol) -> IterationState:
     if init is None:
         pair = trial_functions(1.0, grid).normalized(grid)
     else:
         pair = SpinorPair(
             np.asarray(init.u, dtype=float).copy(),
             np.asarray(init.v, dtype=float).copy(),
-        ).normalized(grid)
-    fld = make_field(pair, a, grid)
+        )
+        # a pair already at unit norm is kept bit for bit: rescaling it by
+        # 1/sqrt(norm) would only move its last bits
+        if not abs(density(pair, grid).norm - 1.0) <= _NORM_KEEP:
+            pair = pair.normalized(grid)
+    dens = density(pair, grid)
     state = IterationState(
         pair=pair,
         k=float(k0),
-        field=fld,
+        field=SelfField(phi0=potential(dens.rho, grid), a=float(a)),
         a=float(a),
         residual_norm=float("nan"),
-        norm_error=abs(density(pair, grid).norm - 1.0),
+        norm_error=abs(dens.norm - 1.0),
     )
     state.residual_norm = residual_norm(state, grid)
-    return state
+    return state if init is None else _fitted_start(state, grid, tol)
 
 
 def solve_fixed_a(
@@ -640,13 +682,18 @@ def solve_fixed_a(
     grid : Grid
     config : SolverConfig, optional
     init : SpinorPair, optional
-        Warm-start fields (renormalized on entry); the variational seed at
-        unit scale is used when absent.
+        Warm-start fields, renormalized on entry unless their norm is
+        already within 4 eps of one (they are then kept bit for bit); the
+        variational seed at unit scale is used when absent.
     k0 : float
-        Starting frequency. Only k^2 a enters the equations, so a state
-        converged at (a_s, k_s) is already converged at a with frequency
-        k_s sqrt(a_s / a); a caller warm-starting from such a state should
-        pass that frequency, and the solve then stops at its first check.
+        Starting frequency, unless the warm pair already solves the
+        equations at its fitted k^2 a. Only k^2 a enters the equations, so
+        a state converged at (a_s, k_s) is already converged at a with
+        frequency k_s sqrt(a_s / a). When the residual at k0 is above
+        tol_residual, the solve fits lam = k^2 a to the warm pair by least
+        squares and starts at sqrt(lam / a) if the residual there is at or
+        below tol_residual; such a solve, like one given that frequency,
+        stops at its first check and returns init's fields unchanged.
 
     Raises
     ------
@@ -670,7 +717,7 @@ def solve_fixed_a(
     if not (np.isfinite(k0) and k0 > 0):
         raise ConfigurationError(f"starting frequency must be positive, got {k0!r}")
 
-    state = _initial_state(a, grid, init, k0)
+    state = _initial_state(a, grid, init, k0, config.tol_residual)
     tau = config.tau
     tau_floor = config.tau / 64.0
     accepted_streak = 0

@@ -428,7 +428,8 @@ def test_cli_trace_keeps_every_column(tmp_path, capsys):
 
 
 # The field memo: save_snapshot and write_profiles_csv share the repr text of
-# the last x, u and v arrays written. Every file must still be the recipe's.
+# the last x, u, v, phi0 and rho arrays written. Every file must still be the
+# recipe's.
 
 
 @pytest.fixture
@@ -517,7 +518,7 @@ def test_field_memo_tells_zero_from_negative_zero(tmp_path, memo):
     assert "-0.0" in negative["snapshot"]()
 
 
-def test_field_memo_holds_only_the_three_named_slots(tmp_path, memo, capsys):
+def test_field_memo_holds_only_the_five_named_slots(tmp_path, memo, capsys):
     out, snap = tmp_path / "run", tmp_path / "state.json"
     for argv in (
         ["scan", "--output-dir", str(out), "--snapshot", str(snap)],
@@ -527,11 +528,42 @@ def test_field_memo_holds_only_the_three_named_slots(tmp_path, memo, capsys):
          "--output-dir", str(out)],
     ):
         assert main(argv + FAST) == EXIT_OK
-        assert set(memo) <= {"x", "u", "v"}
+        assert set(memo) <= {"x", "u", "v", "phi0", "rho"}
     for n in (2, 300, 16000):
         _memo_writers(tmp_path, *_memo_fields(n, "edge"))["csv"]()
-        assert sorted(memo) == ["u", "v", "x"]
+        assert sorted(memo) == ["phi0", "rho", "u", "v", "x"]
     capsys.readouterr()
+
+
+def test_continuation_steps_reuse_every_field_text(tmp_path, memo, grid):
+    # snapshot -> warm solve at the snapshot's k -> snapshot + profile table:
+    # the solve returns its input fields, so every column is a memo hit
+    snap_path, csv_path = tmp_path / "state.json", tmp_path / "profiles.csv"
+
+    def save(state):
+        io_mod.save_snapshot(
+            str(snap_path),
+            io_mod.Snapshot(grid.theta_min, grid.theta_max, grid.n_nodes, state.a,
+                            state.k, state.pair.u, state.pair.v),
+        )
+
+    save(solver.solve_fixed_a(-3.3, grid))
+    steps = []
+    for a in (-2.9, -3.6, -1.9, -4.2, -2.5):
+        snap = io_mod.load_snapshot(str(snap_path))
+        state = solver.solve_fixed_a(a, grid, init=snap.pair(), k0=snap.k)
+        assert state.iteration == 0
+        save(state)
+        io_mod.write_profiles_csv(
+            str(csv_path), grid, state.pair.u, state.pair.v, state.field.phi0
+        )
+        body = json.loads(snap_path.read_bytes(), parse_float=str.encode)
+        texts = {name: memo[name][1] for name in ("phi0", "rho")}
+        steps.append((body["u"], body["v"], csv_path.read_bytes(), texts))
+    first = steps[0]
+    for u, v, table, texts in steps[1:]:
+        assert (u, v, table) == first[:3]
+        assert all(texts[name] is first[3][name] for name in ("phi0", "rho"))
 
 
 def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
@@ -552,22 +584,26 @@ def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
         assert target.read_bytes() == before
 
         # the same inside the CSV writer: one chunk of rows goes out, then
-        # formatting a column fails
-        real = io_mod._repr_chunks
+        # splitting a column's text fails
+        real = io_mod._text_chunks
+        served = []
 
-        def failing(values):
-            chunks = real(values)
-            yield next(chunks)
+        def failing(text):
+            chunks = real(text)
+            served.append(next(chunks))
+            yield served[-1]
             raise RuntimeError("formatting failed")
 
         monkeypatch.setattr(io_mod, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(io_mod, "_repr_chunks", failing)
+        monkeypatch.setattr(io_mod, "_text_chunks", failing)
         with pytest.raises(RuntimeError):
             io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
+        # each of the five columns gave its first chunk of rows before the raise
+        assert [len(chunk) for chunk in served] == [4] * 5
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
 
-        monkeypatch.setattr(io_mod, "_repr_chunks", real)
+        monkeypatch.setattr(io_mod, "_text_chunks", real)
         io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
     finally:
         os.umask(old)

@@ -20,7 +20,17 @@ A0_REFERENCE = -2.31241249   # frozen scan result, defaults, n = 2000
 
 def test_scan_locates_reference_coupling(scan_result):
     assert scan_result.a0 == pytest.approx(A0_REFERENCE, abs=5e-7)
-    assert abs(scan_result.solution.k**2 - 1.0) <= 1e-6
+    # the measured frequency k + mu: solution.k is the confirming solve's seed
+    solution = scan_result.solution
+    assert abs((solution.k + solution.last_mu) ** 2 - 1.0) <= 1e-6
+
+
+def test_default_scan_keeps_its_starts(scan_result):
+    # neither the cold solve's trial pair nor the confirming solve's pair
+    # (already converged at k0 = 1) is moved to a fitted frequency
+    assert [row[2] for row in scan_result.k_history] == [13, 0]
+    assert scan_result.k_history[1][1] == 1.0
+    assert scan_result.a0 == pytest.approx(-2.3124124733762415, abs=1e-12)
 
 
 def test_scan_is_frugal(scan_result):

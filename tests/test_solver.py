@@ -523,6 +523,127 @@ def test_warm_restart_converges_immediately(state_m33, grid):
     assert again.k == pytest.approx(state_m33.k, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# warm starts: unit-norm pairs are kept, converged pairs start at their
+# fitted frequency
+
+
+@pytest.fixture(scope="module")
+def fine_grid():
+    return build_grid(np.log(1e-6), np.log(80.0), 16000)
+
+
+@pytest.fixture(scope="module")
+def state_m33_fine(fine_grid):
+    return solve_fixed_a(-3.3, fine_grid)
+
+
+def _count_banded_solves(monkeypatch):
+    plain = solver.solve_banded
+    calls = []
+
+    def count(l_and_u, ab, b):
+        calls.append(1)
+        return plain(l_and_u, ab, b)
+
+    monkeypatch.setattr(solver, "solve_banded", count)
+    return calls
+
+
+@pytest.mark.parametrize("nodes", [2000, 16000])
+@pytest.mark.parametrize("a", [-4.4, -1.6])
+def test_warm_solve_starts_at_the_fitted_frequency(
+    request, monkeypatch, nodes, a
+):
+    # the caller passes the snapshot's own k, not k_s sqrt(a_s / a); the
+    # pair already solves the equations at k^2 a = k_s^2 a_s, so the solve
+    # returns it untouched after one check
+    name = "state_m33" if nodes == 2000 else "state_m33_fine"
+    source = request.getfixturevalue(name)
+    grid = request.getfixturevalue("grid" if nodes == 2000 else "fine_grid")
+    calls = _count_banded_solves(monkeypatch)
+    state = solve_fixed_a(a, grid, init=source.pair, k0=source.k)
+    assert state.iteration == 0
+    assert state.pair.u.tobytes() == source.pair.u.tobytes()
+    assert state.pair.v.tobytes() == source.pair.v.tobytes()
+    assert abs(state.k**2 * a - source.k**2 * source.a) <= 1e-8
+    assert len(calls) == 1
+
+
+def _start_keepers(state_m33, grid):
+    """Pairs that solve the equations at no frequency, or at none with k^2 a < 0."""
+    u, v = state_m33.pair.u, state_m33.pair.v
+    return {
+        "trial": trial_functions(1.0, grid).normalized(grid),
+        "u scaled": SpinorPair(u * (1.0 + 1e-6), v).normalized(grid),
+        "v negated": SpinorPair(u, -v),
+    }
+
+
+def test_fitted_lam_of_the_negated_pair_is_positive(state_m33, grid):
+    # the "v negated" keeper is refused by the sign rule: its least-squares
+    # lam = k^2 a is positive, so lam / a < 0 for every coupling
+    state = _make_state(_start_keepers(state_m33, grid)["v negated"], -2.3, 1.0, grid)
+    b_u, b_v = ode_residual(_make_state(state.pair, -2.3, 0.0, grid), grid)
+    phi0 = state.field.phi0
+    phi0_m = 0.5 * (phi0[1:] + phi0[:-1])
+    u, v = state.pair.u, state.pair.v
+    c_u = phi0_m * 0.5 * (v[1:] + v[:-1])
+    c_v = -phi0_m * 0.5 * (u[1:] + u[:-1])
+    assert -(b_u @ c_u + b_v @ c_v) > 0.0
+
+
+@pytest.mark.filterwarnings("error")  # no sqrt of a negative lam / a
+@pytest.mark.parametrize("case", ["trial", "u scaled", "v negated"])
+def test_unconverged_warm_pairs_keep_k0(state_m33, grid, monkeypatch, case):
+    pair = _start_keepers(state_m33, grid)[case]
+    k0 = 0.9
+    state = _make_state(pair, -2.3, k0, grid)
+    assert state.residual_norm > SolverConfig().tol_residual
+    assert solver._fitted_start(state, grid, SolverConfig().tol_residual) is state
+
+    plain = solver.solve_corrections
+    seen = []
+
+    def record(state, grid):
+        seen.append(state.k)
+        return plain(state, grid)
+
+    monkeypatch.setattr(solver, "solve_corrections", record)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_fixed_a(-2.3, grid, SolverConfig(max_iterations=1), init=pair, k0=k0)
+    assert seen[0] == k0
+    # the first trace row moved k from k0 by mu, damped by some tau_k = 2^-j
+    (_, k1, _, mu) = info.value.history[0]
+    assert min(abs((k1 - k0) / mu - 0.5**j) for j in range(7)) < 1e-12
+
+
+def test_converged_pair_at_its_own_frequency_is_not_refitted(state_m33, grid):
+    state = _make_state(state_m33.pair, state_m33.a, state_m33.k, grid)
+    assert state.residual_norm <= SolverConfig().tol_residual
+    assert solver._fitted_start(state, grid, SolverConfig().tol_residual) is state
+
+
+def test_two_warm_solves_from_one_pair_are_identical(state_m33, grid):
+    solves = [
+        solve_fixed_a(-2.9, grid, init=state_m33.pair, k0=0.9) for _ in range(2)
+    ]
+    for name in ("u", "v"):
+        texts = {getattr(s.pair, name).tobytes() for s in solves}
+        assert texts == {getattr(state_m33.pair, name).tobytes()}
+    assert solves[0].k == solves[1].k
+
+
+def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
+    s = np.sqrt(1.0 + 1e-10)
+    init = SpinorPair(state_m33.pair.u * s, state_m33.pair.v * s)
+    assert density(init, grid).norm == pytest.approx(1.0 + 1e-10, abs=1e-13)
+    state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+    assert not np.array_equal(state.pair.u, init.u)
+    assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
+    assert state.norm_error <= 1e-15
+
+
 def test_seed_scale_insensitivity(coarse_grid):
     cfg = SolverConfig(tol_residual=1e-10, max_iterations=400)
     ks = []
