@@ -2,8 +2,8 @@
 
 The bound state exists for a one-parameter family of couplings a < 0; the
 embedded frequency k(a) measures how far each member is from the physical
-normalization point k = 1. Because k(a)^2 a = a0 for every a, the outer
-scan maps a <- k(a)^2 a from one cold solve and confirms a0 with one warm
+normalization point k = 1. Because k(a)^2 a = a0 for every a, the scan
+reads a0 = k^2 a_start off one cold solve and confirms it with one warm
 solve. This script runs it on the default grid, prints every (a, k)
 evaluation, and closes with the energy report and the extremum cross-check
 a0 = -T/Pi.
@@ -16,7 +16,7 @@ from solitonscf import RunConfig, ScanConfig, find_a0, verify_extremum
 grid = RunConfig().build_grid()
 result = find_a0(ScanConfig(), grid)
 
-print("scan history (fixed point a <- k(a)^2 a):")
+print("scan history (cold solve, then the confirming solve at a0):")
 print(f"{'a':>12} {'k':>12} {'iters':>6} {'residual':>10}")
 for a, k, iters, res in result.k_history:
     print(f"{a:12.7f} {k:12.8f} {iters:6d} {res:10.2e}")

@@ -2,8 +2,8 @@
 
 The package computes a localized two-component radial state bound by its
 own electrostatic potential. ``solve_fixed_a`` relaxes the state at a given
-coupling with the frequency embedded as an eigenvalue, ``find_a0`` scans
-the coupling until the frequency returns to the rest value, ``functional``
+coupling with the frequency embedded as an eigenvalue, ``find_a0`` finds
+the coupling where the frequency returns to the rest value, ``functional``
 evaluates the energy split and charge observables of the converged state,
 and ``dispersion`` gives the closed-form spectrum of the moving state.
 """

@@ -214,7 +214,9 @@ def _cmd_solve(args) -> int:
         elif all(np.isfinite(c) and c < 0 for c in (a, snap.a)):
             # only k^2 a enters the equations, so the snapshot's state is
             # converged at a with k = k_s sqrt(a_s / a); solve_fixed_a
-            # refuses any other a
+            # refuses any other a. Its own least-squares refit of a warm
+            # pair would also find this k, but only to about 1e-9 in k^2 a;
+            # the exact form keeps k^2 a on the snapshot's to about 1e-16.
             k0 = snap.k * np.sqrt(snap.a / a)
     state = solve_fixed_a(a, grid, config=solver_cfg, init=init, k0=k0)
     summary = _state_summary(state, grid, cfg.alpha0)
@@ -286,21 +288,29 @@ def _cmd_dispersion(args) -> int:
 
         try:
             with open(args.from_summary, "r", encoding="utf-8") as fh:
-                summary = json.load(fh)
-        except json.JSONDecodeError as exc:
+                # every JSON number becomes a float (a huge integer turns
+                # into inf, which the table refuses), and a bool never does
+                summary = json.load(fh, parse_int=float)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode
             raise ConfigurationError(
                 f"{args.from_summary}: not a JSON summary ({exc})"
             ) from exc
-        if "E0_over_m0" not in summary:
+        if not isinstance(summary, dict) or "E0_over_m0" not in summary:
             raise ConfigurationError(
                 f"{args.from_summary}: summary lacks E0_over_m0"
             )
-        e0 = float(summary["E0_over_m0"])
+        e0 = summary["E0_over_m0"]
+        if not isinstance(e0, float):
+            raise ConfigurationError(
+                f"{args.from_summary}: E0_over_m0 must be a JSON number, "
+                f"got {e0!r}"
+            )
     else:
         e0 = args.e0
     if args.p_count < 1:
         raise ConfigurationError(f"--p-count must be >= 1, got {args.p_count}")
-    if args.p_min < 0 or args.p_max < args.p_min:
+    if not (0.0 <= args.p_min <= args.p_max < np.inf):
         raise ConfigurationError(
             f"momentum range invalid: [{args.p_min!r}, {args.p_max!r}]"
         )

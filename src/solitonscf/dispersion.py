@@ -16,8 +16,15 @@ is L1 = -K, K1 = L, and the negative-energy branch carries
 
 The group velocity dE/dP = P / sqrt(E0^2 + P^2) stays below one for any
 momentum, with the rest energy playing the role of the inertial mass.
+
+The mixing amplitudes and the velocity are ratios, unchanged when E0 and P
+are scaled together. Inputs whose larger value lies outside [2^-500, 2^500]
+are scaled by one power of two into that range first, so P * P and
+E_e + E0 neither overflow nor flush to zero; the scaling is exact, and
+inputs already in range are used as given.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -62,10 +69,27 @@ def _check_inputs(E0: float, P: float, require_positive_E0: bool) -> Tuple[float
     return E0, P
 
 
+_SAFE_SCALE = 2.0**500
+
+
+def _in_safe_range(E0: float, P: float) -> Tuple[float, float]:
+    """(E0, P) times one power of two that brings the larger into range."""
+    m = max(E0, P)
+    if m > _SAFE_SCALE or 0.0 < m < 1.0 / _SAFE_SCALE:
+        e = math.frexp(m)[1]
+        return math.ldexp(E0, -e), math.ldexp(P, -e)
+    return E0, P
+
+
 def spectrum(E0: float, P: float) -> Tuple[float, float]:
     """Energies of the two branches at momentum P: (+sqrt, -sqrt)."""
     E0, P = _check_inputs(E0, P, require_positive_E0=False)
-    e = float(np.hypot(E0, P))
+    with np.errstate(over="ignore"):
+        e = float(np.hypot(E0, P))
+    if not np.isfinite(e):
+        raise ConfigurationError(
+            f"energy sqrt(E0^2 + P^2) overflows at ({E0!r}, {P!r})"
+        )
     return e, -e
 
 
@@ -76,7 +100,7 @@ def mixing_coefficients(E0: float, P: float):
     partner; Lp, Kp mix the negative-energy branch. At P = 0 the state is
     pure: (L, K) = (1, 0) and (Lp, Kp) = (0, -1).
     """
-    E0, P = _check_inputs(E0, P, require_positive_E0=True)
+    E0, P = _in_safe_range(*_check_inputs(E0, P, require_positive_E0=True))
     e_e = float(np.hypot(E0, P))
     if P == 0.0:
         L, K = 1.0, 0.0
@@ -97,6 +121,7 @@ def group_velocity(E0: float, P: float) -> float:
         raise ConfigurationError(
             f"group velocity needs a positive rest energy, got E0 = {E0!r}"
         )
+    E0, P = _in_safe_range(E0, P)
     return P / float(np.hypot(E0, P))
 
 

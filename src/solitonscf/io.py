@@ -123,15 +123,10 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            # each field's declared type (float, int or str) parses its value
+            parse = _parse_formats if key == "formats" else known[key].type
             try:
-                if key == "formats":
-                    updates[key] = _parse_formats(value)
-                elif key == "output_dir":
-                    updates[key] = value
-                elif key in ("n_nodes", "max_iterations", "max_evals"):
-                    updates[key] = int(value)
-                else:
-                    updates[key] = float(value)
+                updates[key] = parse(value)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})"

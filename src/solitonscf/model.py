@@ -116,13 +116,25 @@ def trial_functions(b: float, grid: Grid) -> SpinorPair:
     A = sqrt(2/7) b^{3/2}, B = sqrt(2/3) b^{3/2}, which keeps the combination
     7 A^2 + 3 B^2 = 4 b^3 fixed across scales. Unit norm holds at b = 1
     exactly; for other b the norm is (1 + b^2)/(2 b^2), so callers that
-    need a normalized state must rescale.
+    need a normalized state must rescale. A scale whose pair on this grid
+    is not finite, or has no finite positive norm to rescale by, raises
+    ConfigurationError.
     """
     if not (np.isfinite(b) and b > 0):
         raise ConfigurationError(f"trial scale b must be positive, got {b!r}")
-    amp = b ** 1.5
-    A = np.sqrt(2.0 / 7.0) * amp
-    B = np.sqrt(2.0 / 3.0) * amp
-    x = grid.x
-    decay = np.exp(-b * x)
-    return SpinorPair(u=A * x * (1.0 + b * x) * decay, v=B * x * x * decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.float64(b) ** 1.5  # inf, where a Python float would raise
+        A = np.sqrt(2.0 / 7.0) * amp
+        B = np.sqrt(2.0 / 3.0) * amp
+        x = grid.x
+        decay = np.exp(-b * x)
+        u = A * x * (1.0 + b * x) * decay
+        v = B * x * x * decay
+        # the weights are positive, so a non-finite entry makes this non-finite
+        norm = float(grid.quad_weights @ (u * u + v * v))
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ConfigurationError(
+            f"trial scale b = {b!r} gives no finite seed with a positive "
+            f"norm on this grid (norm {norm!r})"
+        )
+    return SpinorPair(u=u, v=v)

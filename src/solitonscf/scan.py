@@ -1,21 +1,20 @@
-"""Outer coupling scan: locate a0 where the embedded frequency returns to one.
+"""Coupling scan: locate a0 where the embedded frequency returns to one.
 
 solve_fixed_a delivers k(a) for any coupling on the attractive branch; the
 physical state is the coupling a0 with k(a0) = 1. Every coefficient of the
 embedded problem depends on k and a only through k^2 a, so k(a)^2 a = a0
 holds exactly for every a, the discrete problem included. The scan is
-therefore the fixed-point map a <- k(a)^2 a: one cold solve at a_start
-lands the next coupling on a0, and a warm solve there confirms
-|k^2 - 1| <= tol_k.
+therefore two solves in a straight line: a cold solve at a_start gives
+a0 = k^2 a_start, and a warm solve there confirms |k^2 - 1| <= tol_k.
 
 The same invariance seeds every warm solve. A state converged at
 (a_s, k_s) is already the converged state at any other coupling a, with
 frequency k_s sqrt(a_s / a); a caller holding such a state should pass that
-frequency as k0. At the next coupling k^2 a it is exactly 1, so each warm
-solve starts at k0 = 1 from the previous fields and converges at its first
-check. The acceptance test therefore measures the frequency as k + mu, the
-converged state's k plus the increment that its last check computed, rather
-than reading the seed back.
+frequency as k0. At a0 it is exactly 1, so the confirming solve starts at
+k0 = 1 from the cold fields and converges at its first check. The
+acceptance test therefore measures the frequency as k + mu, the converged
+state's k plus the increment that its last check computed, rather than
+reading the seed back.
 
 The scan records every (a, k) it evaluates, so a failure still returns the
 measured history inside the exception.
@@ -37,11 +36,13 @@ __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 
 @dataclass
 class ScanConfig:
-    """Controls for the outer fixed-point iteration in the coupling.
+    """Controls for the coupling scan.
 
-    a_start seeds the scan (the attractive branch needs a_start < 0);
-    tol_k bounds |k^2 - 1| at acceptance; max_evals caps the total number
-    of inner solves; trial_b sets the scale of the cold solve's seed.
+    a_start is the cold solve's coupling (the attractive branch needs
+    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b sets the
+    scale of the cold solve's seed. max_evals caps the number of inner
+    solves and must be at least 2; it never binds, because the scan makes
+    two solves.
     """
 
     a_start: float = -3.3
@@ -97,19 +98,18 @@ def find_a0(
 ) -> ScanResult:
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
-    Iterates a <- k(a)^2 a from a_start: a cold solve at a_start, then warm
-    solves seeded with the previous converged pair at k0 = 1 until the
-    measured frequency k + mu gives |k^2 - 1| <= tol_k. Returns the
-    converged ScanResult with the full (a, k, iterations, residual) history
-    and an energy report at a0.
+    Two solves: a cold one at a_start from the trial_b seed gives
+    a0 = k^2 a_start, and a warm one at a0, seeded with the cold pair at
+    k0 = 1, confirms it when the measured frequency k + mu gives
+    |k^2 - 1| <= tol_k. Returns the ScanResult with both (a, k, iterations,
+    residual) rows and an energy report at a0.
 
     Raises
     ------
     ScanFailureError
-        When an inner solve fails, when k^2 - 1 does not change between two
-        consecutive couplings or a solve returns its seed k = 1 without
-        meeting tol_k (the coupling would not move), or when max_evals inner
-        solves do not reach |k^2 - 1| <= tol_k; carries k_history.
+        When an inner solve fails, or when the confirming solve leaves
+        |k^2 - 1| above tol_k (the scan stalled: a smaller solver tolerance
+        resolves k further); carries the k_history rows measured so far.
     """
     if grid is None:
         raise ConfigurationError("find_a0 requires a grid")
@@ -117,53 +117,39 @@ def find_a0(
     solver_config = solver_config or SolverConfig()
 
     k_history: List[Tuple[float, float, int, float]] = []
-    pair = trial_functions(config.trial_b, grid).normalized(grid)
-    a = config.a_start
-    g_prev = None
-    while True:
+
+    def solve(a, pair):
         try:
-            # k0 = 1: the cold seed, and the invariant frequency of each
-            # warm solve at the next coupling k^2 a
+            # k0 = 1: the cold seed, and the invariant frequency at a0
             state = solve_fixed_a(a, grid, config=solver_config, init=pair, k0=1.0)
         except SolitonError as exc:
             raise ScanFailureError(
                 f"inner solve failed at a={a!r}: {exc}", k_history=k_history
             ) from exc
         k_history.append((a, state.k, state.iteration, state.residual_norm))
-        # Measured, not read back: a warm solve that converges at its first
-        # check returns its seed k0 = 1, so add the increment of that check.
-        g = (state.k + state.last_mu) ** 2 - 1.0
-        if abs(g) <= config.tol_k:
-            return ScanResult(
-                a0=float(a),
-                solution=state,
-                k_history=k_history,
-                report=energy_report(state.pair, grid, a, alpha0=alpha0),
-                warnings=_monotonicity_warnings(k_history),
-            )
-        if g == g_prev:
-            raise ScanFailureError(
-                f"scan stalled: k^2 - 1 = {g!r} at a={k_history[-2][0]!r} "
-                f"and a={a!r}",
-                k_history=k_history,
-            )
-        if len(k_history) >= config.max_evals:
-            raise ScanFailureError(
-                f"|k^2 - 1| = {abs(g):.3e} above {config.tol_k:g} after "
-                f"{config.max_evals} evaluations, last at a = {a!r}",
-                k_history=k_history,
-            )
-        if state.k == 1.0:
-            # A warm solve that stopped at its seed maps the coupling onto
-            # itself, so repeating it cannot shrink |k^2 - 1|.
-            raise ScanFailureError(
-                f"scan stalled at a={a!r}: the solve stopped at its seed "
-                f"k = 1 with |k^2 - 1| = {abs(g):.3e} above {config.tol_k:g}; "
-                f"a smaller solver tolerance resolves k further",
-                k_history=k_history,
-            )
-        pair, g_prev = state.pair, g
-        a = state.k**2 * a
+        return state
+
+    seed = trial_functions(config.trial_b, grid).normalized(grid)
+    cold = solve(config.a_start, seed)
+    a0 = cold.k**2 * config.a_start
+    state = solve(a0, cold.pair)
+    # Measured, not read back: a warm solve that converges at its first
+    # check returns its seed k0 = 1, so add the increment of that check.
+    g = (state.k + state.last_mu) ** 2 - 1.0
+    if abs(g) > config.tol_k:
+        raise ScanFailureError(
+            f"scan stalled at a={a0!r}: the confirming solve left "
+            f"|k^2 - 1| = {abs(g):.3e} above {config.tol_k:g}; "
+            f"a smaller solver tolerance resolves k further",
+            k_history=k_history,
+        )
+    return ScanResult(
+        a0=float(a0),
+        solution=state,
+        k_history=k_history,
+        report=energy_report(state.pair, grid, a0, alpha0=alpha0),
+        warnings=_monotonicity_warnings(k_history),
+    )
 
 
 def verify_extremum(result: ScanResult, grid: Grid) -> float:

@@ -1,11 +1,34 @@
 """Shared fixtures: the default grid and converged states, computed once."""
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
 from solitonscf.grid import build_grid
 from solitonscf.scan import ScanConfig, find_a0
 from solitonscf.solver import SolverConfig, solve_fixed_a
+
+
+_HYPOTHESIS_HOME = "HYPOTHESIS_STORAGE_DIRECTORY"
+
+
+def pytest_configure(config):
+    # The property tests keep no example database (database=None), but
+    # hypothesis still caches the constants of the source files in its home
+    # directory, ./.hypothesis by default: give it a temporary one instead.
+    if _HYPOTHESIS_HOME in os.environ:
+        return
+    home = tempfile.mkdtemp(prefix="hypothesis-home-")
+    os.environ[_HYPOTHESIS_HOME] = home
+
+    def cleanup():
+        del os.environ[_HYPOTHESIS_HOME]
+        shutil.rmtree(home, ignore_errors=True)
+
+    config.add_cleanup(cleanup)
 
 
 @pytest.fixture(scope="session")

@@ -71,6 +71,21 @@ def test_mixing_large_momentum_limit():
     assert K == pytest.approx(np.sqrt(0.5), rel=1e-6)
 
 
+@pytest.mark.parametrize("s", [2.0**-1073, 2.0**-900, 2.0**900, 2.0**1022])
+def test_mixing_and_velocity_are_scale_free(s):
+    # the amplitudes and dE/dP are ratios: E0 and P scaled together by a
+    # power of two give the same bits, where P * P alone would overflow or
+    # flush to zero
+    assert mixing_coefficients(s, 0.5 * s) == mixing_coefficients(1.0, 0.5)
+    assert group_velocity(s, 0.5 * s) == group_velocity(1.0, 0.5)
+
+
+def test_spectrum_refuses_an_energy_that_overflows():
+    assert np.isfinite(spectrum(1e308, 1e308)[0])
+    with pytest.raises(ConfigurationError, match="overflows"):
+        spectrum(1.5e308, 1.5e308)
+
+
 def test_group_velocity_values():
     assert group_velocity(1.0, 0.0) == 0.0
     assert group_velocity(1.0, 1.0) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)

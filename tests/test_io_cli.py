@@ -754,6 +754,24 @@ def test_cli_dispersion_from_summary(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["3", "[]", '{"E0_over_m0": null}', '{"E0_over_m0": [1]}',
+     '{"E0_over_m0": true}', '{"E0_over_m0": "0.158"}',
+     pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep")],
+)
+def test_cli_dispersion_refuses_a_summary_without_a_numeric_e0(
+    tmp_path, capsys, payload
+):
+    path = tmp_path / "scan_summary.json"
+    path.write_text(payload)
+    out = tmp_path / "run"
+    code = main(["dispersion", "--from-summary", str(path), "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_trial_eval(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["trial-eval", "--output-dir", str(out)] + FAST)
@@ -762,6 +780,19 @@ def test_cli_trial_eval(tmp_path, capsys):
     assert summary["T"] == pytest.approx(-0.654654, abs=1e-4)
     assert summary["norm_before_rescale"] == pytest.approx(1.0, abs=1e-4)
     capsys.readouterr()
+
+
+def test_cli_refuses_a_trial_scale_without_a_finite_seed(tmp_path, capsys):
+    # the seed overflows to non-finite values (1e300, 1e200) or underflows
+    # to zero norm (1e-300); refused before any solve or artifact
+    cfg = tmp_path / "run.cfg"
+    for b in ("1e300", "1e200", "1e-300"):
+        cfg.write_text(f"trial_b = {b}\n")
+        for command in (["trial-eval", "--b", b], ["scan", "--config", str(cfg)]):
+            code = main(command + ["--output-dir", str(tmp_path)] + FAST)
+            assert code == EXIT_USAGE
+            assert "trial scale" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize(

@@ -74,7 +74,7 @@ def test_trial_amplitude_constraint(b):
 
 
 def test_trial_rejects_bad_scale(grid):
-    for b in (0.0, -1.0, np.nan):
+    for b in (0.0, -1.0, np.nan, 1e300, 1e200, 1e-300):
         with pytest.raises(ConfigurationError):
             trial_functions(b, grid)
 

@@ -1,4 +1,4 @@
-"""Outer coupling scan: fixed point a <- k(a)^2 a and consistency checks."""
+"""Coupling scan: a0 from a cold solve, a confirming solve, consistency checks."""
 
 from types import SimpleNamespace
 
@@ -202,6 +202,42 @@ def test_scan_stalls_on_flat_frequency(monkeypatch, coarse_grid):
     monkeypatch.setattr("solitonscf.scan.solve_fixed_a", flat)
     with pytest.raises(ScanFailureError) as info:
         find_a0(ScanConfig(), coarse_grid)
+    assert len(info.value.k_history) == 2
+
+
+def test_confirming_solve_failure_carries_the_cold_row(monkeypatch, coarse_grid):
+    cold = _stub_solver(-2.5)
+    calls = []
+
+    def fails_when_warm(a, grid, config=None, init=None, k0=1.0):
+        calls.append(a)
+        if len(calls) == 2:
+            raise DivergenceError("synthetic failure")
+        return cold(a, grid, config, init, k0)
+
+    monkeypatch.setattr("solitonscf.scan.solve_fixed_a", fails_when_warm)
+    with pytest.raises(ScanFailureError, match="inner solve failed") as info:
+        find_a0(ScanConfig(), coarse_grid)
+    assert len(info.value.k_history) == 1
+    assert info.value.k_history[0][0] == -3.3
+
+
+def test_scan_makes_two_solves_whatever_k_does(monkeypatch, coarse_grid):
+    # a k that moves on every call never passes the acceptance test; the
+    # scan still stops after the confirming solve, well inside max_evals
+    calls = []
+
+    def drifting(a, grid, config=None, init=None, k0=1.0):
+        calls.append(a)
+        return SimpleNamespace(
+            k=1.0 + 0.1 * len(calls), last_mu=0.0, iteration=1,
+            residual_norm=0.0, pair=init,
+        )
+
+    monkeypatch.setattr("solitonscf.scan.solve_fixed_a", drifting)
+    with pytest.raises(ScanFailureError, match="stalled") as info:
+        find_a0(ScanConfig(max_evals=30), coarse_grid)
+    assert len(calls) == 2
     assert len(info.value.k_history) == 2
 
 
