@@ -1,6 +1,6 @@
 """Allow python -m solitonscf."""
 
-from .cli import main_entry
+from .front import main_entry
 
 if __name__ == "__main__":
     main_entry()

@@ -2,8 +2,12 @@
 
 Everything derives from SolitonError so callers can catch the whole family,
 but the CLI maps individual classes to distinct exit codes, so the split
-below is part of the public contract.
+below is part of the public contract. The one parameter check that both the
+energy report and the command line's config validation need, check_alpha0,
+lives here too, so the command line can run it without importing numpy.
 """
+
+import math
 
 
 class SolitonError(Exception):
@@ -101,3 +105,11 @@ class CorruptSnapshotError(SnapshotError):
 
 class UnsupportedSnapshotError(SnapshotError):
     """Snapshot declares a format_version this build does not know."""
+
+
+def check_alpha0(alpha0: float) -> None:
+    """Raise ConfigurationError unless alpha0 is finite and positive."""
+    if not (math.isfinite(alpha0) and alpha0 > 0):
+        raise ConfigurationError(
+            f"alpha0 must be positive and finite, got {alpha0!r}"
+        )

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnnormalizedStateError, UnphysicalMixingError
+from .errors import (
+    ConfigurationError,
+    UnnormalizedStateError,
+    UnphysicalMixingError,
+    check_alpha0,
+)
 from .grid import Grid, differentiate, integrate
 from .model import SpinorPair, density, potential
 
@@ -72,14 +77,6 @@ def potential_Pi(pair: SpinorPair, grid: Grid, phi0: np.ndarray = None) -> float
     if phi0 is None:
         phi0 = potential(rho, grid)
     return integrate(phi0 * rho, grid)
-
-
-def check_alpha0(alpha0: float) -> None:
-    """Raise ConfigurationError unless alpha0 is finite and positive."""
-    if not (np.isfinite(alpha0) and alpha0 > 0):
-        raise ConfigurationError(
-            f"alpha0 must be positive and finite, got {alpha0!r}"
-        )
 
 
 def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:

@@ -26,17 +26,21 @@ formatting for full-precision tables and 6 significant digits for the
 human-facing summaries. Files are written to a temporary name in the
 target directory and atomically renamed into place; tables are streamed
 into the temporary file in chunks of rows, never built whole.
+
+Importing the module loads no numpy: the configuration, the JSON summary
+and the row tables (history, trace, dispersion) need only the standard
+library, so the dispersion command runs without numpy. numpy, the grid and
+the spinor pair are imported inside the functions that handle field arrays.
 """
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
 
 from .errors import (
     ConfigurationError,
@@ -44,8 +48,6 @@ from .errors import (
     ShapeError,
     UnsupportedSnapshotError,
 )
-from .grid import Grid, build_grid
-from .model import SpinorPair
 
 __all__ = [
     "RunConfig",
@@ -69,8 +71,8 @@ SNAPSHOT_FORMAT_VERSION = 1
 class RunConfig:
     """Every tunable of a run, with the package defaults filled in."""
 
-    theta_min: float = float(np.log(1e-6))
-    theta_max: float = float(np.log(80.0))
+    theta_min: float = math.log(1e-6)
+    theta_max: float = math.log(80.0)
     n_nodes: int = 2000
     tau: float = 0.5
     tol_residual: float = 1e-8
@@ -83,7 +85,9 @@ class RunConfig:
     output_dir: str = "."
     formats: Set[str] = field(default_factory=lambda: {"csv", "json"})
 
-    def build_grid(self) -> Grid:
+    def build_grid(self) -> "Grid":
+        from .grid import build_grid
+
         return build_grid(self.theta_min, self.theta_max, self.n_nodes)
 
 
@@ -147,14 +151,20 @@ class Snapshot:
     n_nodes: int
     a: float
     k: float
-    u: np.ndarray
-    v: np.ndarray
+    u: "np.ndarray"
+    v: "np.ndarray"
     format_version: int = SNAPSHOT_FORMAT_VERSION
 
-    def grid(self) -> Grid:
+    def grid(self) -> "Grid":
+        from .grid import build_grid
+
         return build_grid(self.theta_min, self.theta_max, self.n_nodes)
 
-    def pair(self) -> SpinorPair:
+    def pair(self) -> "SpinorPair":
+        import numpy as np
+
+        from .model import SpinorPair
+
         return SpinorPair(np.asarray(self.u, float), np.asarray(self.v, float))
 
 
@@ -219,7 +229,7 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
 _FIELD_TEXTS = {}
 
 
-def _field_text(name: str, values: np.ndarray) -> str:
+def _field_text(name: str, values: "np.ndarray") -> str:
     """The comma-joined reprs of a 1-D field array, formatted once per content.
 
     The slot of name is reused while values has the bytes it was formatted
@@ -233,16 +243,20 @@ def _field_text(name: str, values: np.ndarray) -> str:
     return slot[1]
 
 
-def _field(path: str, name: str, values) -> np.ndarray:
+def _field(path: str, name: str, values) -> "np.ndarray":
     """A field array as doubles; ShapeError unless it is one-dimensional."""
+    import numpy as np
+
     values = np.asarray(values, float)
     if values.ndim != 1:
         raise ShapeError(f"{path}: {name} must be 1-D, got shape {values.shape}")
     return values
 
 
-def _json_array(values: np.ndarray, text: str) -> str:
+def _json_array(values: "np.ndarray", text: str) -> str:
     """A field's repr text laid out as json.dumps(..., indent=1) nests a list."""
+    import numpy as np
+
     if not text:
         return "[]"
     if not np.isfinite(values).all():
@@ -260,6 +274,8 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     and the body. Raises ShapeError, and writes nothing, unless u and v are
     one-dimensional.
     """
+    import numpy as np
+
     version = int(snapshot.format_version)
     n_nodes = int(snapshot.n_nodes)
     scalars = [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
@@ -313,10 +329,13 @@ def load_snapshot(path: str) -> Snapshot:
     format_version this build does not know. Each value must be a JSON
     number (n_nodes a JSON integer) and finite.
     """
+    import numpy as np
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_float=str.encode)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to decode
         raise CorruptSnapshotError(f"{path}: not valid snapshot JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptSnapshotError(f"{path}: snapshot root must be an object")
@@ -393,20 +412,13 @@ def _text_chunks(text: str):
         yield chunk
 
 
-def _repr_chunks(values: np.ndarray):
-    """Lists of up to _CHUNK_ROWS reprs of an array's values, formatted lazily."""
-    texts = map(repr, values.tolist())
-    return iter(lambda: list(islice(texts, _CHUNK_ROWS)), [])
+def _csv(path: str, header: Sequence[str], columns) -> None:
+    """Write 1-D field columns of doubles as repr text, one row per line.
 
-
-def _csv(path: str, header: Sequence[str], columns, memo: Sequence[str] = ()) -> None:
-    """Write 1-D columns of doubles as repr text, one row per line.
-
-    The columns named in memo take their text from the field memo (the
-    module docstring); the others are formatted as they are written. The
-    file is streamed in chunks of _CHUNK_ROWS rows, so neither the whole
-    text nor a whole column of texts is built. Raises ShapeError, and
-    writes nothing, when a column is not 1-D or the lengths differ.
+    Each column takes its text from the field memo (the module docstring),
+    under its header name. The file is streamed in chunks of _CHUNK_ROWS
+    rows, so the whole text is never built. Raises ShapeError, and writes
+    nothing, when a column is not 1-D or the lengths differ.
     """
     columns = [_field(path, name, col) for name, col in zip(header, columns)]
     if len({col.shape for col in columns}) > 1:
@@ -414,38 +426,44 @@ def _csv(path: str, header: Sequence[str], columns, memo: Sequence[str] = ()) ->
             f"{path}: columns of unequal shape {[col.shape for col in columns]}"
         )
     chunks = [
-        _text_chunks(_field_text(name, col)) if name in memo else _repr_chunks(col)
-        for name, col in zip(header, columns)
+        _text_chunks(_field_text(name, col)) for name, col in zip(header, columns)
     ]
     rows = ("\n".join(map(",".join, zip(*parts))) + "\n" for parts in zip(*chunks))
     atomic_write_text(path, chain([",".join(header) + "\n"], rows))
 
 
 def _rows_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write rows of doubles; ShapeError, and nothing written, on a ragged row."""
+    """Write rows of doubles as repr text, one row per line.
+
+    Each cell is written as repr(float(cell)), so an integer count reads
+    13.0, as in the field tables. ShapeError, and nothing written, on a
+    ragged row.
+    """
     rows = list(rows)
     widths = {len(row) for row in rows}
     if widths - {len(header)}:
         raise ShapeError(
             f"{path}: rows of width {sorted(widths)} under a header of {len(header)}"
         )
-    _csv(path, header, zip(*rows))
+    lines = (",".join([repr(float(x)) for x in row]) + "\n" for row in rows)
+    atomic_write_text(path, chain([",".join(header) + "\n"], lines))
 
 
-def write_profiles_csv(path: str, grid: Grid, u, v, phi0) -> None:
+def write_profiles_csv(path: str, grid: "Grid", u, v, phi0) -> None:
     """Radial profiles (x, u, v, phi0, rho) at full precision.
 
     Every column goes through the field memo: a profile table written next
     to a snapshot of the same state formats only phi0 and rho, and a table
     of a state whose fields are unchanged formats nothing.
     """
+    import numpy as np
+
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     _csv(
         path,
         ("x", "u", "v", "phi0", "rho"),
         (grid.x, u, v, phi0, u * u + v * v),
-        memo=("x", "u", "v", "phi0", "rho"),
     )
 
 

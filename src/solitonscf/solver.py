@@ -643,16 +643,18 @@ def _fitted_start(state: IterationState, grid: Grid, tol: float) -> IterationSta
 def _initial_state(a, grid, init, k0, tol) -> IterationState:
     if init is None:
         pair = trial_functions(1.0, grid).normalized(grid)
+        dens = density(pair, grid)
     else:
         pair = SpinorPair(
             np.asarray(init.u, dtype=float).copy(),
             np.asarray(init.v, dtype=float).copy(),
         )
+        dens = density(pair, grid)
         # a pair already at unit norm is kept bit for bit: rescaling it by
         # 1/sqrt(norm) would only move its last bits
-        if not abs(density(pair, grid).norm - 1.0) <= _NORM_KEEP:
+        if not abs(dens.norm - 1.0) <= _NORM_KEEP:
             pair = pair.normalized(grid)
-    dens = density(pair, grid)
+            dens = density(pair, grid)
     state = IterationState(
         pair=pair,
         k=float(k0),

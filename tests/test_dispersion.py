@@ -1,10 +1,13 @@
 """Closed-form dispersion: spectrum branches, mixing weights, group velocity."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from solitonscf.dispersion import (
     DispersionPoint,
+    _hypot,
     dispersion_table,
     group_velocity,
     mixing_coefficients,
@@ -84,6 +87,43 @@ def test_spectrum_refuses_an_energy_that_overflows():
     assert np.isfinite(spectrum(1e308, 1e308)[0])
     with pytest.raises(ConfigurationError, match="overflows"):
         spectrum(1.5e308, 1.5e308)
+
+
+_MAX = 1.7976931348623157e308
+_HYPOT_EDGES = [
+    0.0, 5e-324, 1.5e-323, 2.5e-322, 1e-310, 2.2250738585072004e-308,
+    2.2250738585072014e-308, 1e-300, 1e-160, 1.0, 3.0, 1e154, 1e300,
+    8.98846567431158e307, 1.2e308, 1.5e308, 1.7976931348623155e308, _MAX,
+]
+
+
+def _hypot_or_inf(x, y):
+    try:
+        return _hypot(x, y)
+    except OverflowError:
+        return np.inf
+
+
+def test_hypot_is_numpy_hypot_bit_for_bit():
+    # _hypot is libm hypot, which np.hypot also calls: same bits on
+    # subnormal, normal and near-overflow operands, and OverflowError just
+    # where np.hypot gives inf
+    rng = np.random.default_rng(21)
+    tiny = rng.integers(1, 2**52, 200).view(np.float64)     # subnormals
+    huge = rng.uniform(0.5, 1.0, 200) * _MAX
+    anything = rng.integers(0, 0x7FF0000000000000, 2000).view(np.float64)
+    pairs = [(x, y) for x in _HYPOT_EDGES for y in _HYPOT_EDGES]
+    pairs += list(zip(tiny.tolist(), tiny[::-1].tolist()))
+    pairs += list(zip(huge.tolist(), huge[::-1].tolist()))
+    pairs += list(zip(tiny.tolist(), huge.tolist()))
+    pairs += list(zip(anything[::2].tolist(), anything[1::2].tolist()))
+    with np.errstate(over="ignore"):
+        expected = [float(np.hypot(x, y)) for x, y in pairs]
+    got = [_hypot_or_inf(x, y) for x, y in pairs]
+    assert [struct.pack("<d", e) for e in expected] == [
+        struct.pack("<d", g) for g in got
+    ]
+    assert np.inf in expected       # the overflow branch was reached
 
 
 def test_group_velocity_values():

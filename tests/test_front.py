@@ -1,0 +1,155 @@
+"""The stdlib-only command line front and the lazy package exports.
+
+dispersion, --help and usage errors must run without importing numpy, and
+the front's stdlib linspace must give numpy's momenta bit for bit.
+"""
+
+import json
+import os
+import struct
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import solitonscf
+from solitonscf import grid as grid_mod
+from solitonscf.front import EXIT_OK, EXIT_USAGE, _linspace
+
+LAYERS = ("cli", "scan", "solver", "model", "grid", "functional", "dispersion", "io")
+
+# Runs python -m solitonscf with the given arguments, as runpy would from
+# the command line, then reports whether numpy was imported and the exit code.
+_RUN_MODULE = """
+import json, runpy, sys
+sys.argv = ["solitonscf"] + sys.argv[1:]
+try:
+    runpy.run_module("solitonscf", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"numpy": "numpy" in sys.modules, "exit": code}))
+"""
+
+
+# the child imports the package this test imported, whatever the cwd
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(os.path.abspath(solitonscf.__file__)))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    ),
+)
+
+
+def _run(argv, cwd=None):
+    return subprocess.run(
+        [sys.executable] + argv, capture_output=True, text=True, cwd=cwd, env=_ENV
+    )
+
+
+def _run_module(args, cwd):
+    proc = _run(["-c", _RUN_MODULE] + args, cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["dispersion", "--e0", "0.15855", "--p-count", "5"], EXIT_OK),
+        (["dispersion", "--from-summary", "summary.json"], EXIT_OK),
+        (["dispersion", "--e0", "1.0", "--p-count", "0"], EXIT_USAGE),
+        (["--help"], EXIT_OK),
+        (["dispersion", "--help"], EXIT_OK),
+        (["scan", "--no-such-flag"], EXIT_USAGE),
+        ([], EXIT_USAGE),
+    ],
+    ids=["e0", "from-summary", "bad-count", "help", "dispersion-help", "bad-flag", "none"],
+)
+def test_commands_that_compute_nothing_numeric_skip_numpy(tmp_path, args, code):
+    (tmp_path / "summary.json").write_text('{"E0_over_m0": 0.15855}\n')
+    report, stderr = _run_module(args, tmp_path)
+    assert report == {"numpy": False, "exit": code}, stderr
+
+
+def test_a_solving_command_loads_numpy(tmp_path):
+    report, stderr = _run_module(["trial-eval", "--grid-nodes", "50"], tmp_path)
+    assert report == {"numpy": True, "exit": EXIT_OK}, stderr
+
+
+def test_import_cli_loads_every_layer():
+    # the benchmark's tracer finds the layer modules in sys.modules after
+    # importing solitonscf.cli alone
+    code = (
+        "import sys, solitonscf.cli; "
+        f"print(all('solitonscf.' + m in sys.modules for m in {LAYERS!r}))"
+    )
+    proc = _run(["-c", code])
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_every_export_resolves_to_its_submodule():
+    for name in solitonscf.__all__:
+        value = getattr(solitonscf, name)
+        if name != "__version__":
+            module = sys.modules[f"solitonscf.{solitonscf._EXPORTS[name]}"]
+            assert value is getattr(module, name)
+    assert set(solitonscf.__all__) <= set(dir(solitonscf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        solitonscf.no_such_name
+
+
+def test_exports_follow_a_rebound_submodule_attribute(monkeypatch):
+    original = grid_mod.integrate
+    assert solitonscf.integrate is original
+
+    def stand_in(values, grid):
+        return 0.0
+
+    monkeypatch.setattr(grid_mod, "integrate", stand_in)
+    assert solitonscf.integrate is stand_in
+    monkeypatch.undo()
+    assert solitonscf.integrate is original
+    assert "integrate" not in vars(solitonscf)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "start, stop, num",
+    [
+        (0.0, 2.0, 41),
+        (0.0, 2.0, 1),
+        (0.3, 7.0, 1),
+        (-0.0, 0.0, 1),
+        (1.25, 1.25, 5),
+        (1.25, 1.25, 1),
+        (0.0, 1e300, 9),
+        (0.0, 1.7976931348623157e308, 4),
+        (5e-324, 2e-323, 7),          # step 0.5 ulp of the smallest subnormal
+        (0.0, 1e-320, 13),
+        (0.0, 5e-324, 3),
+        (1e-310, 1e-310 + 4e-323, 11),
+        (0.1, 0.7, 2),
+    ],
+)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num):
+    # near the top of the range i * step overflows before the last point is
+    # set to stop, in both
+    with np.errstate(over="ignore"):
+        expected = np.linspace(start, stop, num)
+    assert _bits(_linspace(start, stop, num)) == _bits(expected)
+
+
+def test_linspace_matches_numpy_on_random_ranges():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        start, stop = sorted(rng.uniform(0.0, 10.0 ** rng.integers(-300, 300), 2))
+        num = int(rng.integers(1, 60))
+        assert _bits(_linspace(start, stop, num)) == _bits(
+            np.linspace(start, stop, num)
+        ), (start, stop, num)

@@ -258,6 +258,57 @@ def test_csv_bytes_match_the_row_recipe(tmp_path, name):
     )
 
 
+def _numpy_rows_text(header, rows):
+    """A row table as the writers laid it out through numpy columns."""
+    columns = [np.asarray(col, float).tolist() for col in zip(*rows)]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+_ROW_CELLS = [0, 13, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -2.31241249]
+
+
+@pytest.mark.parametrize(
+    "writer, header",
+    [
+        (io_mod.write_history_csv, ("a", "k", "iterations", "residual")),
+        (io_mod.write_trace_csv, ("iteration", "k", "residual_norm", "mu")),
+    ],
+)
+def test_row_tables_match_the_numpy_recipe(tmp_path, writer, header):
+    # row tables are written without numpy; their bytes are the ones the
+    # numpy column recipe gives, int counts, -0.0 and the non-finite included
+    cells = _ROW_CELLS + [np.float64(0.7), 2**60]
+    rows = [
+        (i, cells[i], cells[(i + 3) % len(cells)], cells[(i + 7) % len(cells)])
+        for i in range(len(cells))
+    ]
+    path = tmp_path / "rows.csv"
+    writer(str(path), rows)
+    assert path.read_text() == _numpy_rows_text(header, rows)
+    writer(str(path), [])
+    assert path.read_text() == ",".join(header) + "\n"
+
+
+def test_dispersion_table_matches_the_numpy_recipe(tmp_path):
+    points = [
+        SimpleNamespace(P=p, E_electron=e, E_positron=-e, L=1.0, K=-0.0, velocity=v)
+        for p, e, v in zip(_ROW_CELLS, _ROW_CELLS[::-1], _ROW_CELLS[3:] + _ROW_CELLS[:3])
+    ]
+    path = tmp_path / "dispersion.csv"
+    io_mod.write_dispersion_csv(str(path), points)
+    header = ("P", "E_electron", "E_positron", "L", "K", "velocity")
+    rows = [(p.P, p.E_electron, p.E_positron, p.L, p.K, p.velocity) for p in points]
+    assert path.read_text() == _numpy_rows_text(header, rows)
+
+
+def test_snapshot_nested_too_deep_is_corrupt(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(CorruptSnapshotError, match="not valid snapshot JSON"):
+        io_mod.load_snapshot(str(path))
+
+
 def test_snapshot_checksum_over_reprs_of_other_spellings(tmp_path):
     # Valid JSON numbers that are not shortest reprs; the checksum covers
     # the reprs of their values, so the file loads, bit-exact.
@@ -903,6 +954,17 @@ def test_cli_io_error_exits(tmp_path, capsys):
     )
     assert code == EXIT_IO
     capsys.readouterr()
+
+
+def test_cli_snapshot_nested_too_deep_is_an_io_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code = main(
+        ["solve", "--warm-start", str(deep), "--output-dir", str(tmp_path)] + FAST
+    )
+    assert code == EXIT_IO
+    assert "not valid snapshot JSON" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
 
 def test_cli_mistyped_snapshot_is_an_io_error(tmp_path, capsys):

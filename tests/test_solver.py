@@ -14,7 +14,7 @@ from solitonscf.errors import (
 )
 from solitonscf import solver
 from solitonscf.grid import Grid, build_grid, integrate
-from solitonscf.model import SpinorPair, density, make_field, trial_functions
+from solitonscf.model import SpinorPair, density, make_field, potential, trial_functions
 from solitonscf.solver import (
     CorrectionSet,
     IterationState,
@@ -642,6 +642,23 @@ def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
     assert not np.array_equal(state.pair.u, init.u)
     assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
     assert state.norm_error <= 1e-15
+
+
+def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
+    # a warm pair kept at unit norm reuses the density of its norm check
+    calls = []
+
+    def counted(pair, g):
+        calls.append(pair)
+        return density(pair, g)
+
+    monkeypatch.setattr(solver, "density", counted)
+    state = solver._initial_state(-3.3, grid, state_m33.pair, state_m33.k, 1e-8)
+    assert np.array_equal(state.pair.u, state_m33.pair.u)
+    assert len(calls) == 1
+    dens = density(state_m33.pair, grid)
+    assert np.array_equal(state.field.phi0, potential(dens.rho, grid))
+    assert state.norm_error == abs(dens.norm - 1.0)
 
 
 def test_seed_scale_insensitivity(coarse_grid):
