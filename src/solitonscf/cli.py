@@ -11,7 +11,8 @@ The parser, the exit codes and the dispersion command live in
 ``solitonscf.front``, which needs only the standard library; ``python -m
 solitonscf`` and the installed ``solitonscf`` command enter there and load
 this module, with numpy and the solver stack, only for solve, scan and
-trial-eval. ``main`` here runs any of the four commands.
+trial-eval. ``main`` here hands any of the four commands to ``front.main``,
+so in-process callers take the same path as the command line.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -26,6 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import front
 from . import io as io_mod
 from .errors import ConfigurationError, ScanFailureError
 from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
@@ -35,12 +37,10 @@ from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
     EXIT_SCAN_FAILURE,
     EXIT_USAGE,
     OUTPUT_DIR_ENV,
-    _cmd_dispersion,
     _out,
     _run_config,
     build_parser,
     main_entry,
-    run_command,
 )
 from .functional import energy_report, kinetic_T, potential_Pi
 from .grid import integrate
@@ -215,14 +215,14 @@ def _cmd_trial_eval(args) -> int:
     return EXIT_OK
 
 
+# the commands front.main loads this module for
 COMMANDS = {
     "solve": _cmd_solve,
     "scan": _cmd_scan,
-    "dispersion": _cmd_dispersion,
     "trial-eval": _cmd_trial_eval,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_command(COMMANDS[args.command], args)
+    """Run one command through the front, as ``python -m solitonscf`` does."""
+    return front.main(argv)

@@ -36,8 +36,9 @@ from solitonscf.grid import build_grid
 
 def test_run_config_defaults():
     cfg = io_mod.RunConfig()
-    assert cfg.theta_min == pytest.approx(np.log(1e-6))
-    assert cfg.theta_max == pytest.approx(np.log(80.0))
+    # exact: the grid, and every artifact built on it, must keep numpy's bits
+    assert cfg.theta_min == float(np.log(1e-6))
+    assert cfg.theta_max == float(np.log(80.0))
     assert cfg.n_nodes == 2000
     assert cfg.formats == {"csv", "json"}
     grid = cfg.build_grid()
