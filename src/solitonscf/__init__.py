@@ -40,7 +40,6 @@ _SUBMODULE_EXPORTS = {
     "solver": (
         "SolverConfig",
         "IterationState",
-        "CorrectionSet",
         "ode_residual",
         "solve_corrections",
         "mu_update",

@@ -59,9 +59,10 @@ class ScanConfig:
             raise ConfigurationError(
                 f"tol_k must be positive and finite, got {self.tol_k!r}"
             )
-        if self.max_evals < 2:
+        n = self.max_evals
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
             raise ConfigurationError(
-                f"max_evals must be >= 2, got {self.max_evals!r}"
+                f"max_evals must be an integer >= 2, got {n!r}"
             )
         return self
 

@@ -18,24 +18,23 @@ branch and k(a) is a smooth monotone function whose root k = 1 marks the
 self-consistent coupling a0. The tail mass sqrt(P Q) -> 1 is independent of
 k, which keeps the spatial scale fixed along the embedding.
 
-One iteration freezes phi at the current density, takes the corrections
-(psi, psi1) at fixed k, solves the linearized boundary value problem for the
-frequency sensitivities (psi_mu, psi1_mu), picks the frequency increment mu
-that restores the norm constraint to first order, then applies
+One iteration freezes phi at the current density. Because the frozen-phi
+system is linear and homogeneous in (u, v), the correction at fixed k is
+exactly (-u, -v): the discrete rows applied to the state are the residual
+rows. So only the frequency direction (psi_mu, psi1_mu) is solved for, from
+the linearized boundary value problem; the frequency increment mu restores
+the norm constraint to first order, and the step is
 
-    u <- A [u + tau (psi + mu psi_mu)],   v likewise,   k <- k + mu,
+    u <- A [u + tau (-u + mu psi_mu)],   v likewise,   k <- k + mu,
 
 with A the renormalization amplitude. The fields are damped by tau; the
-frequency moves by the full mu. Because the frozen-phi system is linear and
-homogeneous in (u, v), the fixed-k correction is exactly psi = -u,
-psi1 = -v: the discrete rows applied to the state are the residual rows,
-so that correction is written down rather than solved for, and all real
-motion is carried by the mu terms.
+frequency moves by the full mu. newton_step takes the field increment
+(du, dv) and mu, so the damped step and a mixed one take the same path.
 
 This damped fixed-point step converges only linearly (residual ratio about
 0.72 per step at tau = 0.5). Once the residual norm is at or below 0.1 the
 fields are Anderson-mixed instead (type II, Walker & Ni 2011): with
-x = (u, v) and f = tau (psi + mu psi_mu, psi1 + mu psi1_mu) the damped step
+x = (u, v) and f = tau (-u + mu psi_mu, -v + mu psi1_mu) the damped step
 above, the last five differences dX, dF of iterates and steps give the
 proposal x + f - (dX + dF) gamma, gamma = lstsq(dF, f), renormalized as
 before; k still moves by the full mu. A cold solve at a = -3.3 then takes
@@ -67,7 +66,7 @@ reduction in numpy alone.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +91,6 @@ from .model import (
 __all__ = [
     "SolverConfig",
     "IterationState",
-    "CorrectionSet",
     "ode_residual",
     "solve_corrections",
     "mu_update",
@@ -133,9 +131,10 @@ class SolverConfig:
             raise ConfigurationError(
                 f"tol_residual must be positive and finite, got {self.tol_residual!r}"
             )
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
+                f"max_iterations must be an integer >= 1, got {n!r}"
             )
         return self
 
@@ -153,24 +152,6 @@ class IterationState:
     iteration: int = 0
     last_mu: float = float("nan")
     trace: list = field(default_factory=list, repr=False)
-
-
-@dataclass
-class CorrectionSet:
-    """Linearized corrections at frozen potential.
-
-    (psi, psi1) solve the boundary value problem driven by the state
-    residual at fixed k, which makes them (-u, -v); (psi_mu, psi1_mu) are
-    driven by the k-derivative of the operator. mu and a_norm are filled in
-    by mu_update/newton_step.
-    """
-
-    psi: np.ndarray
-    psi1: np.ndarray
-    psi_mu: np.ndarray
-    psi1_mu: np.ndarray
-    mu: Optional[float] = None
-    a_norm: Optional[float] = None
 
 
 def _coefficients(k: float, phi: np.ndarray):
@@ -384,15 +365,17 @@ def residual_norm(state: IterationState, grid: Grid) -> float:
     return float(max(np.max(np.abs(r_u)), np.max(np.abs(r_v))))
 
 
-def solve_corrections(state: IterationState, grid: Grid) -> CorrectionSet:
-    """Both correction pairs of the linearized boundary value problem.
+def solve_corrections(
+    state: IterationState, grid: Grid
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Frequency direction (psi_mu, psi1_mu) of the linearized problem.
 
     The pentadiagonal matrix J (the box-scheme Jacobian at frozen potential
     and current k) is solved against one right-hand side, the k-derivative
-    of the operator applied to the state, giving (psi_mu, psi1_mu). The
-    residual-driven pair needs no solve: J applied to (u, v) is exactly the
-    scaled state residual (both sides are the same box rows and boundary
-    rows), so J psi = -residual has the solution (psi, psi1) = (-u, -v).
+    of the operator applied to the state. The residual-driven correction
+    needs no solve: J applied to (u, v) is exactly the scaled state residual
+    (both sides are the same box rows and boundary rows), so
+    J psi = -residual has the solution (psi, psi1) = (-u, -v).
     """
     x = grid.x
     h = grid.h
@@ -448,62 +431,57 @@ def solve_corrections(state: IterationState, grid: Grid) -> CorrectionSet:
         raise DegenerateLinearizationError(
             f"banded solve produced non-finite corrections at k={state.k!r}"
         )
-    return CorrectionSet(psi=-u, psi1=-v, psi_mu=sol[0::2], psi1_mu=sol[1::2])
+    return sol[0::2], sol[1::2]
 
 
-def mu_update(state: IterationState, corrections: CorrectionSet, grid: Grid) -> float:
+def mu_update(state: IterationState, psi_mu, psi1_mu, grid: Grid) -> float:
     """Frequency increment restoring the unit norm to first order.
 
     The norm of the updated (pre-renormalization) state expands around the
-    current iterate as 1 + 2 I_s + 2 mu I_mu + O(corrections^2) with
+    current iterate as N + 2 I_s + 2 mu I_mu + O(corrections^2) with
 
+        N    = int (u^2 + v^2) dx,
         I_s  = int (u psi + v psi1) dx,
         I_mu = int (u psi_mu + v psi1_mu) dx,
 
-    so the increment that holds the norm at one is mu = -I_s / I_mu.
-    solve_corrections returns psi = -u, so I_s is minus the norm, -1 for a
-    normalized state, and mu = 1/I_mu there. The formula is evaluated in
-    full all the same: mu stays correct for any correction set, such as a
-    rescaled one, and a state off the unit norm is not silently assumed
-    normalized.
+    so the increment that holds the norm is mu = -I_s / I_mu. The
+    residual-driven correction is (psi, psi1) = (-u, -v), so I_s = -N and
+    mu = N / I_mu, which is 1 / I_mu for a normalized state. N is
+    integrated all the same, so a state off the unit norm is not silently
+    assumed normalized.
     """
     u, v = state.pair.u, state.pair.v
-    i_s = integrate(u * corrections.psi + v * corrections.psi1, grid)
-    i_mu = integrate(u * corrections.psi_mu + v * corrections.psi1_mu, grid)
+    norm = integrate(u * u + v * v, grid)
+    i_mu = integrate(u * psi_mu + v * psi1_mu, grid)
     if abs(i_mu) < _MU_DENOM_TOL:
         raise StalledUpdateError(
             f"frequency update denominator |I_mu| = {abs(i_mu):.3e} < "
             f"{_MU_DENOM_TOL:g}; the linearization carries no k-motion"
         )
-    mu = -i_s / i_mu
-    corrections.mu = float(mu)
-    return float(mu)
+    return float(norm / i_mu)
+
+
+def _damped_step(state, psi_mu, psi1_mu, mu, tau):
+    """Field increment of the damped step: tau (-u + mu psi_mu), likewise v."""
+    u, v = state.pair.u, state.pair.v
+    return tau * (mu * psi_mu - u), tau * (mu * psi1_mu - v)
 
 
 def newton_step(
-    state: IterationState,
-    corrections: CorrectionSet,
-    config: SolverConfig,
-    grid: Grid,
-    tau: Optional[float] = None,
-    tau_k: float = 1.0,
+    state: IterationState, du, dv, mu: float, grid: Grid, tau_k: float = 1.0
 ) -> IterationState:
-    """Apply one damped update and rebuild the self-consistent potential.
+    """Apply one update and rebuild the self-consistent potential.
 
-    Fields move by tau times the combined correction and are renormalized;
-    the frequency moves by tau_k times mu (the full step by default; the
-    safeguard loop damps it when retrying a rejected step and when tau is
-    already at its floor). The potential is recomputed from the new density,
-    so the returned state is ready for the next residual evaluation. Raises
-    DivergenceError on non-finite results and StepRejectedError when the
-    frequency would leave the positive branch.
+    The fields move by (du, dv) and are renormalized; the frequency moves
+    by tau_k times mu (the full step by default; the safeguard loop damps
+    it when retrying a rejected step and when tau is already at its floor).
+    The potential is recomputed from the new density, so the returned state
+    is ready for the next residual evaluation. Raises DivergenceError on
+    non-finite results and StepRejectedError when the frequency would leave
+    the positive branch.
     """
-    if corrections.mu is None:
-        mu_update(state, corrections, grid)
-    mu = corrections.mu
-    step_tau = config.tau if tau is None else tau
-    u_new = state.pair.u + step_tau * (corrections.psi + mu * corrections.psi_mu)
-    v_new = state.pair.v + step_tau * (corrections.psi1 + mu * corrections.psi1_mu)
+    u_new = state.pair.u + du
+    v_new = state.pair.v + dv
     k_new = state.k + tau_k * mu
     if k_new <= 0.0:
         raise StepRejectedError(k_new)
@@ -516,7 +494,6 @@ def newton_step(
     if not (np.isfinite(raw) and raw > 0):
         raise DivergenceError(f"update produced unnormalizable fields (norm {raw!r})")
     a_norm = float(1.0 / np.sqrt(raw))
-    corrections.a_norm = a_norm
     pair = SpinorPair(u_new * a_norm, v_new * a_norm)
     # the renormalized pair's density is the raw one scaled by a_norm^2
     rho = dens.rho * (a_norm * a_norm)
@@ -547,7 +524,6 @@ class _AndersonMixer:
     def __init__(self, n_nodes: int):
         self.d_x = np.empty((_MIX_DEPTH, 2 * n_nodes))
         self.d_f = np.empty((_MIX_DEPTH, 2 * n_nodes))
-        self.zero = np.zeros(n_nodes)
         self.clear()
 
     def clear(self) -> None:
@@ -555,21 +531,15 @@ class _AndersonMixer:
         self.count = 0
         self.head = 0
 
-    def step(self, state, corrections, config, tau, grid):
+    def step(self, state, psi_mu, psi1_mu, mu, tau, grid):
         """Record the current (x, f) and return the mixed IterationState.
 
         Returns None while there is no history yet, and when the proposal
         is rejected (no valid state, or k at or below _K_FLOOR); a rejection
         also clears the history.
         """
-        mu = corrections.mu
         x = np.concatenate((state.pair.u, state.pair.v))
-        f = tau * np.concatenate(
-            (
-                corrections.psi + mu * corrections.psi_mu,
-                corrections.psi1 + mu * corrections.psi1_mu,
-            )
-        )
+        f = np.concatenate(_damped_step(state, psi_mu, psi1_mu, mu, tau))
         if self.x is not None:
             np.subtract(x, self.x, out=self.d_x[self.head])
             np.subtract(f, self.f, out=self.d_f[self.head])
@@ -584,15 +554,10 @@ class _AndersonMixer:
         # tall history would copy it and add its LAPACK workspace.
         gamma = np.linalg.lstsq(d_f @ d_f.T, d_f @ f, rcond=None)[0]
         step = f - gamma @ d_x - gamma @ d_f
-        # The mixed step enters newton_step as an undamped correction with
-        # no frequency direction, so the fields move by exactly that step
-        # while k moves by the full mu.
+        # the fields move by exactly the mixed step, k by the full mu
         n = grid.n_nodes
-        mixed = CorrectionSet(
-            psi=step[:n], psi1=step[n:], psi_mu=self.zero, psi1_mu=self.zero, mu=mu
-        )
         try:
-            new = newton_step(state, mixed, config, grid, tau=1.0)
+            new = newton_step(state, step[:n], step[n:], mu, grid)
         except (DivergenceError, StepRejectedError):
             new = None
         if new is None or new.k <= _K_FLOOR:
@@ -651,9 +616,11 @@ def _initial_state(a, grid, init, k0, tol) -> IterationState:
         )
         dens = density(pair, grid)
         # a pair already at unit norm is kept bit for bit: rescaling it by
-        # 1/sqrt(norm) would only move its last bits
+        # 1/sqrt(norm) would only move its last bits. Any other pair gets
+        # the scale SpinorPair.normalized would give, from the norm at hand.
         if not abs(dens.norm - 1.0) <= _NORM_KEEP:
-            pair = pair.normalized(grid)
+            s = 1.0 / np.sqrt(dens.norm)
+            pair = SpinorPair(pair.u * s, pair.v * s)
             dens = density(pair, grid)
     state = IterationState(
         pair=pair,
@@ -726,8 +693,8 @@ def solve_fixed_a(
     mixer = _AndersonMixer(grid.n_nodes)
 
     for _ in range(config.max_iterations):
-        corrections = solve_corrections(state, grid)
-        mu = mu_update(state, corrections, grid)
+        psi_mu, psi1_mu = solve_corrections(state, grid)
+        mu = mu_update(state, psi_mu, psi1_mu, grid)
 
         if abs(mu) < config.tol_residual and state.residual_norm < config.tol_residual:
             if count_nodes(state.pair.u) > 0:
@@ -742,20 +709,15 @@ def solve_fixed_a(
         if state.residual_norm > _MIX_THRESHOLD:
             mixer.clear()
         else:
-            accepted = mixer.step(state, corrections, config, tau, grid)
-            if accepted is not None:
-                accepted_streak += 1
-                if accepted_streak >= 2:
-                    tau = config.tau
+            accepted = mixer.step(state, psi_mu, psi1_mu, mu, tau, grid)
 
         # A step already damped to the floor would be accepted as the
         # least-bad candidate at once, so it must not move k by the full mu.
         tau_k = tau if tau <= tau_floor else 1.0
         while accepted is None:
+            du, dv = _damped_step(state, psi_mu, psi1_mu, mu, tau)
             try:
-                candidate = newton_step(
-                    state, corrections, config, grid, tau=tau, tau_k=tau_k
-                )
+                candidate = newton_step(state, du, dv, mu, grid, tau_k=tau_k)
             except (DivergenceError, StepRejectedError):
                 candidate = None
             reject = (
@@ -769,24 +731,23 @@ def solve_fixed_a(
             )
             if not reject:
                 accepted = candidate
-                accepted_streak += 1
-                if accepted_streak >= 2:
-                    tau = config.tau
-            else:
+            elif tau > tau_floor:
+                # Damp everything on a retry, the frequency included.
                 accepted_streak = 0
-                if tau <= tau_floor:
-                    if candidate is None:
-                        raise DivergenceError(
-                            f"update produced no valid state at a={a!r} "
-                            f"even at tau={tau:g}"
-                        )
-                    # Accept the least-bad damped step rather than stall.
-                    accepted = candidate
-                else:
-                    # Damp everything on a retry, the frequency included.
-                    tau = 0.5 * tau
-                    tau_k = tau
+                tau = tau_k = 0.5 * tau
+            elif candidate is None:
+                raise DivergenceError(
+                    f"update produced no valid state at a={a!r} even at tau={tau:g}"
+                )
+            else:
+                # Accept the least-bad damped step rather than stall; the
+                # count below then leaves the streak at zero.
+                accepted, accepted_streak = candidate, -1
 
+        # two accepted steps in a row restore the configured damping
+        accepted_streak += 1
+        if accepted_streak >= 2:
+            tau = config.tau
         state = accepted
         state.trace.append(
             (state.iteration, state.k, state.residual_norm, state.last_mu)

@@ -268,6 +268,9 @@ def test_scan_eval_cap(coarse_grid):
         {"tol_k": 0.0},
         {"tol_k": np.nan},
         {"max_evals": 1},
+        {"max_evals": np.nan},
+        {"max_evals": 2.5},
+        {"max_evals": True},
     ],
 )
 def test_scan_config_validation(kwargs):

@@ -12,11 +12,10 @@ from solitonscf.errors import (
     StepRejectedError,
     WrongBranchError,
 )
-from solitonscf import solver
+from solitonscf import model, solver
 from solitonscf.grid import Grid, build_grid, integrate
 from solitonscf.model import SpinorPair, density, make_field, potential, trial_functions
 from solitonscf.solver import (
-    CorrectionSet,
     IterationState,
     SolverConfig,
     count_nodes,
@@ -94,26 +93,6 @@ def test_residual_norm_is_max_norm(coarse_grid):
 # linearized corrections
 
 
-def test_corrections_negate_state(grid):
-    # at frozen potential the operator is linear in the fields, so the
-    # residual-driven correction is exactly minus the current state
-    state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    assert np.max(np.abs(cor.psi + state.pair.u)) < 1e-9
-    assert np.max(np.abs(cor.psi1 + state.pair.v)) < 1e-9
-
-
-def test_corrections_negate_manufactured_pair(grid):
-    # same identity on a hand-built smooth profile far from any solution
-    x = grid.x
-    u = x * np.exp(-x)
-    v = 0.4 * x**2 * np.exp(-x)
-    state = _make_state(SpinorPair(u, v), -2.0, 0.9, grid)
-    cor = solve_corrections(state, grid)
-    assert np.max(np.abs(cor.psi + u)) < 1e-8 * np.max(np.abs(u))
-    assert np.max(np.abs(cor.psi1 + v)) < 1e-8 * np.max(np.abs(v))
-
-
 def _apply_rows(state, grid, wu, wv):
     """Apply the box-scheme rows to a correction pair, literal form."""
     x, h = grid.x, grid.h
@@ -144,18 +123,33 @@ def _apply_rows(state, grid, wu, wv):
     return eq1, eq2, origin, tail
 
 
+def _manufactured_state(grid):
+    """A hand-built smooth pair far from any solution."""
+    x = grid.x
+    pair = SpinorPair(x * np.exp(-x), 0.4 * x**2 * np.exp(-x))
+    return _make_state(pair, -2.0, 0.9, grid)
+
+
 def test_corrections_satisfy_discrete_equations(coarse_grid):
-    # plug both solution pairs back into independently coded rows
-    state = _seed_state(coarse_grid)
-    cor = solve_corrections(state, coarse_grid)
-    x, h = coarse_grid.x, coarse_grid.h
+    # The residual-driven correction (-u, -v) and the solved frequency
+    # direction, plugged into independently coded rows: on the seed and on
+    # a hand-built pair far from any solution. The operator is linear in
+    # the fields at frozen potential, so the rows applied to (-u, -v) give
+    # minus the scaled residual.
+    for state in (_seed_state(coarse_grid), _manufactured_state(coarse_grid)):
+        _check_discrete_equations(state, coarse_grid)
+
+
+def _check_discrete_equations(state, grid):
+    psi_mu, psi1_mu = solve_corrections(state, grid)
+    x, h = grid.x, grid.h
     u, v, phi = state.pair.u, state.pair.v, state.field.phi
     k = state.k
     xm = np.sqrt(x[1:] * x[:-1])
     hx = h * xm
-    r_u, r_v = ode_residual(state, coarse_grid)
+    r_u, r_v = ode_residual(state, grid)
 
-    eq1, eq2, origin, tail = _apply_rows(state, coarse_grid, cor.psi, cor.psi1)
+    eq1, eq2, origin, tail = _apply_rows(state, grid, -u, -v)
     assert np.max(np.abs(eq1 + hx * r_u)) < 1e-10
     assert np.max(np.abs(eq2 + hx * r_v)) < 1e-10
     c0 = (1.0 + k * k * phi[0]) / 3.0
@@ -166,10 +160,8 @@ def test_corrections_satisfy_discrete_equations(coarse_grid):
     vm = 0.5 * (v[1:] + v[:-1])
     dp = -2.0 * k * pm
     dq = 2.0 * k * pm
-    eq1m, eq2m, originm, tailm = _apply_rows(
-        state, coarse_grid, cor.psi_mu, cor.psi1_mu
-    )
-    scale = max(1.0, np.max(np.abs(cor.psi_mu)), np.max(np.abs(cor.psi1_mu)))
+    eq1m, eq2m, originm, tailm = _apply_rows(state, grid, psi_mu, psi1_mu)
+    scale = max(1.0, np.max(np.abs(psi_mu)), np.max(np.abs(psi1_mu)))
     assert np.max(np.abs(eq1m - hx * dp * vm)) < 1e-10 * scale
     assert np.max(np.abs(eq2m - hx * dq * um)) < 1e-10 * scale
     dc0 = 2.0 * k * phi[0] / 3.0
@@ -333,89 +325,84 @@ def test_cyclic_reduction_refuses_singular_pivots(coarse_grid):
 
 
 def test_mu_norm_overlap_is_minus_one(grid):
-    # psi = -u makes I_s the negative of the unit norm
+    # psi = -u makes I_s the negative of the unit norm, so on a normalized
+    # state mu is 1 / I_mu
     state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    i_s = integrate(
-        state.pair.u * cor.psi + state.pair.v * cor.psi1, grid
+    psi_mu, psi1_mu = solve_corrections(state, grid)
+    i_mu = integrate(state.pair.u * psi_mu + state.pair.v * psi1_mu, grid)
+    assert mu_update(state, psi_mu, psi1_mu, grid) * i_mu == pytest.approx(
+        1.0, abs=1e-9
     )
-    assert i_s == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_mu_matches_independent_quadrature(grid):
     state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    mu = mu_update(state, cor, grid)
-    # trapezoid in theta with the Jacobian folded into the samples
-    f_s = (state.pair.u * cor.psi + state.pair.v * cor.psi1) * grid.x
-    f_m = (state.pair.u * cor.psi_mu + state.pair.v * cor.psi1_mu) * grid.x
+    psi_mu, psi1_mu = solve_corrections(state, grid)
+    mu = mu_update(state, psi_mu, psi1_mu, grid)
+    # trapezoid in theta with the Jacobian folded into the samples, on the
+    # residual-driven correction (-u, -v) written out
+    u, v = state.pair.u, state.pair.v
+    f_s = (u * -u + v * -v) * grid.x
+    f_m = (u * psi_mu + v * psi1_mu) * grid.x
     i_s = np.trapezoid(f_s, dx=grid.h)
     i_mu = np.trapezoid(f_m, dx=grid.h)
     assert mu == pytest.approx(-i_s / i_mu, rel=1e-12)
-    assert cor.mu == mu
-
-
-def test_mu_scales_linearly_with_corrections(grid):
-    state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    mu = mu_update(state, cor, grid)
-    for c in (0.5, 2.0, -3.0):
-        scaled = CorrectionSet(
-            psi=c * cor.psi,
-            psi1=c * cor.psi1,
-            psi_mu=cor.psi_mu.copy(),
-            psi1_mu=cor.psi1_mu.copy(),
-        )
-        assert mu_update(state, scaled, grid) == pytest.approx(c * mu, rel=1e-12)
 
 
 def test_mu_stalls_on_vanishing_denominator(grid):
     state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    cor.psi_mu = np.zeros_like(cor.psi_mu)
-    cor.psi1_mu = np.zeros_like(cor.psi1_mu)
+    zero = np.zeros(grid.n_nodes)
     with pytest.raises(StalledUpdateError):
-        mu_update(state, cor, grid)
+        mu_update(state, zero, zero.copy(), grid)
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
 
+def _damped(state, grid, tau=0.5):
+    """The frequency direction, mu and the damped field increment of state."""
+    psi_mu, psi1_mu = solve_corrections(state, grid)
+    mu = mu_update(state, psi_mu, psi1_mu, grid)
+    return mu, solver._damped_step(state, psi_mu, psi1_mu, mu, tau)
+
+
 def test_newton_step_renormalizes(grid):
     state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    new = newton_step(state, cor, SolverConfig(), grid)
+    mu, (du, dv) = _damped(state, grid)
+    new = newton_step(state, du, dv, mu, grid)
     assert new.norm_error < 1e-12
-    assert cor.a_norm is not None and cor.a_norm > 0
+    # the new fields are the raw update times one positive amplitude
+    raw = SpinorPair(state.pair.u + du, state.pair.v + dv)
+    a_norm = 1.0 / np.sqrt(density(raw, grid).norm)
+    assert a_norm > 0
+    np.testing.assert_allclose(new.pair.u, a_norm * raw.u, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(new.pair.v, a_norm * raw.v, rtol=1e-14, atol=0)
     assert new.iteration == state.iteration + 1
     assert np.isfinite(new.residual_norm)
-    assert new.last_mu == cor.mu
+    assert new.last_mu == mu
+    assert new.k == state.k + mu
 
 
 def test_newton_step_rejects_nonpositive_frequency(grid):
     state = _seed_state(grid, k=0.5)
-    cor = solve_corrections(state, grid)
-    cor.mu = -1.0  # forced downhill past zero
+    _, (du, dv) = _damped(state, grid)
     with pytest.raises(StepRejectedError):
-        newton_step(state, cor, SolverConfig(), grid)
+        newton_step(state, du, dv, -1.0, grid)  # forced downhill past zero
 
 
 def test_newton_step_flags_nonfinite_fields(grid):
     state = _seed_state(grid)
-    cor = solve_corrections(state, grid)
-    cor.mu = 0.0
-    cor.psi = cor.psi.copy()
-    cor.psi[10] = np.inf
+    _, (du, dv) = _damped(state, grid)
+    du[10] = np.inf
     with pytest.raises(DivergenceError):
-        newton_step(state, cor, SolverConfig(), grid)
+        newton_step(state, du, dv, 0.0, grid)
 
 
 def test_converged_state_is_fixed_point(tight_solution, grid):
-    cor = solve_corrections(tight_solution, grid)
-    mu = mu_update(tight_solution, cor, grid)
+    mu, (du, dv) = _damped(tight_solution, grid, tau=1.0)
     assert abs(mu) < 1e-10
-    new = newton_step(tight_solution, cor, SolverConfig(), grid, tau=1.0)
+    new = newton_step(tight_solution, du, dv, mu, grid)
     assert abs(new.k - tight_solution.k) < 1e-10
     assert np.max(np.abs(new.pair.u - tight_solution.pair.u)) < 1e-10
     assert np.max(np.abs(new.pair.v - tight_solution.pair.v)) < 1e-10
@@ -466,18 +453,34 @@ def test_plain_steps_precede_mixing(state_m33):
     assert ks == pytest.approx([0.650582, 0.893278, 0.835117, 0.833273], abs=1e-6)
 
 
+def _watch_damped_steps(monkeypatch):
+    """Record the field increment and tau of the latest _damped_step call."""
+    plain = solver._damped_step
+    latest = {"du": None, "tau": None}
+
+    def record(state, psi_mu, psi1_mu, mu, tau):
+        du, dv = plain(state, psi_mu, psi1_mu, mu, tau)
+        latest.update(du=du, tau=tau)
+        return du, dv
+
+    monkeypatch.setattr(solver, "_damped_step", record)
+    return latest
+
+
 def test_rejected_mixing_falls_back_to_damped_steps(grid, monkeypatch):
-    # Mixed proposals enter newton_step undamped (tau = 1); reject each one.
-    # Every iteration then takes the safeguarded damped step, which is the
-    # plain loop: 45 iterations to the same frequency.
+    # A mixed proposal enters newton_step with a field increment that no
+    # _damped_step call returned; reject each one. Every iteration then
+    # takes the safeguarded damped step, which is the plain loop: 45
+    # iterations to the same frequency.
     plain = solver.newton_step
+    latest = _watch_damped_steps(monkeypatch)
     rejected = []
 
-    def reject_mixed(state, corrections, config, grid, tau=None, tau_k=1.0):
-        if tau == 1.0:
+    def reject_mixed(state, du, dv, mu, grid, tau_k=1.0):
+        if du is not latest["du"]:
             rejected.append(state.iteration)
             raise DivergenceError("forced rejection")
-        return plain(state, corrections, config, grid, tau=tau, tau_k=tau_k)
+        return plain(state, du, dv, mu, grid, tau_k=tau_k)
 
     monkeypatch.setattr(solver, "newton_step", reject_mixed)
     state = solve_fixed_a(-3.3, grid)
@@ -492,13 +495,15 @@ def test_floor_damped_step_damps_the_frequency(grid, monkeypatch):
     # the full mu: that once sent k from 1.33 to 20.48 and the solve died
     # with no decaying tail root.
     plain = solver.newton_step
+    latest = _watch_damped_steps(monkeypatch)
     tau_floor = SolverConfig().tau / 64.0
     at_floor = []
 
-    def record(state, corrections, config, grid, tau=None, tau_k=1.0):
-        if tau is not None and tau <= tau_floor:
+    def record(state, du, dv, mu, grid, tau_k=1.0):
+        tau = latest["tau"]
+        if du is latest["du"] and tau <= tau_floor:
             at_floor.append((state.iteration, tau, tau_k))
-        return plain(state, corrections, config, grid, tau=tau, tau_k=tau_k)
+        return plain(state, du, dv, mu, grid, tau_k=tau_k)
 
     monkeypatch.setattr(solver, "newton_step", record)
     with pytest.raises(WrongBranchError):
@@ -644,6 +649,28 @@ def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
     assert state.norm_error <= 1e-15
 
 
+def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
+    # a warm pair off unit norm is rescaled by the norm its keep check
+    # already integrated, so only the rescaled pair's density integrates
+    # again; the pair is the one SpinorPair.normalized gives, bit for bit
+    s = np.sqrt(1.0 + 1e-10)
+    init = SpinorPair(state_m33.pair.u * s, state_m33.pair.v * s)
+    plain = model.integrate
+    calls = []
+
+    def counted(values, g):
+        calls.append(1)
+        return plain(values, g)
+
+    monkeypatch.setattr(model, "integrate", counted)
+    state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    expected = init.normalized(grid)
+    assert state.pair.u.tobytes() == expected.u.tobytes()
+    assert state.pair.v.tobytes() == expected.v.tobytes()
+
+
 def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
     # a warm pair kept at unit norm reuses the density of its norm check
     calls = []
@@ -678,6 +705,9 @@ def test_seed_scale_insensitivity(coarse_grid):
         {"tol_residual": -1e-8},
         {"tol_residual": np.nan},
         {"max_iterations": 0},
+        {"max_iterations": np.nan},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
     ],
 )
 def test_config_validation(kwargs):
