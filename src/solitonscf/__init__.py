@@ -21,15 +21,7 @@ __version__ = "1.0.0"
 # the public names of each submodule, in the order of __all__
 _SUBMODULE_EXPORTS = {
     "grid": ("Grid", "build_grid", "integrate", "differentiate"),
-    "model": (
-        "SpinorPair",
-        "Density",
-        "SelfField",
-        "density",
-        "potential",
-        "make_field",
-        "trial_functions",
-    ),
+    "model": ("SpinorPair", "density", "potential", "trial_functions"),
     "functional": (
         "EnergyReport",
         "kinetic_T",
@@ -65,7 +57,6 @@ _SUBMODULE_EXPORTS = {
         "UnphysicalMixingError",
         "DegenerateLinearizationError",
         "StalledUpdateError",
-        "StepRejectedError",
         "DivergenceError",
         "NonConvergenceError",
         "WrongBranchError",

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import ConfigurationError, UnphysicalMixingError
+from .errors import ConfigurationError, UnphysicalMixingError, check_value
 
 __all__ = [
     "DispersionPoint",
@@ -66,14 +66,8 @@ def _hypot(x: float, y: float) -> float:
 
 
 def _check_inputs(E0: float, P: float, require_positive_E0: bool) -> Tuple[float, float]:
-    E0 = float(E0)
-    P = float(P)
-    if not (math.isfinite(E0) and math.isfinite(P)):
-        raise ConfigurationError(f"E0 and P must be finite, got ({E0!r}, {P!r})")
-    if E0 < 0 or P < 0:
-        raise ConfigurationError(
-            f"E0 and P must be non-negative, got ({E0!r}, {P!r})"
-        )
+    E0 = float(check_value("E0", E0, 0.0))
+    P = float(check_value("P", P, 0.0))
     if require_positive_E0 and E0 == 0.0 and P == 0.0:
         raise UnphysicalMixingError(
             "mixing coefficients are undefined at E0 = P = 0"

@@ -2,12 +2,13 @@
 
 Everything derives from SolitonError so callers can catch the whole family,
 but the CLI maps individual classes to distinct exit codes, so the split
-below is part of the public contract. The one parameter check that both the
-energy report and the command line's config validation need, check_alpha0,
-lives here too, so the command line can run it without importing numpy.
+below is part of the public contract. check_value, the one check of every
+configuration value, lives here too: it needs only the standard library,
+so the command line can run it without importing numpy.
 """
 
 import math
+import numbers
 
 
 class SolitonError(Exception):
@@ -107,9 +108,48 @@ class UnsupportedSnapshotError(SnapshotError):
     """Snapshot declares a format_version this build does not know."""
 
 
-def check_alpha0(alpha0: float) -> None:
-    """Raise ConfigurationError unless alpha0 is finite and positive."""
-    if not (math.isfinite(alpha0) and alpha0 > 0):
-        raise ConfigurationError(
-            f"alpha0 must be positive and finite, got {alpha0!r}"
+def check_value(
+    name, value, low=-math.inf, high=math.inf, *,
+    integer=False, open_low=False, open_high=False,
+):
+    """Return value if it is a number within [low, high], else refuse it.
+
+    A real value must be finite (an int beyond the double range is not); an
+    integer one must be integral. A bound is excluded when its open_* flag
+    is set. bool, non-numbers, NaN, +-inf and values out of range raise
+    ConfigurationError("<name> must be <rule>, got <value!r>"). Numpy
+    scalars are accepted, and the value is returned as given, bits intact.
+    """
+    try:
+        ok = (
+            isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+            and (low < value if open_low else low <= value)
+            and (value < high if open_high else value <= high)
         )
+    except OverflowError:  # an integer beyond the double range, as a real
+        ok = False
+    if not ok:
+        raise ConfigurationError(
+            f"{name} must be {_rule(low, high, open_low, open_high, integer)}, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _rule(low, high, open_low, open_high, integer):
+    """The words of check_value's message: 'finite and positive' and so on."""
+    kind = "an integer" if integer else "finite"
+    if -math.inf < low and high < math.inf:
+        left, right = "(["[not open_low], ")]"[not open_high]
+        return f"{kind} and in {left}{low:g}, {high:g}{right}"
+    if low == 0:
+        return f"{kind} and {'positive' if open_low else 'non-negative'}"
+    if high == 0:
+        return f"{kind} and {'negative' if open_high else 'non-positive'}"
+    if -math.inf < low:
+        return f"{kind} {'>' if open_low else '>='} {low:g}"
+    if high < math.inf:
+        return f"{kind} {'<' if open_high else '<='} {high:g}"
+    return kind

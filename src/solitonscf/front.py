@@ -25,7 +25,7 @@ from .errors import (
     ScanFailureError,
     SnapshotError,
     SolitonError,
-    check_alpha0,
+    check_value,
 )
 
 __all__ = ["build_parser", "run_command", "main", "main_entry"]
@@ -124,7 +124,7 @@ def _run_config(args) -> io_mod.RunConfig:
             overrides["tol_residual"] = args.tol
     cfg = replace(cfg, **overrides)
     # alpha0 is read only after the solve; reject it before spending one.
-    check_alpha0(cfg.alpha0)
+    check_value("alpha0", cfg.alpha0, 0.0, open_low=True)
     return cfg
 
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    UnnormalizedStateError,
-    UnphysicalMixingError,
-    check_alpha0,
-)
+from .errors import UnnormalizedStateError, UnphysicalMixingError, check_value
 from .grid import Grid, differentiate, integrate
 from .model import SpinorPair, density, potential
 
@@ -70,13 +65,11 @@ def kinetic_T(pair: SpinorPair, grid: Grid, check_norm: bool = True) -> float:
     return integrate(integrand, grid)
 
 
-def potential_Pi(pair: SpinorPair, grid: Grid, phi0: np.ndarray = None) -> float:
-    """Self-interaction integral int phi0 rho dx; phi0 defaults to the
-    pair's own potential shape."""
+def potential_Pi(pair: SpinorPair, grid: Grid) -> float:
+    """Self-interaction integral int phi0 rho dx, phi0 the pair's own
+    potential shape."""
     rho = density(pair, grid).rho
-    if phi0 is None:
-        phi0 = potential(rho, grid)
-    return integrate(phi0 * rho, grid)
+    return integrate(potential(rho, grid) * rho, grid)
 
 
 def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
@@ -96,11 +89,9 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
     -------
     dict with e_times_e0, e, delta, C.
     """
-    if not (np.isfinite(e0) and e0 > 0):
-        raise ConfigurationError(f"e0 must be a positive number, got {e0!r}")
-    if not np.isfinite(a):
-        raise ConfigurationError(f"coupling a must be finite, got {a!r}")
-    check_alpha0(alpha0)
+    check_value("e0", e0, 0.0, open_low=True)
+    check_value("coupling a", a)
+    check_value("alpha0", alpha0, 0.0, open_low=True)
     if abs(a) >= alpha0:
         raise UnphysicalMixingError(
             f"|a| = {abs(a):g} >= alpha0 = {alpha0:g}: mixing parameters undefined"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError, ShapeError, check_value
 
 __all__ = ["Grid", "build_grid", "integrate", "differentiate"]
 
@@ -81,12 +81,11 @@ def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
         Finite bounds with theta_min < theta_max whose e^theta is finite
         and positive.
     n_nodes : int
-        At least 2.
+        An integer, at least 2; a float is refused, not truncated.
     """
-    if not (np.isfinite(theta_min) and np.isfinite(theta_max)):
-        raise ConfigurationError(
-            f"grid bounds must be finite, got ({theta_min!r}, {theta_max!r})"
-        )
+    theta_min = float(check_value("theta_min", theta_min))
+    theta_max = float(check_value("theta_max", theta_max))
+    check_value("n_nodes", n_nodes, 2, integer=True)
     if not theta_min < theta_max:
         raise ConfigurationError(
             f"grid bounds reversed or equal: theta_min={theta_min!r} "
@@ -99,10 +98,7 @@ def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
             f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
             f"outside the positive finite range: {x_bounds.tolist()!r}"
         )
-    n_nodes = int(n_nodes)
-    if n_nodes < 2:
-        raise ConfigurationError(f"n_nodes must be >= 2, got {n_nodes}")
-    return Grid(float(theta_min), float(theta_max), n_nodes)
+    return Grid(theta_min, theta_max, int(n_nodes))
 
 
 def _check_values(values: np.ndarray, grid: Grid, op: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_value
 from .grid import Grid, _check_values, integrate
 
 __all__ = [
@@ -120,8 +120,7 @@ def trial_functions(b: float, grid: Grid) -> SpinorPair:
     is not finite, or has no finite positive norm to rescale by, raises
     ConfigurationError.
     """
-    if not (np.isfinite(b) and b > 0):
-        raise ConfigurationError(f"trial scale b must be positive, got {b!r}")
+    check_value("trial scale b", b, 0.0, open_low=True)
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.float64(b) ** 1.5  # inf, where a Python float would raise
         A = np.sqrt(2.0 / 7.0) * amp

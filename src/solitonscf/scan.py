@@ -23,9 +23,7 @@ measured history inside the exception.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .errors import ConfigurationError, ScanFailureError, SolitonError
+from .errors import ConfigurationError, ScanFailureError, SolitonError, check_value
 from .functional import EnergyReport, energy_report, kinetic_T, potential_Pi
 from .grid import Grid
 from .model import trial_functions
@@ -39,8 +37,8 @@ class ScanConfig:
     """Controls for the coupling scan.
 
     a_start is the cold solve's coupling (the attractive branch needs
-    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b sets the
-    scale of the cold solve's seed. max_evals caps the number of inner
+    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0 sets
+    the scale of the cold solve's seed. max_evals caps the number of inner
     solves and must be at least 2; it never binds, because the scan makes
     two solves.
     """
@@ -51,19 +49,10 @@ class ScanConfig:
     trial_b: float = 1.0
 
     def validate(self) -> "ScanConfig":
-        if not (np.isfinite(self.a_start) and self.a_start < 0):
-            raise ConfigurationError(
-                f"a_start must be negative and finite, got {self.a_start!r}"
-            )
-        if not (np.isfinite(self.tol_k) and self.tol_k > 0):
-            raise ConfigurationError(
-                f"tol_k must be positive and finite, got {self.tol_k!r}"
-            )
-        n = self.max_evals
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-            raise ConfigurationError(
-                f"max_evals must be an integer >= 2, got {n!r}"
-            )
+        check_value("a_start", self.a_start, high=0.0, open_high=True)
+        check_value("tol_k", self.tol_k, 0.0, open_low=True)
+        check_value("max_evals", self.max_evals, 2, integer=True)
+        check_value("trial_b", self.trial_b, 0.0, open_low=True)
         return self
 
 

@@ -71,13 +71,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
     StalledUpdateError,
     StepRejectedError,
     WrongBranchError,
+    check_value,
 )
 from .grid import Grid, integrate
 from .model import (
@@ -125,17 +125,9 @@ class SolverConfig:
     max_iterations: int = 200
 
     def validate(self) -> "SolverConfig":
-        if not (0.0 < self.tau <= 1.0):
-            raise ConfigurationError(f"tau must be in (0, 1], got {self.tau!r}")
-        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
-            raise ConfigurationError(
-                f"tol_residual must be positive and finite, got {self.tol_residual!r}"
-            )
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigurationError(
-                f"max_iterations must be an integer >= 1, got {n!r}"
-            )
+        check_value("tau", self.tau, 0.0, 1.0, open_low=True)
+        check_value("tol_residual", self.tol_residual, 0.0, open_low=True)
+        check_value("max_iterations", self.max_iterations, 1, integer=True)
         return self
 
 
@@ -680,11 +672,9 @@ def solve_fixed_a(
     docstring.
     """
     config = (config or SolverConfig()).validate()
-    if not (np.isfinite(a) and a < 0):
-        # k^2 a = a0 < 0 on the bound branch, so a >= 0 has no solution
-        raise ConfigurationError(f"coupling a must be finite and negative, got {a!r}")
-    if not (np.isfinite(k0) and k0 > 0):
-        raise ConfigurationError(f"starting frequency must be positive, got {k0!r}")
+    # k^2 a = a0 < 0 on the bound branch, so a >= 0 has no solution
+    check_value("coupling a", a, high=0.0, open_high=True)
+    check_value("starting frequency k0", k0, 0.0, open_low=True)
 
     state = _initial_state(a, grid, init, k0, config.tol_residual)
     tau = config.tau

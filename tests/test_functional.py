@@ -85,7 +85,7 @@ def test_charge_relation_rejects_bad_input():
         charge_relation(-2.0, e0=0.0)
     with pytest.raises(ConfigurationError):
         charge_relation(np.nan)
-    for alpha0 in (np.nan, np.inf):  # would give NaN delta and C
+    for alpha0 in (np.nan, np.inf, True):  # NaN delta and C; a bool is no scale
         with pytest.raises(ConfigurationError):
             charge_relation(-2.0, alpha0=alpha0)
 

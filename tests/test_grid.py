@@ -27,6 +27,9 @@ def test_build_grid_basic():
         (0.0, 1e308, 100),      # e^theta overflows
         (-1e308, 0.0, 100),     # e^theta underflows to x = 0
         (0.0, 1.0, 1),          # too few nodes
+        (0.0, 1.0, 2.9),        # not an integer, refused rather than truncated
+        (0.0, 1.0, "5"),        # not a number
+        (True, 2.0, 5),         # a bool is no bound
     ],
 )
 def test_build_grid_rejects_bad_input(args):

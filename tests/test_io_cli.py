@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from solitonscf.errors import (
     UnsupportedSnapshotError,
 )
 from solitonscf.grid import build_grid
+from solitonscf.scan import ScanConfig
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -43,6 +45,15 @@ def test_run_config_defaults():
     assert cfg.formats == {"csv", "json"}
     grid = cfg.build_grid()
     assert grid.n_nodes == 2000
+
+
+def test_run_config_defaults_match_the_solver_and_scan_defaults():
+    # RunConfig repeats these defaults so that the command line reads them
+    # without numpy; repr compares type and bits
+    run = io_mod.RunConfig()
+    for cfg in (solver.SolverConfig(), ScanConfig()):
+        for f in fields(cfg):
+            assert repr(getattr(run, f.name)) == repr(getattr(cfg, f.name)), f.name
 
 
 def test_load_config_round_trip(tmp_path):

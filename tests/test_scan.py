@@ -271,6 +271,9 @@ def test_scan_eval_cap(coarse_grid):
         {"max_evals": np.nan},
         {"max_evals": 2.5},
         {"max_evals": True},
+        {"trial_b": np.nan},
+        {"trial_b": -1.0},
+        {"tol_k": "1e-6"},
     ],
 )
 def test_scan_config_validation(kwargs):

@@ -708,6 +708,9 @@ def test_seed_scale_insensitivity(coarse_grid):
         {"max_iterations": np.nan},
         {"max_iterations": 2.5},
         {"max_iterations": True},
+        {"tau": "0.5"},
+        {"tau": True},
+        {"tol_residual": True},
     ],
 )
 def test_config_validation(kwargs):
