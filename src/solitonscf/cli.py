@@ -42,21 +42,13 @@ from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
     build_parser,
     main_entry,
 )
-from .functional import energy_report, kinetic_T, potential_Pi
+from .functional import charge_relation, energy_report, kinetic_T, potential_Pi
 from .grid import integrate
 from .model import density, trial_functions
-from .scan import ScanConfig, find_a0, verify_extremum
-from .solver import SolverConfig, solve_fixed_a
+from .scan import find_a0, verify_extremum
+from .solver import solve_fixed_a
 
 __all__ = ["build_parser", "main", "main_entry"]
-
-
-def _solver_config(cfg: io_mod.RunConfig) -> SolverConfig:
-    return SolverConfig(
-        tau=cfg.tau,
-        tol_residual=cfg.tol_residual,
-        max_iterations=cfg.max_iterations,
-    ).validate()
 
 
 def _state_summary(state, grid, alpha0) -> dict:
@@ -104,7 +96,6 @@ def _write_state_artifacts(cfg, grid, state, snapshot_path):
 def _cmd_solve(args) -> int:
     cfg = _run_config(args)
     grid = cfg.build_grid()
-    solver_cfg = _solver_config(cfg)
     a = cfg.a_start if args.a is None else args.a
     init = None
     k0 = 1.0
@@ -128,7 +119,9 @@ def _cmd_solve(args) -> int:
             # pair would also find this k, but only to about 1e-9 in k^2 a;
             # the exact form keeps k^2 a on the snapshot's to about 1e-16.
             k0 = snap.k * np.sqrt(snap.a / a)
-    state = solve_fixed_a(a, grid, config=solver_cfg, init=init, k0=k0)
+    # the summary needs |a| < alpha0; refuse a coupling beyond it unsolved
+    charge_relation(a, alpha0=cfg.alpha0)
+    state = solve_fixed_a(a, grid, config=cfg, init=init, k0=k0)
     summary = _state_summary(state, grid, cfg.alpha0)
     if "json" in cfg.formats:
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), summary)
@@ -145,15 +138,8 @@ def _cmd_solve(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _run_config(args)
     grid = cfg.build_grid()
-    solver_cfg = _solver_config(cfg)
-    scan_cfg = ScanConfig(
-        a_start=cfg.a_start,
-        tol_k=cfg.tol_k,
-        max_evals=cfg.max_evals,
-        trial_b=cfg.trial_b,
-    )
     try:
-        result = find_a0(scan_cfg, grid, solver_config=solver_cfg, alpha0=cfg.alpha0)
+        result = find_a0(cfg, grid, solver_config=cfg, alpha0=cfg.alpha0)
     except ScanFailureError as exc:
         if "csv" in cfg.formats and exc.k_history:
             io_mod.write_history_csv(_out(cfg, "k_history.csv"), exc.k_history)

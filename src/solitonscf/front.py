@@ -12,7 +12,6 @@ snapshot problem.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -37,6 +36,7 @@ EXIT_SCAN_FAILURE = 4
 EXIT_IO = 5
 
 OUTPUT_DIR_ENV = "SOLITONSCF_OUTPUT_DIR"
+MAX_P_COUNT = 100000  # dispersion rows; every row is held in memory
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_disp.add_argument("--p-min", type=float, default=0.0, help="first momentum")
     p_disp.add_argument("--p-max", type=float, default=2.0, help="last momentum")
-    p_disp.add_argument("--p-count", type=int, default=41, help="number of rows")
+    p_disp.add_argument(
+        "--p-count",
+        type=int,
+        default=41,
+        help=f"number of rows, 1 to {MAX_P_COUNT}",
+    )
 
     p_trial = sub.add_parser("trial-eval", help="energy functional on the seed family")
     common(p_trial, "(unused for trial-eval)")
@@ -103,29 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> io_mod.RunConfig:
-    cfg = io_mod.RunConfig()
-    if args.config:
-        cfg = io_mod.load_config(args.config, base=cfg)
+    """The defaults, then --config, then the flags; checked whole before any work."""
+    cfg = io_mod.load_config(args.config) if args.config else io_mod.RunConfig()
     overrides = {}
-    if getattr(args, "grid_nodes", None) is not None:
+    if args.grid_nodes is not None:
         overrides["n_nodes"] = args.grid_nodes
-    if getattr(args, "tau", None) is not None:
+    if args.tau is not None:
         overrides["tau"] = args.tau
-    if getattr(args, "formats", None):
+    if args.formats:
         overrides["formats"] = set(args.formats)
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir
     elif os.environ.get(OUTPUT_DIR_ENV):
         overrides["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-    if getattr(args, "tol", None) is not None:
-        if args.command == "scan":
-            overrides["tol_k"] = args.tol
-        else:
-            overrides["tol_residual"] = args.tol
-    cfg = replace(cfg, **overrides)
-    # alpha0 is read only after the solve; reject it before spending one.
-    check_value("alpha0", cfg.alpha0, 0.0, open_low=True)
-    return cfg
+    if args.tol is not None:
+        overrides["tol_k" if args.command == "scan" else "tol_residual"] = args.tol
+    return replace(cfg, **overrides).validate()
 
 
 def _out(cfg: io_mod.RunConfig, name: str) -> str:
@@ -169,7 +167,7 @@ def _cmd_dispersion(args) -> int:
                 # every JSON number becomes a float (a huge integer turns
                 # into inf, which the table refuses), and a bool never does
                 summary = json.load(fh, parse_int=float)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             # RecursionError: arrays or objects nested too deep to decode
             raise ConfigurationError(
                 f"{args.from_summary}: not a JSON summary ({exc})"
@@ -186,12 +184,9 @@ def _cmd_dispersion(args) -> int:
             )
     else:
         e0 = args.e0
-    if args.p_count < 1:
-        raise ConfigurationError(f"--p-count must be >= 1, got {args.p_count}")
-    if not (0.0 <= args.p_min <= args.p_max < math.inf):
-        raise ConfigurationError(
-            f"momentum range invalid: [{args.p_min!r}, {args.p_max!r}]"
-        )
+    check_value("--p-count", args.p_count, 1, MAX_P_COUNT, integer=True)
+    check_value("--p-min", args.p_min, 0.0)
+    check_value("--p-max", args.p_max, args.p_min)
     momenta = _linspace(args.p_min, args.p_max, args.p_count)
     points = dispersion_table(e0, momenta)
     if "csv" in cfg.formats:
@@ -215,24 +210,22 @@ def _cmd_dispersion(args) -> int:
 
 
 def run_command(command, args) -> int:
-    """Run one parsed command and map the package's errors to exit codes."""
+    """Run one parsed command and map the package's errors to exit codes.
+
+    Only the package's own ValueErrors (ConfigurationError and its kin)
+    are usage errors; any other exception is a fault and propagates.
+    """
     try:
         return command(args)
     except ScanFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCAN_FAILURE
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SolitonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
 
 
 def main(argv: Optional[List[str]] = None) -> int:

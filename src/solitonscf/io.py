@@ -1,7 +1,10 @@
 """Run configuration, snapshots and deterministic output writers.
 
 Configuration files are flat key=value text with '#' comments; every key
-has a typed default in RunConfig and unknown keys are rejected loudly.
+has a typed default in RunConfig and unknown keys are rejected loudly. Each
+setting is defined once: the solver's in SolverConfig, the scan's in
+ScanConfig, and the grid, alpha0 and output settings in RunConfig, which
+extends both.
 
 Snapshots are JSON with an explicit format_version and a sha256 checksum
 over the reprs of the values, so a truncated, hand-edited or mistyped file
@@ -47,9 +50,12 @@ from .errors import (
     CorruptSnapshotError,
     ShapeError,
     UnsupportedSnapshotError,
+    check_value,
 )
 
 __all__ = [
+    "SolverConfig",
+    "ScanConfig",
     "RunConfig",
     "Snapshot",
     "SNAPSHOT_FORMAT_VERSION",
@@ -68,22 +74,73 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of a run, with the package defaults filled in."""
+class SolverConfig:
+    """Iteration controls.
+
+    tau damps the field step; the frequency update is always the full mu.
+    Far from convergence the fields move by that damped step; near it the
+    damped step is the residual that Anderson mixing combines, so tau still
+    scales every field update. Convergence requires both the residual norm
+    and |mu| below tol_residual.
+    """
+
+    tau: float = 0.5
+    tol_residual: float = 1e-8
+    max_iterations: int = 200
+
+    def validate(self) -> "SolverConfig":
+        check_value("tau", self.tau, 0.0, 1.0, open_low=True)
+        check_value("tol_residual", self.tol_residual, 0.0, open_low=True)
+        check_value("max_iterations", self.max_iterations, 1, integer=True)
+        return self
+
+
+@dataclass
+class ScanConfig:
+    """Controls for the coupling scan.
+
+    a_start is the cold solve's coupling (the attractive branch needs
+    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0 sets
+    the scale of the cold solve's seed. max_evals caps the number of inner
+    solves and must be at least 2; it never binds, because the scan makes
+    two solves.
+    """
+
+    a_start: float = -3.3
+    tol_k: float = 1e-6
+    max_evals: int = 30
+    trial_b: float = 1.0
+
+    def validate(self) -> "ScanConfig":
+        check_value("a_start", self.a_start, high=0.0, open_high=True)
+        check_value("tol_k", self.tol_k, 0.0, open_low=True)
+        check_value("max_evals", self.max_evals, 2, integer=True)
+        check_value("trial_b", self.trial_b, 0.0, open_low=True)
+        return self
+
+
+@dataclass
+class RunConfig(SolverConfig, ScanConfig):
+    """Every tunable of a run, with the package defaults filled in.
+
+    A RunConfig is a SolverConfig and a ScanConfig, so it is passed to
+    solve_fixed_a and find_a0 as itself. The inherited fields come first,
+    so construct it by keyword. validate() checks every value but the grid
+    bounds and node count, which build_grid checks.
+    """
 
     theta_min: float = math.log(1e-6)
     theta_max: float = math.log(80.0)
     n_nodes: int = 2000
-    tau: float = 0.5
-    tol_residual: float = 1e-8
-    max_iterations: int = 200
-    a_start: float = -3.3
-    tol_k: float = 1e-6
-    max_evals: int = 30
     alpha0: float = 10.0
-    trial_b: float = 1.0
     output_dir: str = "."
     formats: Set[str] = field(default_factory=lambda: {"csv", "json"})
+
+    def validate(self) -> "RunConfig":
+        SolverConfig.validate(self)
+        ScanConfig.validate(self)
+        check_value("alpha0", self.alpha0, 0.0, open_low=True)
+        return self
 
     def build_grid(self) -> "Grid":
         from .grid import build_grid
@@ -109,32 +166,39 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
     """Parse a flat key=value config file on top of the defaults.
 
     Blank lines and '#' comments are skipped. Keys must match RunConfig
-    fields exactly; anything else raises ConfigurationError, as does a
-    value that does not parse to the field's type.
+    fields exactly; anything else raises ConfigurationError, as do a file
+    that is not UTF-8 text, a NUL character anywhere in it and a value that
+    does not parse to the field's type. RunConfig.validate checks ranges.
     """
     cfg = base or RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
     updates = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}"
-                )
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            # each field's declared type (float, int or str) parses its value
-            parse = _parse_formats if key == "formats" else known[key].type
-            try:
-                updates[key] = parse(value)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})"
-                ) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
+    if "\0" in text:  # open() refuses a path with one, by ValueError
+        raise ConfigurationError(f"{path}: not a text file (NUL character)")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}"
+            )
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        # each field's declared type (float, int or str) parses its value
+        parse = _parse_formats if key == "formats" else known[key].type
+        try:
+            updates[key] = parse(value)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})"
+            ) from exc
     return replace(cfg, **updates)
 
 

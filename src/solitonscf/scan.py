@@ -23,37 +23,14 @@ measured history inside the exception.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .errors import ConfigurationError, ScanFailureError, SolitonError, check_value
+from .errors import ConfigurationError, ScanFailureError, SolitonError
 from .functional import EnergyReport, energy_report, kinetic_T, potential_Pi
 from .grid import Grid
+from .io import ScanConfig
 from .model import trial_functions
 from .solver import IterationState, SolverConfig, solve_fixed_a
 
 __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
-
-
-@dataclass
-class ScanConfig:
-    """Controls for the coupling scan.
-
-    a_start is the cold solve's coupling (the attractive branch needs
-    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0 sets
-    the scale of the cold solve's seed. max_evals caps the number of inner
-    solves and must be at least 2; it never binds, because the scan makes
-    two solves.
-    """
-
-    a_start: float = -3.3
-    tol_k: float = 1e-6
-    max_evals: int = 30
-    trial_b: float = 1.0
-
-    def validate(self) -> "ScanConfig":
-        check_value("a_start", self.a_start, high=0.0, open_high=True)
-        check_value("tol_k", self.tol_k, 0.0, open_low=True)
-        check_value("max_evals", self.max_evals, 2, integer=True)
-        check_value("trial_b", self.trial_b, 0.0, open_low=True)
-        return self
 
 
 @dataclass

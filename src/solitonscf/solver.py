@@ -80,6 +80,7 @@ from .errors import (
     check_value,
 )
 from .grid import Grid, integrate
+from .io import SolverConfig
 from .model import (
     SelfField,
     SpinorPair,
@@ -107,28 +108,6 @@ _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 _PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
 _DENSE_BLOCKS = 32      # cyclic reduction leaves at most this many blocks
 _NORM_KEEP = 4 * np.finfo(float).eps   # a warm pair this close to unit norm is kept
-
-
-@dataclass
-class SolverConfig:
-    """Iteration controls.
-
-    tau damps the field step; the frequency update is always the full mu.
-    Far from convergence the fields move by that damped step; near it the
-    damped step is the residual that Anderson mixing combines, so tau still
-    scales every field update. Convergence requires both the residual norm
-    and |mu| below tol_residual.
-    """
-
-    tau: float = 0.5
-    tol_residual: float = 1e-8
-    max_iterations: int = 200
-
-    def validate(self) -> "SolverConfig":
-        check_value("tau", self.tau, 0.0, 1.0, open_low=True)
-        check_value("tol_residual", self.tol_residual, 0.0, open_low=True)
-        check_value("max_iterations", self.max_iterations, 1, integer=True)
-        return self
 
 
 @dataclass

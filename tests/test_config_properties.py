@@ -18,6 +18,7 @@ from solitonscf.dispersion import spectrum
 from solitonscf.errors import ConfigurationError, UnphysicalMixingError
 from solitonscf.functional import charge_relation
 from solitonscf.grid import build_grid
+from solitonscf.io import RunConfig
 from solitonscf.model import trial_functions
 from solitonscf.scan import ScanConfig
 from solitonscf.solver import SolverConfig
@@ -103,6 +104,8 @@ _SITES = {
         lambda v: type(v) is int and v >= 2,
     ),
     "trial_b": (_config(ScanConfig, "trial_b"), _positive),
+    "RunConfig alpha0": (_config(RunConfig, "alpha0"), _positive),
+    "RunConfig tau": (_config(RunConfig, "tau"), lambda v: _real(v) and 0 < v <= 1),
     "solve_fixed_a a": (_solve_fixed_a("a"), lambda v: _real(v) and v < 0),
     "solve_fixed_a k0": (_solve_fixed_a("k0"), _positive),
     "charge_relation a": (_charge_coupling, _real),

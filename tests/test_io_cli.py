@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from solitonscf import cli as cli_mod
 from solitonscf import io as io_mod
 from solitonscf import solver
 from solitonscf.cli import (
@@ -85,6 +86,7 @@ def test_load_config_round_trip(tmp_path):
         "tau 0.5\n",
         "formats = xml\n",
         "formats = \n",
+        "output_dir = a\0b\n",  # open() would refuse the path with ValueError
     ],
 )
 def test_load_config_rejects(tmp_path, text):
@@ -868,6 +870,10 @@ def test_cli_refuses_a_trial_scale_without_a_finite_seed(tmp_path, capsys):
         ["dispersion", "--e0", "1.0", "--p-min", "2.0", "--p-max", "1.0"],
         ["scan", "--tol", "nan"],                         # rejected before a solve
         ["solve", "--a", "0.5"],                          # k^2 a = a0 < 0
+        # every command checks its whole configuration, used or not
+        ["dispersion", "--e0", "1", "--tau", "5"],
+        ["trial-eval", "--tol", "-1"],
+        ["dispersion", "--e0", "1", "--p-count", "100001"],  # above the cap
     ],
 )
 def test_cli_usage_errors(tmp_path, capsys, argv):
@@ -888,6 +894,63 @@ def test_cli_rejects_bad_alpha0(tmp_path, capsys, value):
         assert code == EXIT_USAGE
         assert "alpha0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "snapshot"])
+def test_cli_solve_refuses_a_coupling_beyond_alpha0_unsolved(
+    tmp_path, capsys, monkeypatch, source
+):
+    # |a| < alpha0 is checked once a is known, so no solve is spent on it
+    calls = []
+    real = cli_mod.solve_fixed_a
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "solve_fixed_a", spy)
+    cfg = tmp_path / "run.cfg"
+    argv = ["solve", "--config", str(cfg), "--grid-nodes", "40"]
+    if source == "flag":
+        cfg.write_text("")
+        argv += ["--a", "-20"]
+    elif source == "config":
+        cfg.write_text("a_start = -20\n")
+    else:
+        # the snapshot's a = -2.3 is beyond alpha0 = 2
+        cfg.write_text("alpha0 = 2\n")
+        snap = tmp_path / "state.json"
+        io_mod.save_snapshot(str(snap), _sample_snapshot())
+        argv += ["--warm-start", str(snap)]
+    out = tmp_path / "run"
+    code = main(argv + ["--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert "alpha0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--e0", "1", "--config"], ["--from-summary"]], ids=["config", "summary"]
+)
+def test_cli_undecodable_input_file_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"E0_over_m0": 0.1\xff}\n')
+    out = tmp_path / "run"
+    code = main(["dispersion"] + argv + [str(path), "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert "can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only the package's own ValueErrors are usage errors; a fault propagates
+    def internal(args):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(cli_mod.COMMANDS, "trial-eval", internal)
+    with pytest.raises(ValueError, match="internal"):
+        main(["trial-eval", "--output-dir", str(tmp_path)])
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):
