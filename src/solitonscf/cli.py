@@ -7,12 +7,12 @@ Four subcommands cover the package's workflows:
     dispersion  closed-form moving-state spectrum table
     trial-eval  energy functional on the variational seed family
 
-The parser, the exit codes and the dispersion command live in
-``solitonscf.front``, which needs only the standard library; ``python -m
+The parser, the exit codes and the dispersion and trial-eval commands live
+in ``solitonscf.front``, which needs only the standard library; ``python -m
 solitonscf`` and the installed ``solitonscf`` command enter there and load
-this module, with numpy and the solver stack, only for solve, scan and
-trial-eval. ``main`` here hands any of the four commands to ``front.main``,
-so in-process callers take the same path as the command line.
+this module, with numpy and the solver stack, only for solve and scan.
+``main`` here hands any of the four commands to ``front.main``, so
+in-process callers take the same path as the command line.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -42,9 +42,7 @@ from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
     build_parser,
     main_entry,
 )
-from .functional import charge_relation, energy_report, kinetic_T, potential_Pi
-from .grid import integrate
-from .model import density, trial_functions
+from .functional import charge_relation, energy_report
 from .scan import find_a0, verify_extremum
 from .solver import solve_fixed_a
 
@@ -173,40 +171,8 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_trial_eval(args) -> int:
-    cfg = _run_config(args)
-    grid = cfg.build_grid()
-    b = cfg.trial_b if args.b is None else args.b
-    pair = trial_functions(b, grid)
-    raw_norm = density(pair, grid).norm
-    pair = pair.normalized(grid)
-    T = kinetic_T(pair, grid)
-    Pi = potential_Pi(pair, grid)
-    summary = {
-        "b": float(b),
-        "norm_before_rescale": raw_norm,
-        "T": T,
-        "Pi": Pi,
-        "a_extremum": -T / Pi,
-        "mean_radius": integrate(
-            grid.x * density(pair, grid).rho, grid
-        ),
-    }
-    if "json" in cfg.formats:
-        io_mod.write_summary_json(_out(cfg, "trial_summary.json"), summary)
-    print(
-        f"trial-eval: b = {b:.6g}, T = {T:.6g}, Pi = {Pi:.6g}, "
-        f"-T/Pi = {-T / Pi:.6g}"
-    )
-    return EXIT_OK
-
-
 # the commands front.main loads this module for
-COMMANDS = {
-    "solve": _cmd_solve,
-    "scan": _cmd_scan,
-    "trial-eval": _cmd_trial_eval,
-}
+COMMANDS = {"solve": _cmd_solve, "scan": _cmd_scan}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -3,8 +3,9 @@
 Everything derives from SolitonError so callers can catch the whole family,
 but the CLI maps individual classes to distinct exit codes, so the split
 below is part of the public contract. check_value, the one check of every
-configuration value, lives here too: it needs only the standard library,
-so the command line can run it without importing numpy.
+configuration value, and check_grid, the one check of the grid bounds and
+node count, live here too: they need only the standard library, so the
+command line can run them without importing numpy.
 """
 
 import math
@@ -25,6 +26,9 @@ class ShapeError(SolitonError, ValueError):
 
 class NumericError(SolitonError, ArithmeticError):
     """Non-finite values where finite ones are required."""
+
+
+NORM_TOL = 1e-6  # how far from 1 the norm of a "unit-norm" pair may be
 
 
 class UnnormalizedStateError(SolitonError, ValueError):
@@ -153,3 +157,33 @@ def _rule(low, high, open_low, open_high, integer):
     if high < math.inf:
         return f"{kind} {'<' if open_high else '<='} {high:g}"
     return kind
+
+
+def check_grid(theta_min, theta_max, n_nodes):
+    """Return (theta_min, theta_max, n_nodes) as (float, float, int), or
+    refuse them with ConfigurationError.
+
+    The bounds must be finite, with theta_min < theta_max and e^theta
+    finite and positive at both; n_nodes must be an integer, at least 2
+    (a float is refused, not truncated).
+    """
+    theta_min = float(check_value("theta_min", theta_min))
+    theta_max = float(check_value("theta_max", theta_max))
+    check_value("n_nodes", n_nodes, 2, integer=True)
+    if not theta_min < theta_max:
+        raise ConfigurationError(
+            f"grid bounds reversed or equal: theta_min={theta_min!r} "
+            f">= theta_max={theta_max!r}"
+        )
+    x_bounds = []
+    for theta in (theta_min, theta_max):
+        try:
+            x_bounds.append(math.exp(theta))
+        except OverflowError:  # where numpy's exp gives inf
+            x_bounds.append(math.inf)
+    if not (x_bounds[1] < math.inf and x_bounds[0] > 0.0):
+        raise ConfigurationError(
+            f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
+            f"outside the positive finite range: {x_bounds!r}"
+        )
+    return theta_min, theta_max, int(n_nodes)

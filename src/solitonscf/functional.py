@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnnormalizedStateError, UnphysicalMixingError, check_value
+from .errors import NORM_TOL, UnnormalizedStateError, UnphysicalMixingError, check_value
 from .grid import Grid, differentiate, integrate
 from .model import SpinorPair, density, potential
 
@@ -31,8 +31,6 @@ __all__ = [
     "energy_report",
     "charge_relation",
 ]
-
-NORM_TOL = 1e-6
 
 
 @dataclass

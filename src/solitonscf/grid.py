@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError, check_value
+from .errors import NumericError, ShapeError, check_grid
 
 __all__ = ["Grid", "build_grid", "integrate", "differentiate"]
 
@@ -73,32 +73,11 @@ class Grid:
 
 
 def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
-    """Construct a Grid, validating bounds and node count.
-
-    Parameters
-    ----------
-    theta_min, theta_max : float
-        Finite bounds with theta_min < theta_max whose e^theta is finite
-        and positive.
-    n_nodes : int
-        An integer, at least 2; a float is refused, not truncated.
+    """Construct a Grid once errors.check_grid accepts its bounds and node
+    count: finite bounds with theta_min < theta_max whose e^theta is finite
+    and positive, and an integer n_nodes of at least 2.
     """
-    theta_min = float(check_value("theta_min", theta_min))
-    theta_max = float(check_value("theta_max", theta_max))
-    check_value("n_nodes", n_nodes, 2, integer=True)
-    if not theta_min < theta_max:
-        raise ConfigurationError(
-            f"grid bounds reversed or equal: theta_min={theta_min!r} "
-            f">= theta_max={theta_max!r}"
-        )
-    with np.errstate(over="ignore"):
-        x_bounds = np.exp([theta_min, theta_max])
-    if not (np.all(np.isfinite(x_bounds)) and x_bounds[0] > 0.0):
-        raise ConfigurationError(
-            f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
-            f"outside the positive finite range: {x_bounds.tolist()!r}"
-        )
-    return Grid(theta_min, theta_max, int(n_nodes))
+    return Grid(*check_grid(theta_min, theta_max, n_nodes))
 
 
 def _check_values(values: np.ndarray, grid: Grid, op: str) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Property tests of the command line over arbitrary dispersion inputs."""
+"""Property tests of the command line over arbitrary dispersion and trial-eval
+inputs."""
 
 import json
 import math
@@ -78,3 +79,56 @@ def test_dispersion_exits_cleanly_on_any_input(source, p_min, p_max, p_count):
         for row in rows:
             values = [float(cell) for cell in row.split(",")]
             assert len(values) == 6 and all(math.isfinite(v) for v in values)
+
+
+_NODES_RUN = 64  # larger grids are drawn only where a refusal comes first
+_BAD_TAU = st.one_of(
+    st.floats(max_value=0.0),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(
+    b=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3), _FLOATS),
+    tol=st.one_of(st.none(), _FLOATS),
+    grid=st.one_of(
+        st.tuples(
+            st.one_of(st.none(), st.integers(min_value=-2, max_value=_NODES_RUN)),
+            st.one_of(
+                st.none(), st.floats(min_value=0.0, max_value=1.0), _FLOATS
+            ),
+        ),
+        # tau is checked before any grid is built, so this grid never is
+        st.tuples(st.integers(min_value=_NODES_RUN + 1, max_value=10**30), _BAD_TAU),
+    ),
+)
+# the seed overflows, underflows, or leaves a rescaled norm off 1
+@example(b=1e300, tol=None, grid=(None, None))
+@example(b=1e-300, tol=None, grid=(None, None))
+@example(b=1e-109, tol=None, grid=(_NODES_RUN, None))
+@example(b=None, tol=None, grid=(10**12, 2.0))
+def test_trial_eval_exits_cleanly_on_any_input(b, tol, grid):
+    grid_nodes, tau = grid
+    argv = ["trial-eval"]
+    for flag, value in (("--b", b), ("--tol", tol), ("--tau", tau)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    if grid_nodes is not None:
+        argv.append(f"--grid-nodes={grid_nodes}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        code = main(argv + ["--output-dir", out])
+        assert code in (EXIT_OK, EXIT_USAGE)
+        summary_path = os.path.join(out, "trial_summary.json")
+        if code != EXIT_OK:
+            assert not os.path.exists(summary_path)
+            return
+        assert grid_nodes is None or grid_nodes <= _NODES_RUN
+        with open(summary_path, encoding="utf-8") as fh:
+            summary = json.load(fh, parse_constant=_refuse_constant)
+        assert sorted(summary) == [
+            "Pi", "T", "a_extremum", "b", "mean_radius", "norm_before_rescale"
+        ]
+        assert all(math.isfinite(value) for value in summary.values())

@@ -1,7 +1,7 @@
 """The stdlib-only command line front and the lazy package exports.
 
-dispersion, --help and usage errors must run without importing numpy, and
-the front's stdlib linspace must give numpy's momenta bit for bit.
+dispersion, trial-eval, --help and usage errors must run without importing
+numpy, and the front's stdlib linspace must give numpy's momenta bit for bit.
 """
 
 import json
@@ -65,8 +65,20 @@ def _run_module(args, cwd):
         (["dispersion", "--help"], EXIT_OK),
         (["scan", "--no-such-flag"], EXIT_USAGE),
         ([], EXIT_USAGE),
+        (["trial-eval", "--grid-nodes", "50"], EXIT_OK),
+        (["trial-eval", "--b", "1e300"], EXIT_USAGE),
     ],
-    ids=["e0", "from-summary", "bad-count", "help", "dispersion-help", "bad-flag", "none"],
+    ids=[
+        "e0",
+        "from-summary",
+        "bad-count",
+        "help",
+        "dispersion-help",
+        "bad-flag",
+        "none",
+        "trial-eval",
+        "trial-eval-no-seed",
+    ],
 )
 def test_commands_that_compute_nothing_numeric_skip_numpy(tmp_path, args, code):
     (tmp_path / "summary.json").write_text('{"E0_over_m0": 0.15855}\n')
@@ -75,7 +87,7 @@ def test_commands_that_compute_nothing_numeric_skip_numpy(tmp_path, args, code):
 
 
 def test_a_solving_command_loads_numpy(tmp_path):
-    report, stderr = _run_module(["trial-eval", "--grid-nodes", "50"], tmp_path)
+    report, stderr = _run_module(["solve", "--grid-nodes", "200"], tmp_path)
     assert report == {"numpy": True, "exit": EXIT_OK}, stderr
 
 

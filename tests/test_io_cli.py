@@ -49,8 +49,8 @@ def test_run_config_defaults():
 
 
 def test_run_config_defaults_match_the_solver_and_scan_defaults():
-    # RunConfig repeats these defaults so that the command line reads them
-    # without numpy; repr compares type and bits
+    # RunConfig inherits these fields; a field it declared again with
+    # another default would show here. repr compares type and bits
     run = io_mod.RunConfig()
     for cfg in (solver.SolverConfig(), ScanConfig()):
         for f in fields(cfg):
@@ -943,14 +943,34 @@ def test_cli_undecodable_input_file_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dispersion", "--e0", "1", "--config", "run\0.cfg"],
+        ["dispersion", "--e0", "1", "--output-dir", "run\0"],
+        ["solve", "--grid-nodes", "200", "--snapshot", "state\0.json"],
+        ["solve", "--grid-nodes", "200", "--warm-start", "state\0.json"],
+        ["dispersion", "--from-summary", "summary\0.json"],
+    ],
+    ids=["config", "output-dir", "snapshot", "warm-start", "from-summary"],
+)
+def test_cli_path_with_a_nul_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # open() would raise a bare ValueError; refused before any work, so the
+    # working directory, where every artifact would go, stays empty
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert "NUL character" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     # only the package's own ValueErrors are usage errors; a fault propagates
     def internal(args):
         raise ValueError("internal")
 
-    monkeypatch.setitem(cli_mod.COMMANDS, "trial-eval", internal)
+    monkeypatch.setitem(cli_mod.COMMANDS, "solve", internal)
     with pytest.raises(ValueError, match="internal"):
-        main(["trial-eval", "--output-dir", str(tmp_path)])
+        main(["solve", "--output-dir", str(tmp_path)])
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):
