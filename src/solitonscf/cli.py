@@ -10,9 +10,12 @@ Four subcommands cover the package's workflows:
 The parser, the exit codes and the dispersion and trial-eval commands live
 in ``solitonscf.front``, which needs only the standard library; ``python -m
 solitonscf`` and the installed ``solitonscf`` command enter there and load
-this module, with numpy and the solver stack, only for solve and scan.
-``main`` here hands any of the four commands to ``front.main``, so
-in-process callers take the same path as the command line.
+this module, with numpy and the solver stack, only for scan and for a
+solve that the front cannot finish: a ``solve --warm-start`` whose pair
+its first convergence check certifies is written by the front alone,
+with the bytes this module's ``_cmd_solve`` would write. ``main`` here
+hands any of the four commands to ``front.main``, so in-process callers
+take the same path as the command line.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or

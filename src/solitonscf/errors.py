@@ -164,8 +164,9 @@ def check_grid(theta_min, theta_max, n_nodes):
     refuse them with ConfigurationError.
 
     The bounds must be finite, with theta_min < theta_max and e^theta
-    finite and positive at both; n_nodes must be an integer, at least 2
-    (a float is refused, not truncated).
+    finite and positive at both, and the largest trapezoid weight, the
+    theta spacing h times e^theta_max, must be finite; n_nodes must be an
+    integer, at least 2 (a float is refused, not truncated).
     """
     theta_min = float(check_value("theta_min", theta_min))
     theta_max = float(check_value("theta_max", theta_max))
@@ -185,5 +186,11 @@ def check_grid(theta_min, theta_max, n_nodes):
         raise ConfigurationError(
             f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
             f"outside the positive finite range: {x_bounds!r}"
+        )
+    weight = (theta_max - theta_min) / (n_nodes - 1) * x_bounds[1]
+    if not weight < math.inf:
+        raise ConfigurationError(
+            f"grid ({theta_min!r}, {theta_max!r}, {n_nodes!r} nodes) has a "
+            f"trapezoid weight h e^theta_max = {weight!r} beyond the double range"
         )
     return theta_min, theta_max, int(n_nodes)

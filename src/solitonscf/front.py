@@ -1,17 +1,26 @@
-"""Command line front: the parser, the exit codes, dispersion and trial-eval.
+"""Command line front: the parser, the exit codes, dispersion, trial-eval
+and the warm solves that need no iteration.
 
 The module needs only the standard library. ``solitonscf dispersion`` is
 closed-form scalar arithmetic, ``solitonscf trial-eval`` evaluates the
 seed family on lists of floats, and ``--help`` and usage errors compute
-nothing, so they run here without importing numpy. The commands that
-solve (``solve``, ``scan``) live in ``solitonscf.cli``, which this module
-imports only when one of them is asked for.
+nothing, so they run here without importing numpy. ``scan`` and every
+other ``solve`` live in ``solitonscf.cli``, which this module imports only
+when one of them is asked for.
 
-trial-eval repeats the arithmetic of the numpy layers element for element
-(see ``_trial_summary``), but takes each integral with math.fsum where
-numpy takes a dot product, so the two agree to about 1e-15 relative, well
-inside the summary's 6 digits. It costs about 3 us per node, so above
-about 5e4 grid nodes it is slower than the numpy layers would be.
+A ``solve --warm-start`` whose pair is already converged at the requested
+coupling (by the k^2 a invariance, any coupling its snapshot's state
+solves) is certified here: ``_warm_solve`` runs solve_fixed_a's first
+convergence check on lists of floats and writes the artifacts the numpy
+path would write, byte for byte. A pair it cannot certify, a refusal and
+an error go to cli unchanged; see ``_warm_solve`` for the rule.
+
+These commands repeat the arithmetic of the numpy layers element for
+element, but take each integral with math.fsum where numpy takes a dot
+product, so the two agree to about 1e-15 relative, well inside the
+summaries' 6 digits. trial-eval costs about 3 us per node and the warm
+solve about 16 us, so above about 5e4 and 3e4 grid nodes respectively
+they are no faster than the numpy layers would be.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -22,8 +31,10 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from itertools import accumulate
+from operator import mul, truediv
 from typing import List, Optional
 
 from . import io as io_mod
@@ -231,26 +242,70 @@ def _cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
+# grid.Grid on lists: its bounds, node count, nodes x, spacing h and
+# trapezoid weights w (quad_weights)
+_Grid = namedtuple("_Grid", "theta_min theta_max n_nodes x h w")
+
+
+def _grid(theta_min, theta_max, n_nodes) -> _Grid:
+    """grid.build_grid on lists of floats, with its refusals."""
+    theta_min, theta_max, n = check_grid(theta_min, theta_max, n_nodes)
+    h = (theta_max - theta_min) / (n - 1)
+    x = [math.exp(theta) for theta in _linspace(theta_min, theta_max, n)]
+    w = [h * xi for xi in x]  # trapezoid weights, the Jacobian e^theta absorbed
+    w[0], w[-1] = 0.5 * h * x[0], 0.5 * h * x[-1]
+    return _Grid(theta_min, theta_max, n, x, h, w)
+
+
+def _integral(grid: _Grid, f) -> float:
+    """grid.integrate, which refuses non-finite values, with math.fsum."""
+    if not all(map(math.isfinite, f)):
+        raise NumericError("integrate: input contains non-finite values")
+    return math.fsum(map(mul, grid.w, f))
+
+
+def _d_dx(grid: _Grid, f) -> List[float]:
+    """grid.differentiate: centred inside, one-sided at the two ends."""
+    h = grid.h
+    d = [(f[i + 1] - f[i - 1]) / (2.0 * h) for i in range(1, len(f) - 1)]
+    d = [(f[1] - f[0]) / h] + d + [(f[-1] - f[-2]) / h]
+    return list(map(truediv, d, grid.x))
+
+
+def _phi0(grid: _Grid, rho) -> List[float]:
+    """model.potential: the backward sweep of rho dtheta plus the forward
+    sweep of rho x dtheta over x."""
+    x, c, n = grid.x, 0.5 * grid.h, len(rho)
+    outer = [c * (rho[i + 1] + rho[i]) for i in reversed(range(n - 1))]
+    outer = list(accumulate(outer, initial=0.0))[::-1]
+    inner = [c * (rho[i + 1] * x[i + 1] + rho[i] * x[i]) for i in range(n - 1)]
+    inner = accumulate(inner, initial=0.0)
+    return [o + q / xi for o, q, xi in zip(outer, inner, x)]
+
+
+def _energy(grid: _Grid, u, v, rho, phi0):
+    """T, Pi and the integral of x rho, as functional.energy_report takes them."""
+    du, dv = _d_dx(grid, u), _d_dx(grid, v)
+    kinetic = [
+        (dui * vi - dvi * ui) - 2.0 * ui * vi / xi + (ui * ui - vi * vi)
+        for dui, dvi, ui, vi, xi in zip(du, dv, u, v, grid.x)
+    ]
+    shell, radial = list(map(mul, phi0, rho)), list(map(mul, grid.x, rho))
+    return tuple(_integral(grid, f) for f in (kinetic, shell, radial))
+
+
 def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     """trial-eval's numbers for the seed pair at scale b on the given grid.
 
     The same arithmetic, element for element, as grid.build_grid,
     model.trial_functions, SpinorPair.normalized, functional.kinetic_T and
     potential_Pi, with the same refusals: the grid's, b's, a seed with no
-    finite positive norm, and a rescaled pair whose norm is not 1.
+    finite positive norm, and a rescaled pair whose norm is not 1. A seed
+    whose energy integrands are not finite on the grid is refused too.
     """
-    theta_min, theta_max, n = check_grid(theta_min, theta_max, n_nodes)
+    grid = _grid(theta_min, theta_max, n_nodes)
     check_value("trial scale b", b, 0.0, open_low=True)
-    h = (theta_max - theta_min) / (n - 1)
-    x = [math.exp(theta) for theta in _linspace(theta_min, theta_max, n)]
-    w = [h * xi for xi in x]  # trapezoid weights, the Jacobian e^theta absorbed
-    w[0], w[-1] = 0.5 * h * x[0], 0.5 * h * x[-1]
-
-    def integral(f):  # grid.integrate, which refuses non-finite values
-        if not all(map(math.isfinite, f)):
-            raise NumericError("integrate: input contains non-finite values")
-        return math.fsum(wi * fi for wi, fi in zip(w, f))
-
+    x = grid.x
     try:
         amp = b**1.5
     except OverflowError:  # numpy's power gives inf, and the norm below nan
@@ -261,7 +316,7 @@ def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     u = [A * xi * (1.0 + b * xi) * d for xi, d in zip(x, decay)]
     v = [B * xi * xi * d for xi, d in zip(x, decay)]
     try:  # unchecked, as in trial_functions: a non-finite norm is refused
-        norm = math.fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(w, u, v))
+        norm = math.fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(grid.w, u, v))
     except OverflowError:  # finite terms whose sum overflows: numpy gives inf
         norm = math.inf
     if not (math.isfinite(norm) and norm > 0.0):
@@ -273,38 +328,23 @@ def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     u = [ui * s for ui in u]
     v = [vi * s for vi in v]
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
-    unit = integral(rho)
+    unit = _integral(grid, rho)
     if abs(unit - 1.0) > NORM_TOL:
         raise UnnormalizedStateError(unit, NORM_TOL)
-
-    def d_dx(f):  # centred inside, one-sided at the two ends
-        d = [(f[i + 1] - f[i - 1]) / (2.0 * h) for i in range(1, n - 1)]
-        d = [(f[1] - f[0]) / h] + d + [(f[-1] - f[-2]) / h]
-        return [di / xi for di, xi in zip(d, x)]
-
-    T = integral(
-        [
-            (dui * vi - dvi * ui) - 2.0 * ui * vi / xi + (ui * ui - vi * vi)
-            for dui, dvi, ui, vi, xi in zip(d_dx(u), d_dx(v), u, v, x)
-        ]
-    )
-    # phi0: the backward sweep of rho dtheta plus the forward sweep of
-    # rho x dtheta over x, as model.potential
-    c = 0.5 * h
-    outer = [c * (rho[i + 1] + rho[i]) for i in reversed(range(n - 1))]
-    outer = list(accumulate(outer, initial=0.0))[::-1]
-    inner = [c * (rho[i + 1] * x[i + 1] + rho[i] * x[i]) for i in range(n - 1)]
-    inner = accumulate(inner, initial=0.0)
-    Pi = integral(
-        [(o + q / xi) * r for o, q, xi, r in zip(outer, inner, x, rho)]
-    )
+    try:
+        T, Pi, radius = _energy(grid, u, v, rho, _phi0(grid, rho))
+    except NumericError as exc:
+        raise ConfigurationError(
+            f"trial scale b = {b!r} gives a seed whose energy integrands are "
+            f"not finite on this grid ({exc})"
+        ) from exc
     return {
         "b": float(b),
         "norm_before_rescale": norm,
         "T": T,
         "Pi": Pi,
         "a_extremum": -T / Pi,
-        "mean_radius": integral([xi * r for xi, r in zip(x, rho)]),
+        "mean_radius": radius,
     }
 
 
@@ -319,6 +359,153 @@ def _cmd_trial_eval(args) -> int:
         f"Pi = {summary['Pi']:.6g}, -T/Pi = {summary['a_extremum']:.6g}"
     )
     return EXIT_OK
+
+
+def _residual(grid: _Grid, u, v, phi, k) -> List[float]:
+    """|r_u| and |r_v| of solver.ode_residual on every interval, interleaved."""
+    x, h, kk = grid.x, grid.h, k * k
+    out = []
+    for i in range(len(u) - 1):
+        phi_m = 0.5 * (phi[i + 1] + phi[i])
+        xm = math.sqrt(x[i + 1] * x[i])
+        um, vm = 0.5 * (u[i + 1] + u[i]), 0.5 * (v[i + 1] + v[i])
+        r_u = (u[i + 1] - u[i]) / (h * xm) - um / xm - (1.0 - kk * phi_m) * vm
+        r_v = (v[i + 1] - v[i]) / (h * xm) + vm / xm - (1.0 + kk * phi_m) * um
+        out += (abs(r_u), abs(r_v))
+    return out
+
+
+def _fsum(terms) -> float:
+    """math.fsum, or nan where it raises: on finite terms whose sum
+    overflows, and on inf and -inf together."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _i_mu(grid: _Grid, u, v, phi, k) -> float:
+    """I_mu of solver.mu_update: the weighted overlap of (u, v) with the
+    frequency direction that solver.solve_corrections solves for.
+
+    The same box and boundary rows and right-hand side, solved by
+    sequential 2x2 block elimination: block j is the rows (2j, 2j+1) and
+    the unknowns (u_j, v_j); row 2j reaches block j - 1 and row 2j + 1
+    block j + 1. nan when a pivot block's determinant is zero or not
+    finite, or the tail has no decaying root.
+    """
+    x, h, n, kk = grid.x, grid.h, len(u), k * k
+    pe, qe, de = 1.0 - kk * phi[-1], 1.0 + kk * phi[-1], 2.0 * k * phi[-1]
+    disc = 1.0 / (x[-1] * x[-1]) + pe * qe
+    if not disc > 0.0:
+        return math.nan
+    s = math.sqrt(disc)
+    r_end = (1.0 / x[-1] - s) / qe
+    dr_end = -(pe * de - qe * de) / (2.0 * s) / qe - (1.0 / x[-1] - s) * de / (qe * qe)
+    # row 0 of block 0 is the origin's: -c0 x_0 u_0 + v_0
+    b00, b01 = -(1.0 + kk * phi[0]) / 3.0 * x[0], 1.0
+    f0 = 2.0 * k * phi[0] / 3.0 * x[0] * u[0]
+    blocks = []
+    for j in range(n):
+        if j < n - 1:  # interval j: its first equation is row 1 of block j
+            phi_m = 0.5 * (phi[j + 1] + phi[j])
+            hx = h * math.sqrt(x[j + 1] * x[j])
+            g_a, g_b = 0.5 * hx * (1.0 - kk * phi_m), 0.5 * hx * (1.0 + kk * phi_m)
+            b10, b11, up0, up1 = -1.0 - 0.5 * h, -g_a, 1.0 - 0.5 * h, -g_a
+            f1 = hx * (-2.0 * k * phi_m) * (0.5 * (v[j + 1] + v[j]))
+        else:  # the outer Riccati row
+            b10, b11, up0, up1, f1 = 1.0, -r_end, 0.0, 0.0, dr_end * v[-1]
+        det = b00 * b11 - b01 * b10
+        if not (math.isfinite(det) and det != 0.0):
+            return math.nan
+        # z_j = g - c (up . z_{j+1}), c the second column of the block's inverse
+        c0, c1 = -b01 / det, b00 / det
+        g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b10 * f0) / det
+        blocks.append((c0, c1, g0, g1, up0, up1, grid.w[j] * u[j], grid.w[j] * v[j]))
+        if j < n - 1:  # interval j's second equation is row 0 of block j + 1
+            t = (-g_b * c0) + (-1.0 + 0.5 * h) * c1
+            b00, b01 = -g_b - t * up0, 1.0 + 0.5 * h - t * up1
+            f0 = hx * (2.0 * k * phi_m) * (0.5 * (u[j + 1] + u[j]))
+            f0 -= (-g_b * g0) + (-1.0 + 0.5 * h) * g1
+    z0 = z1 = 0.0
+    terms = []
+    for c0, c1, g0, g1, up0, up1, wu, wv in reversed(blocks):
+        t = up0 * z0 + up1 * z1
+        z0, z1 = g0 - t * c0, g1 - t * c1
+        terms.append(wu * z0 + wv * z1)
+    return _fsum(terms)
+
+
+def _warm_solve(args) -> bool:
+    """Run solve --warm-start here when its first check certifies the pair.
+
+    The steps of cli._cmd_solve up to solve_fixed_a's first convergence
+    check, on lists of floats: the residual, the potential and the
+    artifacts' values are the numpy path's bit for bit, and mu and the
+    integrals come from math.fsum and block elimination. The pair is
+    certified, and its artifacts written, only when the residual is below
+    tol_residual, |mu| is at most half of it, the fsum norm is within 2 eps
+    of 1 (the numpy path keeps a pair within 4 eps of its dot-product
+    norm), u has no interior node, every pivot is finite and non-zero,
+    |a| < alpha0 and the snapshot's grid is the requested one. Otherwise
+    nothing is written and False is returned. The configuration, grid and
+    snapshot refusals are the ones cli._cmd_solve would raise first.
+    """
+    cfg = _run_config(args)
+    grid = _grid(cfg.theta_min, cfg.theta_max, cfg.n_nodes)
+    snap = io_mod._read_snapshot(args.warm_start)
+    if (snap.theta_min, snap.theta_max, snap.n_nodes) != grid[:3]:
+        return False
+    a, k = (snap.a if args.a is None else args.a), snap.k
+    if not -cfg.alpha0 < a < 0.0:
+        return False
+    if args.a is not None and snap.a < 0.0:
+        k *= math.sqrt(snap.a / a)  # the k^2 a invariance, as cli computes it
+    u, v, tol = snap.u, snap.v, cfg.tol_residual
+    rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
+    norm = _fsum(map(mul, grid.w, rho))
+    if not (0.0 < k < math.inf and abs(norm - 1.0) <= 2.0 * sys.float_info.epsilon):
+        return False
+    phi0 = _phi0(grid, rho)
+    phi = [a * p for p in phi0]
+    residual = _residual(grid, u, v, phi, k)
+    if not all(r < tol for r in residual):
+        return False
+    i_mu = _i_mu(grid, u, v, phi, k)
+    if not (1e-14 <= abs(i_mu) < math.inf and abs(norm / i_mu) <= 0.5 * tol):
+        return False
+    scale = max(map(abs, u))
+    core = [z for z in u if abs(z) > 1e-8 * scale]
+    if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
+        return False  # a node: solve_fixed_a refuses the state
+    T, Pi, radius = _energy(grid, u, v, rho, phi0)
+    alpha0 = cfg.alpha0
+    summary = {  # cli._state_summary's, from energy_report's arithmetic
+        "a": a, "k": k, "iterations": 0, "residual": max(residual), "T": T, "Pi": Pi,
+        "a_extremum": -T / Pi, "E0_over_m0": -T * a / (2.0 * alpha0),
+        "e_times_e0": 4.0 * math.pi * a, "delta": a / alpha0,
+        "C": (alpha0 - a) / (alpha0 + a), "localization_radius": radius / norm,
+    }
+    if "json" in cfg.formats:
+        io_mod.write_summary_json(_out(cfg, "solve_summary.json"), summary)
+    if "csv" in cfg.formats:
+        io_mod.write_profiles_csv(_out(cfg, "profiles.csv"), grid, u, v, phi0)
+    if args.snapshot:
+        io_mod.save_snapshot(args.snapshot, io_mod.Snapshot(*grid[:3], a, k, u, v))
+    if args.trace and "csv" in cfg.formats:
+        io_mod.write_trace_csv(_out(cfg, "trace.csv"), [])
+    print(f"solve: a = {a:.6g}, k = {k:.6g}, T = {T:.6g}, iterations = 0")
+    return True
+
+
+def _cmd_solve(args) -> int:
+    """solve: a warm start certified by its first check runs here, every
+    other solve in cli."""
+    if args.warm_start and _warm_solve(args):
+        return EXIT_OK
+    from . import cli  # numpy and the solver stack
+
+    return cli.COMMANDS["solve"](args)
 
 
 def run_command(command, args) -> int:
@@ -340,12 +527,14 @@ def run_command(command, args) -> int:
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
 
 
-# the commands that run on the standard library alone
-COMMANDS = {"dispersion": _cmd_dispersion, "trial-eval": _cmd_trial_eval}
+# the commands that start on the standard library; solve may load cli
+COMMANDS = {"dispersion": _cmd_dispersion, "trial-eval": _cmd_trial_eval,
+            "solve": _cmd_solve}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse argv and run its command; solve and scan load cli."""
+    """Parse argv and run its command; scan, and solve unless certified
+    here, load cli."""
     args = build_parser().parse_args(argv)
     command = COMMANDS.get(args.command)
     if command is None:

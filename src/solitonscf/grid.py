@@ -17,6 +17,7 @@ relative on the default grid); the decaying integrands this package actually
 meets are the ones that matter.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ class Grid:
     theta : np.ndarray
         Node coordinates in theta, shape (n_nodes,).
     x : np.ndarray
-        Node coordinates in x, e^theta.
+        Node coordinates in x, math.exp of each theta node, so the
+        standard-library front builds the same doubles.
     h : float
         Uniform theta spacing.
     quad_weights : np.ndarray
@@ -57,7 +59,7 @@ class Grid:
 
     def __post_init__(self):
         self.theta = np.linspace(self.theta_min, self.theta_max, self.n_nodes)
-        self.x = np.exp(self.theta)
+        self.x = np.array([math.exp(theta) for theta in self.theta.tolist()])
         self.h = (self.theta_max - self.theta_min) / (self.n_nodes - 1)
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = 0.5 * self.h

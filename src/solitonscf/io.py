@@ -32,8 +32,13 @@ into the temporary file in chunks of rows, never built whole.
 
 Importing the module loads no numpy: the configuration, the JSON summary
 and the row tables (history, trace, dispersion) need only the standard
-library, so the dispersion command runs without numpy. numpy, the grid and
-the spinor pair are imported inside the functions that handle field arrays.
+library, so the dispersion command runs without numpy. The field writers
+(save_snapshot, write_profiles_csv) take a list of floats or an
+array('d') without numpy, and a snapshot's checks, _read_snapshot, return
+its fields as lists; load_snapshot turns those into numpy arrays. So a warm
+solve that its first check certifies reads and writes its state on the
+standard library alone. numpy, the grid and the spinor pair are imported
+inside the functions that handle numpy arrays.
 """
 
 import hashlib
@@ -41,6 +46,7 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Set, Tuple, Union
@@ -293,7 +299,7 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
 _FIELD_TEXTS = {}
 
 
-def _field_text(name: str, values: "np.ndarray") -> str:
+def _field_text(name: str, values) -> str:
     """The comma-joined reprs of a 1-D field array, formatted once per content.
 
     The slot of name is reused while values has the bytes it was formatted
@@ -307,8 +313,18 @@ def _field_text(name: str, values: "np.ndarray") -> str:
     return slot[1]
 
 
-def _field(path: str, name: str, values) -> "np.ndarray":
-    """A field array as doubles; ShapeError unless it is one-dimensional."""
+def _field(path: str, name: str, values):
+    """A field array as doubles; ShapeError unless it is one-dimensional.
+
+    A flat list or array('d') of numbers becomes an array('d'), without
+    numpy: its tobytes and tolist serve the memo as an ndarray's do. Any
+    other value becomes an ndarray.
+    """
+    if isinstance(values, (list, array)):
+        try:
+            return array("d", values)
+        except TypeError:  # nested lists: numpy reports their shape
+            pass
     import numpy as np
 
     values = np.asarray(values, float)
@@ -317,13 +333,11 @@ def _field(path: str, name: str, values) -> "np.ndarray":
     return values
 
 
-def _json_array(values: "np.ndarray", text: str) -> str:
+def _json_array(text: str) -> str:
     """A field's repr text laid out as json.dumps(..., indent=1) nests a list."""
-    import numpy as np
-
     if not text:
         return "[]"
-    if not np.isfinite(values).all():
+    if "n" in text:  # nan, inf or -inf: no finite repr has an n
         text = ",".join(_JSON_CONSTANTS.get(t, t) for t in text.split(","))
     return "[\n  " + text.replace(",", ",\n  ") + "\n ]"
 
@@ -338,12 +352,10 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     and the body. Raises ShapeError, and writes nothing, unless u and v are
     one-dimensional.
     """
-    import numpy as np
-
     version = int(snapshot.format_version)
     n_nodes = int(snapshot.n_nodes)
     scalars = [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
-    t_min, t_max, a, k = map(repr, np.asarray(scalars, float).tolist())
+    t_min, t_max, a, k = (repr(float(value)) for value in scalars)
     j_min, j_max, j_a, j_k = (_JSON_CONSTANTS.get(t, t) for t in (t_min, t_max, a, k))
     u = _field(path, "u", snapshot.u)
     v = _field(path, "v", snapshot.v)
@@ -359,8 +371,8 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
         f' "n_nodes": {n_nodes},\n'
         f' "theta_max": {j_max},\n'
         f' "theta_min": {j_min},\n'
-        f' "u": {_json_array(u, u_text)},\n'
-        f' "v": {_json_array(v, v_text)}\n'
+        f' "u": {_json_array(u_text)},\n'
+        f' "v": {_json_array(v_text)}\n'
         "}\n",
     )
 
@@ -385,16 +397,33 @@ def _parsed(value):
     return float(value) if type(value) is bytes else value
 
 
+def _finite(values: list) -> bool:
+    """Whether every float in values is finite.
+
+    A sum is finite only if every term is (an inf or a nan term leaves
+    every later partial sum inf or nan), so only a list whose sum is not
+    finite is checked value by value.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def load_snapshot(path: str) -> Snapshot:
     """Load and verify a snapshot.
 
     Raises CorruptSnapshotError for unparseable, incomplete, mistyped,
     non-finite or checksum-failing files and UnsupportedSnapshotError for a
     format_version this build does not know. Each value must be a JSON
-    number (n_nodes a JSON integer) and finite.
+    number (n_nodes a JSON integer) and finite. The checks are
+    _read_snapshot's; this adds only the numpy arrays of u and v.
     """
     import numpy as np
 
+    snap = _read_snapshot(path)
+    return replace(snap, u=np.array(snap.u, float), v=np.array(snap.v, float))
+
+
+def _read_snapshot(path: str) -> Snapshot:
+    """load_snapshot on the standard library: u and v are lists of floats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_float=str.encode)
@@ -433,18 +462,13 @@ def load_snapshot(path: str) -> Snapshot:
             raise CorruptSnapshotError(f"{path}: checksum mismatch")
     try:
         theta_min, theta_max, a, k = map(float, scalars)
-        u = np.array(list(map(float, u)), dtype=float)
-        v = np.array(list(map(float, v)), dtype=float)
+        u, v = list(map(float, u)), list(map(float, v))
     except OverflowError as exc:  # an integer beyond the double range
         raise CorruptSnapshotError(f"{path}: snapshot values must be finite") from exc
-    if not (
-        np.isfinite([theta_min, theta_max, a, k]).all()
-        and np.isfinite(u).all()
-        and np.isfinite(v).all()
-    ):
+    if not (_finite([theta_min, theta_max, a, k]) and _finite(u) and _finite(v)):
         raise CorruptSnapshotError(f"{path}: snapshot values must be finite")
     n_nodes = payload["n_nodes"]
-    if u.shape != v.shape or u.size != n_nodes:
+    if len(u) != n_nodes or len(v) != n_nodes:
         raise CorruptSnapshotError(
             f"{path}: field arrays do not match n_nodes = {n_nodes!r}"
         )
@@ -485,9 +509,9 @@ def _csv(path: str, header: Sequence[str], columns) -> None:
     nothing, when a column is not 1-D or the lengths differ.
     """
     columns = [_field(path, name, col) for name, col in zip(header, columns)]
-    if len({col.shape for col in columns}) > 1:
+    if len({len(col) for col in columns}) > 1:
         raise ShapeError(
-            f"{path}: columns of unequal shape {[col.shape for col in columns]}"
+            f"{path}: columns of unequal length {[len(col) for col in columns]}"
         )
     chunks = [
         _text_chunks(_field_text(name, col)) for name, col in zip(header, columns)
@@ -518,17 +542,15 @@ def write_profiles_csv(path: str, grid: "Grid", u, v, phi0) -> None:
 
     Every column goes through the field memo: a profile table written next
     to a snapshot of the same state formats only phi0 and rho, and a table
-    of a state whose fields are unchanged formats nothing.
+    of a state whose fields are unchanged formats nothing. Only grid.x is
+    read, and fields given as float sequences are written without numpy.
     """
-    import numpy as np
-
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    _csv(
-        path,
-        ("x", "u", "v", "phi0", "rho"),
-        (grid.x, u, v, phi0, u * u + v * v),
-    )
+    u, v = _field(path, "u", u), _field(path, "v", v)
+    if array in (type(u), type(v)):  # rho element by element, as numpy forms it
+        rho = array("d", [p * p + q * q for p, q in zip(u, v)])
+    else:
+        rho = u * u + v * v
+    _csv(path, ("x", "u", "v", "phi0", "rho"), (grid.x, u, v, phi0, rho))
 
 
 def write_history_csv(path: str, k_history: Sequence[Tuple]) -> None:

@@ -1,11 +1,15 @@
 """The stdlib-only command line front and the lazy package exports.
 
-dispersion, trial-eval, --help and usage errors must run without importing
-numpy, and the front's stdlib linspace must give numpy's momenta bit for bit.
+dispersion, trial-eval, a certified warm solve, --help and usage errors
+must run without importing numpy, and the front's stdlib linspace and grid
+nodes must give numpy's momenta and Grid.x bit for bit.
 """
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -15,7 +19,8 @@ import pytest
 
 import solitonscf
 from solitonscf import grid as grid_mod
-from solitonscf.front import EXIT_OK, EXIT_USAGE, _linspace
+from solitonscf import io as io_mod
+from solitonscf.front import EXIT_OK, EXIT_USAGE, _grid, _linspace, main
 
 LAYERS = ("cli", "scan", "solver", "model", "grid", "functional", "dispersion", "io")
 
@@ -55,6 +60,15 @@ def _run_module(args, cwd):
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
+@pytest.fixture(scope="module")
+def a0_state(tmp_path_factory):
+    """The snapshot a default scan writes."""
+    out = tmp_path_factory.mktemp("scan")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scan", "--output-dir", str(out)]) == EXIT_OK
+    return out / "a0_state.json"
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -67,6 +81,7 @@ def _run_module(args, cwd):
         ([], EXIT_USAGE),
         (["trial-eval", "--grid-nodes", "50"], EXIT_OK),
         (["trial-eval", "--b", "1e300"], EXIT_USAGE),
+        (["solve", "--warm-start", "a0_state.json", "--a", "-3.1"], EXIT_OK),
     ],
     ids=[
         "e0",
@@ -78,16 +93,40 @@ def _run_module(args, cwd):
         "none",
         "trial-eval",
         "trial-eval-no-seed",
+        "warm-solve",
     ],
 )
-def test_commands_that_compute_nothing_numeric_skip_numpy(tmp_path, args, code):
+def test_commands_that_compute_nothing_numeric_skip_numpy(
+    tmp_path, a0_state, args, code
+):
     (tmp_path / "summary.json").write_text('{"E0_over_m0": 0.15855}\n')
+    shutil.copy(a0_state, tmp_path / "a0_state.json")
     report, stderr = _run_module(args, tmp_path)
     assert report == {"numpy": False, "exit": code}, stderr
 
 
 def test_a_solving_command_loads_numpy(tmp_path):
     report, stderr = _run_module(["solve", "--grid-nodes", "200"], tmp_path)
+    assert report == {"numpy": True, "exit": EXIT_OK}, stderr
+
+
+@pytest.mark.parametrize("case", ["tight-tol", "seed"])
+def test_a_warm_solve_that_needs_iterations_loads_numpy(tmp_path, a0_state, case):
+    if case == "seed":  # the normalized b = 1 seed, which the solve iterates
+        grid = io_mod.RunConfig().build_grid()
+        pair = solitonscf.trial_functions(1.0, grid).normalized(grid)
+        io_mod.save_snapshot(
+            str(tmp_path / "a0_state.json"),
+            io_mod.Snapshot(
+                grid.theta_min, grid.theta_max, grid.n_nodes, -3.3, 1.0, pair.u, pair.v
+            ),
+        )
+        args = []
+    else:
+        shutil.copy(a0_state, tmp_path / "a0_state.json")
+        args = ["--a", "-3.1", "--tol", "1e-12"]
+    argv = ["solve", "--warm-start", "a0_state.json"] + args
+    report, stderr = _run_module(argv, tmp_path)
     assert report == {"numpy": True, "exit": EXIT_OK}, stderr
 
 
@@ -165,3 +204,13 @@ def test_linspace_matches_numpy_on_random_ranges():
         assert _bits(_linspace(start, stop, num)) == _bits(
             np.linspace(start, stop, num)
         ), (start, stop, num)
+
+
+@pytest.mark.parametrize("n_nodes", [500, 2000, 16000])
+def test_stdlib_grid_is_grid_x_and_weights_bit_for_bit(n_nodes):
+    cfg = io_mod.RunConfig()
+    grid = grid_mod.build_grid(cfg.theta_min, cfg.theta_max, n_nodes)
+    stdlib = _grid(cfg.theta_min, cfg.theta_max, n_nodes)
+    assert _bits(stdlib.x) == _bits(grid.x)
+    assert _bits(stdlib.w) == _bits(grid.quad_weights)
+    assert stdlib.h == grid.h

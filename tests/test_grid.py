@@ -26,6 +26,7 @@ def test_build_grid_basic():
         (0.0, np.inf, 100),
         (0.0, 1e308, 100),      # e^theta overflows
         (-1e308, 0.0, 100),     # e^theta underflows to x = 0
+        (-745.0, 709.0, 50),    # h e^theta_max overflows
         (0.0, 1.0, 1),          # too few nodes
         (0.0, 1.0, 2.9),        # not an integer, refused rather than truncated
         (0.0, 1.0, "5"),        # not a number

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -382,6 +382,30 @@ def test_snapshot_rejects_mistyped_values(tmp_path, case):
         io_mod.load_snapshot(str(path))
 
 
+@pytest.mark.parametrize("key", ["u", "v", "k"])
+def test_snapshot_rejects_a_number_beyond_the_double_range(tmp_path, key):
+    # 1e400 is a JSON number, but no double: it parses to inf
+    path = tmp_path / "state.json"
+    io_mod.save_snapshot(str(path), _sample_snapshot())
+    payload = json.loads(path.read_text())
+    if key == "k":
+        payload[key] = float("inf")
+    else:
+        payload[key][1] = float("inf")
+    payload["checksum"] = _reference_checksum(payload)
+    path.write_text(json.dumps(payload, sort_keys=True).replace("Infinity", "1e400"))
+    with pytest.raises(CorruptSnapshotError, match="must be finite"):
+        io_mod.load_snapshot(str(path))
+
+
+def test_snapshot_loads_finite_values_whose_sum_overflows(tmp_path):
+    snap = _sample_snapshot(4)
+    snap.u = np.array([1.5e308, 1.5e308, -1e308, 5e-324])
+    path = tmp_path / "state.json"
+    io_mod.save_snapshot(str(path), snap)
+    assert io_mod.load_snapshot(str(path)).u.tolist() == snap.u.tolist()
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "sub" / "file.txt"
     io_mod.atomic_write_text(str(target), "payload\n")
@@ -463,6 +487,38 @@ def test_writers_refuse_fields_that_are_not_1d(tmp_path):
     with pytest.raises(ShapeError):
         io_mod.save_snapshot(str(tmp_path / "state.json"), snap)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_writers_take_float_lists_as_arrays(tmp_path, memo):
+    # the standard-library warm solve hands the writers lists of floats
+    snap = _sample_snapshot(6)
+    snap.u[2] = -0.0
+    x = build_grid(np.log(1e-6), np.log(80.0), 6).x
+    phi0 = np.linspace(1.0, 0.1, 6)
+    for form, as_form in (("array", np.asarray), ("list", np.ndarray.tolist)):
+        u, v, p = (as_form(f) for f in (snap.u, snap.v, phi0))
+        memo.clear()
+        grid = SimpleNamespace(x=as_form(x))
+        io_mod.write_profiles_csv(str(tmp_path / f"{form}.csv"), grid, u, v, p)
+        io_mod.save_snapshot(str(tmp_path / f"{form}.json"), replace(snap, u=u, v=v))
+    for ext in ("csv", "json"):
+        listed, arrayed = tmp_path / f"list.{ext}", tmp_path / f"array.{ext}"
+        assert listed.read_bytes() == arrayed.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["trial-eval", "solve"])
+def test_cli_refuses_a_grid_whose_weights_overflow(tmp_path, capsys, command):
+    # e^theta_max is finite, but h e^theta_max is not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta_min = -745\ntheta_max = 709\nn_nodes = 50\n")
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg), "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: grid (-745.0, 709.0, 50 nodes) has a trapezoid weight "
+        "h e^theta_max = inf beyond the double range\n"
+    )
+    assert not out.exists()
 
 
 _RAGGED = {
