@@ -1,25 +1,27 @@
 """Command line front: the parser, the exit codes, dispersion, trial-eval
-and the warm solves that need no iteration.
+and solve.
 
 The module needs only the standard library. ``solitonscf dispersion`` is
 closed-form scalar arithmetic, ``solitonscf trial-eval`` evaluates the
 seed family on lists of floats, and ``--help`` and usage errors compute
-nothing, so they run here without importing numpy. ``scan`` and every
-other ``solve`` live in ``solitonscf.cli``, which this module imports only
-when one of them is asked for.
+nothing, so they run here without importing numpy. ``scan`` lives in
+``solitonscf.cli``, which this module imports only when it is asked for.
 
-A ``solve --warm-start`` whose pair is already converged at the requested
-coupling (by the k^2 a invariance, any coupling its snapshot's state
-solves) is certified here: ``_warm_solve`` runs solve_fixed_a's first
-convergence check on lists of floats and writes the artifacts the numpy
-path would write, byte for byte. A pair it cannot certify, a refusal and
-an error go to cli unchanged; see ``_warm_solve`` for the rule.
+``solve`` runs here whole. ``_cmd_solve`` checks the configuration and the
+grid, reads a ``--warm-start`` snapshot once and fixes the coupling and
+the starting frequency (by the k^2 a invariance, a snapshot's state is
+the converged state at any coupling). A warm pair that solve_fixed_a's
+first convergence check certifies (``_certify``, on lists of floats) is
+the solved state; any other solve goes to ``cli._solve``, the numpy
+solver. Both return one record, which one summary and one state writer
+turn into the artifacts; a certified pair's are the bytes the numpy solve
+would write.
 
 These commands repeat the arithmetic of the numpy layers element for
 element, but take each integral with math.fsum where numpy takes a dot
 product, so the two agree to about 1e-15 relative, well inside the
-summaries' 6 digits. trial-eval costs about 3 us per node and the warm
-solve about 16 us, so above about 5e4 and 3e4 grid nodes respectively
+summaries' 6 digits. trial-eval costs about 3 us per node and the
+certificate about 16 us, so above about 5e4 and 3e4 grid nodes respectively
 they are no faster than the numpy layers would be.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
@@ -436,76 +438,103 @@ def _i_mu(grid: _Grid, u, v, phi, k) -> float:
     return _fsum(terms)
 
 
-def _warm_solve(args) -> bool:
-    """Run solve --warm-start here when its first check certifies the pair.
+# a solved state, as _certify and cli's numpy solve return it: coupling,
+# frequency, fields, iterations, residual norm, iteration trace, and T, Pi
+# and the localization radius of its energy report
+_Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace T Pi radius")
 
-    The steps of cli._cmd_solve up to solve_fixed_a's first convergence
-    check, on lists of floats: the residual, the potential and the
+
+def _certify(cfg, grid: _Grid, a, k, snap) -> Optional[_Solved]:
+    """The snapshot's pair as the state solved at (a, k), if solve_fixed_a's
+    first convergence check certifies it; else None.
+
+    That check on lists of floats: the residual, the potential and the
     artifacts' values are the numpy path's bit for bit, and mu and the
     integrals come from math.fsum and block elimination. The pair is
-    certified, and its artifacts written, only when the residual is below
-    tol_residual, |mu| is at most half of it, the fsum norm is within 2 eps
-    of 1 (the numpy path keeps a pair within 4 eps of its dot-product
-    norm), u has no interior node, every pivot is finite and non-zero,
-    |a| < alpha0 and the snapshot's grid is the requested one. Otherwise
-    nothing is written and False is returned. The configuration, grid and
-    snapshot refusals are the ones cli._cmd_solve would raise first.
+    certified only when the residual is below tol_residual, |mu| is at most
+    half of it, the fsum norm is within 2 eps of 1 (the numpy path keeps a
+    pair within 4 eps of its dot-product norm), u has no interior node,
+    every pivot is finite and non-zero and |a| < alpha0.
     """
-    cfg = _run_config(args)
-    grid = _grid(cfg.theta_min, cfg.theta_max, cfg.n_nodes)
-    snap = io_mod._read_snapshot(args.warm_start)
-    if (snap.theta_min, snap.theta_max, snap.n_nodes) != grid[:3]:
-        return False
-    a, k = (snap.a if args.a is None else args.a), snap.k
     if not -cfg.alpha0 < a < 0.0:
-        return False
-    if args.a is not None and snap.a < 0.0:
-        k *= math.sqrt(snap.a / a)  # the k^2 a invariance, as cli computes it
+        return None
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
     norm = _fsum(map(mul, grid.w, rho))
     if not (0.0 < k < math.inf and abs(norm - 1.0) <= 2.0 * sys.float_info.epsilon):
-        return False
+        return None
     phi0 = _phi0(grid, rho)
     phi = [a * p for p in phi0]
     residual = _residual(grid, u, v, phi, k)
     if not all(r < tol for r in residual):
-        return False
+        return None
     i_mu = _i_mu(grid, u, v, phi, k)
     if not (1e-14 <= abs(i_mu) < math.inf and abs(norm / i_mu) <= 0.5 * tol):
-        return False
+        return None
     scale = max(map(abs, u))
     core = [z for z in u if abs(z) > 1e-8 * scale]
     if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
-        return False  # a node: solve_fixed_a refuses the state
+        return None  # a node: solve_fixed_a refuses the state
     T, Pi, radius = _energy(grid, u, v, rho, phi0)
-    alpha0 = cfg.alpha0
-    summary = {  # cli._state_summary's, from energy_report's arithmetic
-        "a": a, "k": k, "iterations": 0, "residual": max(residual), "T": T, "Pi": Pi,
-        "a_extremum": -T / Pi, "E0_over_m0": -T * a / (2.0 * alpha0),
-        "e_times_e0": 4.0 * math.pi * a, "delta": a / alpha0,
-        "C": (alpha0 - a) / (alpha0 + a), "localization_radius": radius / norm,
-    }
-    if "json" in cfg.formats:
-        io_mod.write_summary_json(_out(cfg, "solve_summary.json"), summary)
+    return _Solved(a, k, u, v, phi0, 0, max(residual), [], T, Pi, radius / norm)
+
+
+def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:
+    """profiles.csv and the snapshot file of a solved state, for solve and
+    scan; grid is a grid.Grid or a _Grid, whose x are the same doubles."""
     if "csv" in cfg.formats:
-        io_mod.write_profiles_csv(_out(cfg, "profiles.csv"), grid, u, v, phi0)
-    if args.snapshot:
-        io_mod.save_snapshot(args.snapshot, io_mod.Snapshot(*grid[:3], a, k, u, v))
-    if args.trace and "csv" in cfg.formats:
-        io_mod.write_trace_csv(_out(cfg, "trace.csv"), [])
-    print(f"solve: a = {a:.6g}, k = {k:.6g}, T = {T:.6g}, iterations = 0")
-    return True
+        io_mod.write_profiles_csv(
+            _out(cfg, "profiles.csv"), grid, solved.u, solved.v, solved.phi0
+        )
+    if snapshot_path:  # the grid's bounds, then the state's a, k, u and v
+        bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
+        io_mod.save_snapshot(snapshot_path, io_mod.Snapshot(*bounds, *solved[:4]))
 
 
 def _cmd_solve(args) -> int:
-    """solve: a warm start certified by its first check runs here, every
-    other solve in cli."""
-    if args.warm_start and _warm_solve(args):
-        return EXIT_OK
-    from . import cli  # numpy and the solver stack
+    """solve: the settings, the grid and a --warm-start snapshot are read and
+    checked once, here; a pair that _certify accepts is the solved state,
+    any other solve is cli's numpy solver's. One writer serves both."""
+    cfg = _run_config(args)
+    grid = _grid(cfg.theta_min, cfg.theta_max, cfg.n_nodes)
+    a = cfg.a_start if args.a is None else args.a
+    k0, snap, solved = 1.0, None, None
+    if args.warm_start:
+        snap = io_mod._read_snapshot(args.warm_start)
+        if (snap.theta_min, snap.theta_max, snap.n_nodes) != grid[:3]:
+            raise ConfigurationError(
+                "warm-start snapshot grid does not match the requested grid"
+            )
+        a, k0 = (snap.a if args.a is None else a), snap.k
+        if -math.inf < a < 0.0 and snap.a < 0.0:
+            # only k^2 a enters the equations, so the snapshot's state is
+            # converged at a with k = k_s sqrt(a_s / a); solve_fixed_a
+            # refuses any other a. Its own least-squares refit of a warm
+            # pair would also find this k, but only to about 1e-9 in k^2 a;
+            # the exact form keeps k^2 a on the snapshot's to about 1e-16.
+            k0 *= math.sqrt(snap.a / a)
+        solved = _certify(cfg, grid, a, k0, snap)
+    if solved is None:
+        from . import cli  # numpy and the solver stack
 
-    return cli.COMMANDS["solve"](args)
+        solved = cli._solve(cfg, a, k0, snap)
+    a, T, alpha0 = solved.a, solved.T, cfg.alpha0
+    if "json" in cfg.formats:  # the values of functional.energy_report
+        io_mod.write_summary_json(_out(cfg, "solve_summary.json"), {
+            "a": a, "k": solved.k, "iterations": solved.iterations,
+            "residual": solved.residual, "T": T, "Pi": solved.Pi,
+            "a_extremum": -T / solved.Pi, "E0_over_m0": -T * a / (2.0 * alpha0),
+            "e_times_e0": 4.0 * math.pi * a, "delta": a / alpha0,
+            "C": (alpha0 - a) / (alpha0 + a), "localization_radius": solved.radius,
+        })
+    _write_state(cfg, grid, solved, args.snapshot)
+    if args.trace and "csv" in cfg.formats:
+        io_mod.write_trace_csv(_out(cfg, "trace.csv"), solved.trace)
+    print(
+        f"solve: a = {a:.6g}, k = {solved.k:.6g}, T = {T:.6g}, "
+        f"iterations = {solved.iterations}"
+    )
+    return EXIT_OK
 
 
 def run_command(command, args) -> int:

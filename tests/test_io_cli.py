@@ -1021,10 +1021,10 @@ def test_cli_path_with_a_nul_is_a_usage_error(tmp_path, capsys, monkeypatch, arg
 
 def test_cli_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     # only the package's own ValueErrors are usage errors; a fault propagates
-    def internal(args):
+    def internal(cfg, a, k0, snap):
         raise ValueError("internal")
 
-    monkeypatch.setitem(cli_mod.COMMANDS, "solve", internal)
+    monkeypatch.setattr(cli_mod, "_solve", internal)
     with pytest.raises(ValueError, match="internal"):
         main(["solve", "--output-dir", str(tmp_path)])
 

@@ -1,10 +1,11 @@
 """solve --warm-start certified on the standard library against the numpy path.
 
-front._warm_solve runs solve_fixed_a's first convergence check on lists of
-floats. Where it certifies the pair it must write the artifacts and the
-line that cli._cmd_solve writes for the same command, byte for byte; where
-it does not, the command must end as the numpy path ends it: same exit
-code, same message, same files.
+front._certify runs solve_fixed_a's first convergence check on lists of
+floats. Where it certifies the pair, the command must write the artifacts
+and the line that the same command writes through cli._solve, the numpy
+solver, when the certificate declines, byte for byte; where it does not,
+the command must end as that numpy path ends it: same exit code, same
+message, same files. The snapshot is read once either way.
 """
 
 import contextlib
@@ -15,16 +16,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonscf import cli, front
+from solitonscf import front
 from solitonscf import io as io_mod
-from solitonscf.front import (
-    EXIT_IO,
-    EXIT_NO_CONVERGENCE,
-    EXIT_OK,
-    EXIT_USAGE,
-    build_parser,
-    run_command,
-)
+from solitonscf.front import EXIT_IO, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE
 from solitonscf.model import trial_functions
 
 A_STARTS = (-2.8, -3.3, -3.8)  # scan starts that converge (perfbench/README.md)
@@ -61,12 +55,15 @@ def _outcome(run, argv, out):
 
 
 def _numpy_path(argv):
-    """The command as cli._cmd_solve runs it, with the front's exit codes."""
-    return run_command(cli._cmd_solve, build_parser().parse_args(argv))
+    """The command through front.main with the certificate declining, so
+    cli._solve solves it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(front, "_certify", lambda *args: None)
+        return front.main(argv)
 
 
 def _both_paths(argv, root):
-    """The outcomes of argv through front.main and through cli._cmd_solve.
+    """The outcomes of argv through front.main and through the numpy path.
 
     "{out}" in argv is replaced by each run's own output directory.
     """
@@ -79,15 +76,16 @@ def _both_paths(argv, root):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The results of every front._warm_solve call, in order."""
+    """Whether each front._certify call certified its pair, in order."""
     results = []
-    warm_solve = front._warm_solve
+    certify = front._certify
 
-    def recorded(args):
-        results.append(warm_solve(args))
-        return results[-1]
+    def recorded(*args):
+        solved = certify(*args)
+        results.append(solved is not None)
+        return solved
 
-    monkeypatch.setattr(front, "_warm_solve", recorded)
+    monkeypatch.setattr(front, "_certify", recorded)
     return results
 
 
@@ -157,11 +155,8 @@ _UNCERTIFIED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_UNCERTIFIED))
-def test_an_uncertified_warm_solve_ends_as_the_numpy_path(
-    scan_snapshots, certified, tmp_path, case
-):
-    extra, code, message = _UNCERTIFIED[case]
+def _warm_start(case, scan_snapshots, tmp_path):
+    """The path of the warm-start snapshot of an _UNCERTIFIED case."""
     warm = str(tmp_path / "warm.json")
     if case in ("unconverged", "seed"):
         _seed_snapshot(warm)
@@ -170,6 +165,15 @@ def test_an_uncertified_warm_solve_ends_as_the_numpy_path(
             dst.write(src.read())
     if case == "corrupt":
         _corrupt(warm)
+    return warm
+
+
+@pytest.mark.parametrize("case", sorted(_UNCERTIFIED))
+def test_an_uncertified_warm_solve_ends_as_the_numpy_path(
+    scan_snapshots, certified, tmp_path, case
+):
+    extra, code, message = _UNCERTIFIED[case]
+    warm = _warm_start(case, scan_snapshots, tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_iterations = 2\n")
     argv = ["solve", "--warm-start", warm] + [a.format(cfg=cfg) for a in extra]
@@ -180,3 +184,25 @@ def test_an_uncertified_warm_solve_ends_as_the_numpy_path(
     assert message in via_front[2]
     # the front certified nothing; the refusals before its check raised
     assert not any(certified)
+
+
+@pytest.mark.parametrize("case", ["seed", "tight-tol"])
+def test_an_uncertified_warm_solve_reads_its_snapshot_once(
+    scan_snapshots, certified, tmp_path, monkeypatch, case
+):
+    # the certificate declines and the numpy solver starts from the pair
+    # already read, so neither parses the file again
+    warm = _warm_start(case, scan_snapshots, tmp_path)
+    reads = []
+    read = io_mod._read_snapshot
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(io_mod, "_read_snapshot", counted)
+    argv = ["solve", "--warm-start", warm] + _UNCERTIFIED[case][0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert front.main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert certified == [False]
+    assert reads == [warm]
