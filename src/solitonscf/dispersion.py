@@ -21,7 +21,9 @@ The mixing amplitudes and the velocity are ratios, unchanged when E0 and P
 are scaled together. Inputs whose larger value lies outside [2^-500, 2^500]
 are scaled by one power of two into that range first, so P * P and
 E_e + E0 neither overflow nor flush to zero; the scaling is exact, and
-inputs already in range are used as given.
+inputs already in range are used as given. A momentum whose P * P is still
+subnormal (P below about 1e-154 E0) has P divided out of D first, so K
+keeps every digit.
 
 The module needs only the standard library. Every square root of a sum of
 squares goes through _hypot, the C library's hypot, which is the routine
@@ -110,6 +112,13 @@ def mixing_coefficients(E0: float, P: float):
     e_e = _hypot(E0, P)
     if P == 0.0:
         L, K = 1.0, 0.0
+    elif P * P < 2.0**-1022:
+        # P * P is below the smallest normal double, subnormal or zero:
+        # divide P out of d first, with r = P / (E_e + E0), so
+        # L = 1 / sqrt(1 + r^2) and K = r L
+        r = P / (e_e + E0)
+        L = 1.0 / _hypot(1.0, r)
+        K = r * L
     else:
         q = P * P / (e_e + E0)  # E_e - E0 without cancellation
         d = _hypot(P, q)

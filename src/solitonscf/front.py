@@ -513,6 +513,8 @@ def _cmd_solve(args) -> int:
             # pair would also find this k, but only to about 1e-9 in k^2 a;
             # the exact form keeps k^2 a on the snapshot's to about 1e-16.
             k0 *= math.sqrt(snap.a / a)
+            if not math.isfinite(k0):  # a_s / a overflowed
+                raise ConfigurationError(f"coupling a = {a!r} is too close to 0")
         solved = _certify(cfg, grid, a, k0, snap)
     if solved is None:
         from . import cli  # numpy and the solver stack

@@ -49,7 +49,7 @@ import tempfile
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Sequence, Set, Tuple, Union
 
 from .errors import (
     ConfigurationError,
@@ -107,20 +107,17 @@ class ScanConfig:
 
     a_start is the cold solve's coupling (the attractive branch needs
     a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0 sets
-    the scale of the cold solve's seed. max_evals caps the number of inner
-    solves and must be at least 2; it never binds, because the scan makes
-    two solves.
+    the scale of the cold solve's seed. The scan always makes two solves,
+    so no setting caps their number.
     """
 
     a_start: float = -3.3
     tol_k: float = 1e-6
-    max_evals: int = 30
     trial_b: float = 1.0
 
     def validate(self) -> "ScanConfig":
         check_value("a_start", self.a_start, high=0.0, open_high=True)
         check_value("tol_k", self.tol_k, 0.0, open_low=True)
-        check_value("max_evals", self.max_evals, 2, integer=True)
         check_value("trial_b", self.trial_b, 0.0, open_low=True)
         return self
 
@@ -168,15 +165,14 @@ def _parse_formats(text: str) -> Set[str]:
     return parts
 
 
-def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse a flat key=value config file on top of the defaults.
+def load_config(path: str) -> RunConfig:
+    """Parse a flat key=value config file on top of the RunConfig defaults.
 
     Blank lines and '#' comments are skipped. Keys must match RunConfig
     fields exactly; anything else raises ConfigurationError, as do a file
     that is not UTF-8 text, a NUL character anywhere in it and a value that
     does not parse to the field's type. RunConfig.validate checks ranges.
     """
-    cfg = base or RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
     updates = {}
     try:
@@ -205,7 +201,7 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             raise ConfigurationError(
                 f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})"
             ) from exc
-    return replace(cfg, **updates)
+    return replace(RunConfig(), **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,11 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
 
 @dataclass
 class Snapshot:
-    """Solver state sufficient for an exact warm start."""
+    """Solver state sufficient for an exact warm start.
+
+    The format version is not a field: save_snapshot always writes
+    SNAPSHOT_FORMAT_VERSION, the one version load_snapshot reads.
+    """
 
     theta_min: float
     theta_max: float
@@ -223,7 +223,6 @@ class Snapshot:
     k: float
     u: "np.ndarray"
     v: "np.ndarray"
-    format_version: int = SNAPSHOT_FORMAT_VERSION
 
     def grid(self) -> "Grid":
         from .grid import build_grid
@@ -352,7 +351,7 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     and the body. Raises ShapeError, and writes nothing, unless u and v are
     one-dimensional.
     """
-    version = int(snapshot.format_version)
+    version = SNAPSHOT_FORMAT_VERSION
     n_nodes = int(snapshot.n_nodes)
     scalars = [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
     t_min, t_max, a, k = (repr(float(value)) for value in scalars)
@@ -480,7 +479,6 @@ def _read_snapshot(path: str) -> Snapshot:
         k=k,
         u=u,
         v=v,
-        format_version=int(version),
     )
 
 

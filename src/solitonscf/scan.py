@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import ConfigurationError, ScanFailureError, SolitonError
-from .functional import EnergyReport, energy_report, kinetic_T, potential_Pi
+from .functional import EnergyReport, energy_report
 from .grid import Grid
 from .io import ScanConfig
 from .model import trial_functions
@@ -37,14 +37,17 @@ __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 class ScanResult:
     """Converged scan: the coupling, the state there, and the path taken.
 
+    report, the energy report at a0, is required and keyword-only: find_a0
+    always attaches one, and verify_extremum reads T and Pi from it.
     warnings stays empty: with its two rows, k_cold^2 a_start = a0 and
-    k = 1 at a0, the scan's k always increases with a.
+    k = 1 at a0, the scan's k always increases with a. It is kept because
+    it is public and scan_summary.json writes it as its warnings key.
     """
 
     a0: float
     solution: IterationState
     k_history: List[Tuple[float, float, int, float]] = field(default_factory=list)
-    report: Optional[EnergyReport] = None
+    report: EnergyReport = field(kw_only=True)
     warnings: List[str] = field(default_factory=list)
 
 
@@ -115,13 +118,9 @@ def verify_extremum(result: ScanResult, grid: Grid) -> float:
     The converged coupling should reproduce the energy extremum a = -T/Pi;
     the returned number is the relative distance between the two, a direct
     consistency check between the scan and the energy functional. T and Pi
-    come from result.report, which find_a0 evaluates on the same pair; a
-    result without a report has them evaluated here.
+    come from result.report, which find_a0 evaluates on the same pair. grid
+    is not read; it stays in the signature because callers pass it (the
+    scan demo and the benchmark's scan_inproc workload).
     """
-    report = result.report
-    if report is None:
-        T = kinetic_T(result.solution.pair, grid)
-        Pi = potential_Pi(result.solution.pair, grid)
-    else:
-        T, Pi = report.T, report.Pi
+    T, Pi = result.report.T, result.report.Pi
     return float(abs(result.a0 + T / Pi) / abs(result.a0))

@@ -162,7 +162,9 @@ def solve_banded(l_and_u, ab, b):
 
     Same calling convention as scipy.linalg.solve_banded with (l, u) =
     (2, 2): A[i, j] = ab[2 + i - j, j], and b is one right-hand side of
-    length m = ab.shape[1]. A must have the box scheme's staircase pattern:
+    length m = ab.shape[1]. l_and_u must be (2, 2); it stays the first
+    argument so that scipy's argument positions hold, which the benchmark's
+    tracer reads ab and b by. A must have the box scheme's staircase pattern:
     block row j, the rows (2j, 2j+1), reaches block j - 1 through its row 0
     only and block j + 1 through its row 1 only (ab[0, 2::2] and
     ab[4, 1:-2:2] are zero), so A is block tridiagonal in 2x2 blocks.

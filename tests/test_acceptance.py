@@ -265,16 +265,13 @@ def test_criterion_10_plumbing(tmp_path, capsys):
     # documented exit codes
     cfg3 = tmp_path / "short.cfg"
     cfg3.write_text("max_iterations = 2\n")
-    cfg4 = tmp_path / "starve.cfg"
-    cfg4.write_text("max_evals = 2\n")
     observed = {
         0: main(["dispersion", "--e0", "1.0", "--p-count", "3",
                  "--output-dir", str(tmp_path)]),
         2: main(["dispersion", "--output-dir", str(tmp_path)]),
         3: main(["solve", "--a", "-2.3", "--config", str(cfg3),
                  "--output-dir", str(tmp_path)] + fast),
-        4: main(["scan", "--config", str(cfg4), "--tol", "1e-14",
-                 "--output-dir", str(tmp_path)] + fast),
+        4: main(["scan", "--tol", "1e-14", "--output-dir", str(tmp_path)] + fast),
         5: main(["solve", "--warm-start", str(tmp_path / "absent.json"),
                  "--output-dir", str(tmp_path)]),
     }

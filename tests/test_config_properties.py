@@ -99,10 +99,6 @@ _SITES = {
     ),
     "a_start": (_config(ScanConfig, "a_start"), lambda v: _real(v) and v < 0),
     "tol_k": (_config(ScanConfig, "tol_k"), _positive),
-    "max_evals": (
-        _config(ScanConfig, "max_evals"),
-        lambda v: type(v) is int and v >= 2,
-    ),
     "trial_b": (_config(ScanConfig, "trial_b"), _positive),
     "RunConfig alpha0": (_config(RunConfig, "alpha0"), _positive),
     "RunConfig tau": (_config(RunConfig, "tau"), lambda v: _real(v) and 0 < v <= 1),

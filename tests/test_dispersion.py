@@ -1,6 +1,7 @@
 """Closed-form dispersion: spectrum branches, mixing weights, group velocity."""
 
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ def test_mixing_small_momentum_is_stable():
     assert L == pytest.approx(1.0, abs=1e-15)
     assert K == pytest.approx(0.5e-12, rel=1e-9)
     assert Kp == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "E0, P", [(1.0, 1e-160), (1.0, 1e-170), (1.0, 1e-300), (3e-150, 1e-160)]
+)
+def test_mixing_momentum_whose_square_is_subnormal(E0, P):
+    # P * P is subnormal or zero: L and K still hold every digit, against
+    # the closed form evaluated in 80-digit decimals
+    with localcontext() as ctx:
+        ctx.prec = 80
+        e0, p = Decimal(E0), Decimal(P)
+        q = p * p / ((e0 * e0 + p * p).sqrt() + e0)
+        d = (p * p + q * q).sqrt()
+        want_L, want_K = p / d, q / d
+    L, K, *_ = mixing_coefficients(E0, P)
+    for got, want in ((L, want_L), (K, want_K)):
+        assert abs(Decimal(got) - want) <= Decimal(2.0**-52) * want
 
 
 def test_mixing_large_momentum_limit():

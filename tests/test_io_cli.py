@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -55,6 +56,13 @@ def test_run_config_defaults_match_the_solver_and_scan_defaults():
     for cfg in (solver.SolverConfig(), ScanConfig()):
         for f in fields(cfg):
             assert repr(getattr(run, f.name)) == repr(getattr(cfg, f.name)), f.name
+
+
+def test_no_setting_without_effect():
+    # the snapshot's format version is the writer's constant, not a field,
+    # and a config file is read on top of the defaults only
+    assert "format_version" not in {f.name for f in fields(io_mod.Snapshot)}
+    assert list(inspect.signature(io_mod.load_config).parameters) == ["path"]
 
 
 def test_load_config_round_trip(tmp_path):
@@ -812,6 +820,21 @@ def test_cli_warm_start_refuses_a_non_negative_coupling(tmp_path, capsys, a):
     assert "coupling a must be finite and negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", ["-1e-310", "-5e-324"])
+def test_cli_warm_start_refuses_a_coupling_too_close_to_zero(tmp_path, capsys, a):
+    # a_s / a overflows, so the transported frequency k_s sqrt(a_s / a) is
+    # not finite: the refusal names the coupling the user gave
+    snap = tmp_path / "state.json"
+    args = ["--output-dir", str(tmp_path)] + FAST
+    assert main(["solve", "--a", "-3.3", "--snapshot", str(snap)] + args) == EXIT_OK
+    (tmp_path / "solve_summary.json").unlink()
+    capsys.readouterr()
+    code = main(["solve", "--warm-start", str(snap), f"--a={a}"] + args)
+    assert code == EXIT_USAGE
+    assert f"coupling a = {float(a)!r} is too close to 0" in capsys.readouterr().err
+    assert not (tmp_path / "solve_summary.json").exists()
+
+
 def test_cli_warm_start_grid_mismatch(tmp_path, capsys):
     snap = tmp_path / "state.json"
     out = tmp_path / "run"
@@ -1058,15 +1081,20 @@ def test_cli_no_convergence_exit(tmp_path, capsys):
 
 
 def test_cli_scan_failure_exit(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_evals = 2\n")
-    code = main(
-        ["scan", "--config", str(cfg), "--tol", "1e-14", "--output-dir", str(tmp_path)]
-        + FAST
-    )
+    code = main(["scan", "--tol", "1e-14", "--output-dir", str(tmp_path)] + FAST)
     assert code == EXIT_SCAN_FAILURE
     assert (tmp_path / "k_history.csv").exists()
     capsys.readouterr()
+
+
+def test_cli_config_naming_max_evals_is_a_usage_error(tmp_path, capsys):
+    # the two-solve scan has no solve cap, so max_evals is not a setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_evals = 30\n")
+    code = main(["scan", "--config", str(cfg), "--output-dir", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert "unknown key 'max_evals'" in capsys.readouterr().err
+    assert not (tmp_path / "scan_summary.json").exists()
 
 
 def test_cli_missing_tail_root_is_a_numerical_failure(tmp_path, capsys):

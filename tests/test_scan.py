@@ -71,15 +71,14 @@ def test_extremum_condition_holds(scan_result, grid):
         a0=scan_result.a0 * 1.05,
         solution=scan_result.solution,
         k_history=scan_result.k_history,
+        report=scan_result.report,
     )
     assert verify_extremum(shifted, grid) > 0.01
 
 
-def test_extremum_arithmetic(monkeypatch, grid):
+def test_extremum_arithmetic(grid):
     # pinned numbers: T / Pi reproduces -a0 when the pair is extremal
-    monkeypatch.setattr("solitonscf.scan.kinetic_T", lambda pair, g: 0.749)
-    monkeypatch.setattr("solitonscf.scan.potential_Pi", lambda pair, g: 0.22724)
-    fake = SimpleNamespace(a0=-3.296, report=None, solution=SimpleNamespace(pair=None))
+    fake = SimpleNamespace(a0=-3.296, report=SimpleNamespace(T=0.749, Pi=0.22724))
     mismatch = verify_extremum(fake, grid)
     assert mismatch == pytest.approx(abs(-3.296 + 0.749 / 0.22724) / 3.296, rel=1e-12)
     assert mismatch < 1e-3
@@ -95,9 +94,17 @@ def test_extremum_reuses_the_report(scan_result, grid, monkeypatch):
     def fail(*args):
         raise AssertionError("T or Pi recomputed")
 
-    monkeypatch.setattr("solitonscf.scan.kinetic_T", fail)
-    monkeypatch.setattr("solitonscf.scan.potential_Pi", fail)
+    monkeypatch.setattr("solitonscf.functional.kinetic_T", fail)
+    monkeypatch.setattr("solitonscf.functional.potential_Pi", fail)
     assert verify_extremum(scan_result, grid) == recomputed
+
+
+def test_scan_result_requires_a_report(scan_result):
+    # find_a0 always attaches the report that verify_extremum reads
+    with pytest.raises(TypeError):
+        ScanResult(a0=scan_result.a0, solution=scan_result.solution)
+    with pytest.raises(TypeError):  # keyword-only
+        ScanResult(scan_result.a0, scan_result.solution, [], scan_result.report)
 
 
 def test_scan_uses_the_invariance(scan_result):
@@ -224,7 +231,7 @@ def test_confirming_solve_failure_carries_the_cold_row(monkeypatch, coarse_grid)
 
 def test_scan_makes_two_solves_whatever_k_does(monkeypatch, coarse_grid):
     # a k that moves on every call never passes the acceptance test; the
-    # scan still stops after the confirming solve, well inside max_evals
+    # scan still stops after the confirming solve
     calls = []
 
     def drifting(a, grid, config=None, init=None, k0=1.0):
@@ -236,7 +243,7 @@ def test_scan_makes_two_solves_whatever_k_does(monkeypatch, coarse_grid):
 
     monkeypatch.setattr("solitonscf.scan.solve_fixed_a", drifting)
     with pytest.raises(ScanFailureError, match="stalled") as info:
-        find_a0(ScanConfig(max_evals=30), coarse_grid)
+        find_a0(ScanConfig(), coarse_grid)
     assert len(calls) == 2
     assert len(info.value.k_history) == 2
 
@@ -250,7 +257,7 @@ def test_scan_stalls_when_the_seed_returns(grid):
 
 
 def test_scan_eval_cap(coarse_grid):
-    cfg = ScanConfig(max_evals=2, tol_k=1e-14)
+    cfg = ScanConfig(tol_k=1e-14)
     with pytest.raises(ScanFailureError) as info:
         find_a0(cfg, coarse_grid, solver_config=SolverConfig())
     assert len(info.value.k_history) == 2
@@ -267,10 +274,10 @@ def test_scan_eval_cap(coarse_grid):
         {"a_start": np.nan},
         {"tol_k": 0.0},
         {"tol_k": np.nan},
-        {"max_evals": 1},
-        {"max_evals": np.nan},
-        {"max_evals": 2.5},
-        {"max_evals": True},
+        {"a_start": 0.0},
+        {"a_start": -np.inf},
+        {"trial_b": 0.0},
+        {"tol_k": True},
         {"trial_b": np.nan},
         {"trial_b": -1.0},
         {"tol_k": "1e-6"},
