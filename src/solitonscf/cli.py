@@ -70,7 +70,7 @@ def _cmd_scan(args) -> int:
     cfg = _run_config(args)
     grid = cfg.build_grid()
     try:
-        result = find_a0(cfg, grid, solver_config=cfg, alpha0=cfg.alpha0)
+        result = find_a0(cfg, grid)
     except ScanFailureError as exc:
         if "csv" in cfg.formats and exc.k_history:
             io_mod.write_history_csv(_out(cfg, "k_history.csv"), exc.k_history)

@@ -77,7 +77,7 @@ class Grid:
 def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
     """Construct a Grid once errors.check_grid accepts its bounds and node
     count: finite bounds with theta_min < theta_max whose e^theta is finite
-    and positive, and an integer n_nodes of at least 2.
+    and positive, and an integer n_nodes in [2, errors.MAX_NODES].
     """
     return Grid(*check_grid(theta_min, theta_max, n_nodes))
 

@@ -224,11 +224,6 @@ class Snapshot:
     u: "np.ndarray"
     v: "np.ndarray"
 
-    def grid(self) -> "Grid":
-        from .grid import build_grid
-
-        return build_grid(self.theta_min, self.theta_max, self.n_nodes)
-
     def pair(self) -> "SpinorPair":
         import numpy as np
 

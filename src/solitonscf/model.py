@@ -28,7 +28,6 @@ __all__ = [
     "SelfField",
     "density",
     "potential",
-    "make_field",
     "trial_functions",
 ]
 
@@ -102,11 +101,6 @@ def potential(rho: np.ndarray, grid: Grid) -> np.ndarray:
     inner = np.zeros(grid.n_nodes)
     inner[1:] = np.cumsum(seg_in)
     return outer + inner / x
-
-
-def make_field(pair: SpinorPair, a: float, grid: Grid) -> SelfField:
-    """SelfField generated by the pair's own density at coupling a."""
-    return SelfField(phi0=potential(density(pair, grid).rho, grid), a=float(a))
 
 
 def trial_functions(b: float, grid: Grid) -> SpinorPair:

@@ -52,10 +52,7 @@ class ScanResult:
 
 
 def find_a0(
-    config: Optional[ScanConfig] = None,
-    grid: Optional[Grid] = None,
-    solver_config: Optional[SolverConfig] = None,
-    alpha0: float = 10.0,
+    config: Optional[ScanConfig] = None, grid: Optional[Grid] = None
 ) -> ScanResult:
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
@@ -64,6 +61,12 @@ def find_a0(
     k0 = 1, confirms it when the measured frequency k + mu gives
     |k^2 - 1| <= tol_k. Returns the ScanResult with both (a, k, iterations,
     residual) rows and an energy report at a0.
+
+    config is read whole. A config that is also a SolverConfig, such as a
+    RunConfig, sets the tau, tol_residual and max_iterations of both
+    solves, and a RunConfig's alpha0 goes to the energy report. A plain
+    ScanConfig solves with the SolverConfig defaults and reports at
+    alpha0 = 10.
 
     Raises
     ------
@@ -75,7 +78,8 @@ def find_a0(
     if grid is None:
         raise ConfigurationError("find_a0 requires a grid")
     config = (config or ScanConfig()).validate()
-    solver_config = solver_config or SolverConfig()
+    solver_config = config if isinstance(config, SolverConfig) else None
+    alpha0 = getattr(config, "alpha0", 10.0)
 
     k_history: List[Tuple[float, float, int, float]] = []
 

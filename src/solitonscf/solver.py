@@ -75,7 +75,6 @@ from .errors import (
     DivergenceError,
     NonConvergenceError,
     StalledUpdateError,
-    StepRejectedError,
     WrongBranchError,
     check_value,
 )
@@ -112,14 +111,21 @@ _NORM_KEEP = 4 * np.finfo(float).eps   # a warm pair this close to unit norm is 
 
 @dataclass
 class IterationState:
-    """Complete iterate: fields, frequency, frozen potential, diagnostics."""
+    """Complete iterate: fields, frequency, frozen potential, diagnostics.
+
+    pair is at unit norm and field is the potential of its density at
+    coupling a. residual_norm is the max-norm of the midpoint residuals at
+    k with that potential frozen. last_mu is the frequency increment of
+    the step that made the state: nan on a starting state, and on a
+    converged one the increment of its last check. trace holds the solve's
+    (iteration, k, residual_norm, mu) rows so far.
+    """
 
     pair: SpinorPair
     k: float
     field: SelfField
     a: float
     residual_norm: float
-    norm_error: float
     iteration: int = 0
     last_mu: float = float("nan")
     trace: list = field(default_factory=list, repr=False)
@@ -450,14 +456,15 @@ def newton_step(
     it when retrying a rejected step and when tau is already at its floor).
     The potential is recomputed from the new density, so the returned state
     is ready for the next residual evaluation. Raises DivergenceError on
-    non-finite results and StepRejectedError when the frequency would leave
-    the positive branch.
+    non-finite results and when the frequency would leave the positive
+    branch (k <= 0). It integrates once, for the norm of the moved fields;
+    the renormalized norm is not integrated again.
     """
     u_new = state.pair.u + du
     v_new = state.pair.v + dv
     k_new = state.k + tau_k * mu
     if k_new <= 0.0:
-        raise StepRejectedError(k_new)
+        raise DivergenceError(f"step rejected: new k = {k_new!r} <= 0")
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise DivergenceError(
             f"non-finite fields after update at iteration {state.iteration}"
@@ -476,13 +483,20 @@ def newton_step(
         field=SelfField(phi0=potential(rho, grid), a=state.a),
         a=state.a,
         residual_norm=float("nan"),
-        norm_error=abs(integrate(rho, grid) - 1.0),
         iteration=state.iteration + 1,
         last_mu=float(mu),
         trace=state.trace,
     )
     new.residual_norm = residual_norm(new, grid)
     return new
+
+
+def _try_step(state, du, dv, mu, grid, tau_k=1.0):
+    """newton_step, or None when it raises DivergenceError."""
+    try:
+        return newton_step(state, du, dv, mu, grid, tau_k=tau_k)
+    except DivergenceError:
+        return None
 
 
 class _AndersonMixer:
@@ -529,10 +543,7 @@ class _AndersonMixer:
         step = f - gamma @ d_x - gamma @ d_f
         # the fields move by exactly the mixed step, k by the full mu
         n = grid.n_nodes
-        try:
-            new = newton_step(state, step[:n], step[n:], mu, grid)
-        except (DivergenceError, StepRejectedError):
-            new = None
+        new = _try_step(state, step[:n], step[n:], mu, grid)
         if new is None or new.k <= _K_FLOOR:
             self.clear()
             return None
@@ -601,7 +612,6 @@ def _initial_state(a, grid, init, k0, tol) -> IterationState:
         field=SelfField(phi0=potential(dens.rho, grid), a=float(a)),
         a=float(a),
         residual_norm=float("nan"),
-        norm_error=abs(dens.norm - 1.0),
     )
     state.residual_norm = residual_norm(state, grid)
     return state if init is None else _fitted_start(state, grid, tol)
@@ -687,10 +697,7 @@ def solve_fixed_a(
         tau_k = tau if tau <= tau_floor else 1.0
         while accepted is None:
             du, dv = _damped_step(state, psi_mu, psi1_mu, mu, tau)
-            try:
-                candidate = newton_step(state, du, dv, mu, grid, tau_k=tau_k)
-            except (DivergenceError, StepRejectedError):
-                candidate = None
+            candidate = _try_step(state, du, dv, mu, grid, tau_k)
             reject = (
                 candidate is None
                 or candidate.k <= _K_FLOOR

@@ -33,7 +33,7 @@ from solitonscf.grid import Grid, integrate
 from solitonscf.io import RunConfig
 from solitonscf.model import density, trial_functions
 from solitonscf.scan import ScanConfig, find_a0, verify_extremum
-from solitonscf.solver import SolverConfig, count_nodes, residual_norm
+from solitonscf.solver import count_nodes, residual_norm
 from solitonscf.solver import solve_fixed_a
 
 # Closed-form oracle values for the b = 1 seed family (criterion 9),
@@ -166,9 +166,7 @@ def test_criterion_07_robustness(scan_result, grid):
         a0_b = find_a0(ScanConfig(trial_b=b), grid).a0
         shifts.append((f"b={b}", abs(a0_b - baseline)))
     for tau in (0.3, 0.8):
-        a0_tau = find_a0(
-            ScanConfig(), grid, solver_config=SolverConfig(tau=tau)
-        ).a0
+        a0_tau = find_a0(RunConfig(tau=tau), grid).a0
         shifts.append((f"tau={tau}", abs(a0_tau - baseline)))
     worst_label, worst = max(shifts, key=lambda t: t[1])
     ok_init = worst < 1e-4

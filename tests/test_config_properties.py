@@ -6,16 +6,17 @@ holds it unchanged or raises ConfigurationError, never another exception,
 and it refuses every value outside the site's rule.
 """
 
-import math
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonscf import grid as grid_mod
 from solitonscf import solver
 from solitonscf.dispersion import spectrum
-from solitonscf.errors import ConfigurationError, UnphysicalMixingError
+from solitonscf.errors import MAX_NODES, ConfigurationError, UnphysicalMixingError
 from solitonscf.functional import charge_relation
 from solitonscf.grid import build_grid
 from solitonscf.io import RunConfig
@@ -27,13 +28,10 @@ _GRID = build_grid(-1.0, 1.0, 5)
 
 
 def _values(site):
+    floats, integers = st.floats(allow_nan=True, allow_infinity=True), st.integers()
     if site == "n_nodes":
-        # nothing above 64, so that no large grid is ever allocated, even by
-        # a check that truncates a float
-        floats = st.one_of(st.floats(max_value=64.0), st.sampled_from([math.nan, math.inf]))
-        integers = st.integers(max_value=64)
-    else:
-        floats, integers = st.floats(allow_nan=True, allow_infinity=True), st.integers()
+        # counts at and above the cap too; _grid_nodes builds none of them
+        integers = st.one_of(integers, st.integers(min_value=MAX_NODES))
     return st.one_of(floats, integers, st.booleans(), st.none(), st.text(max_size=4))
 
 
@@ -68,6 +66,21 @@ def _solve_fixed_a(name):
         raise AssertionError("solve_fixed_a returned without starting")
 
     return call
+
+
+def _grid_nodes(value):
+    """The node count build_grid holds. A count the check takes builds its
+    Grid only up to 64 nodes; a larger one is held by a stand-in, so that
+    no large grid is allocated whatever the check lets through."""
+    real = grid_mod.Grid
+
+    def build(theta_min, theta_max, n_nodes):
+        if n_nodes > 64:
+            return SimpleNamespace(n_nodes=n_nodes)
+        return real(theta_min, theta_max, n_nodes)
+
+    with mock.patch.object(grid_mod, "Grid", build):
+        return grid_mod.build_grid(-1.0, 1.0, value).n_nodes
 
 
 def _charge_coupling(a):
@@ -116,10 +129,7 @@ _SITES = {
     "trial_functions b": (_accepted_by(lambda v: trial_functions(v, _GRID)), _positive),
     "theta_min": (lambda v: build_grid(v, 1.0, 5).theta_min, _real),
     "theta_max": (lambda v: build_grid(-1.0, v, 5).theta_max, _real),
-    "n_nodes": (
-        lambda v: build_grid(-1.0, 1.0, v).n_nodes,
-        lambda v: type(v) is int and v >= 2,
-    ),
+    "n_nodes": (_grid_nodes, lambda v: type(v) is int and 2 <= v <= MAX_NODES),
     "E0": (lambda v: spectrum(v, 0.0)[0], lambda v: _real(v) and v >= 0),
     "P": (lambda v: spectrum(0.0, v)[0], lambda v: _real(v) and v >= 0),
 }

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from solitonscf.errors import ConfigurationError, NumericError, ShapeError
+from solitonscf.errors import (
+    MAX_NODES,
+    ConfigurationError,
+    NumericError,
+    ShapeError,
+    check_grid,
+)
 from solitonscf.grid import build_grid, differentiate, integrate
 
 
@@ -36,6 +42,21 @@ def test_build_grid_basic():
 def test_build_grid_rejects_bad_input(args):
     with pytest.raises(ConfigurationError):
         build_grid(*args)
+
+
+# the check alone: a grid at these counts is never built
+@pytest.mark.parametrize("n_nodes", [MAX_NODES + 1, 10**30])
+def test_grid_check_refuses_a_node_count_above_the_cap(n_nodes):
+    with pytest.raises(ConfigurationError) as info:
+        check_grid(0.0, 1.0, n_nodes)
+    assert str(info.value) == (
+        f"n_nodes must be an integer and in [2, 1e+06], got {n_nodes}"
+    )
+
+
+def test_grid_check_takes_the_cap():
+    assert MAX_NODES == 10**6
+    assert check_grid(0.0, 1.0, MAX_NODES) == (0.0, 1.0, MAX_NODES)
 
 
 def test_integrate_decaying_exponential(grid):

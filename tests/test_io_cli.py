@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from solitonscf import cli as cli_mod
+from solitonscf import errors as errors_mod
+from solitonscf import front
+from solitonscf import grid as grid_mod
 from solitonscf import io as io_mod
-from solitonscf import solver
+from solitonscf import model, solver
 from solitonscf.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
@@ -32,7 +35,7 @@ from solitonscf.errors import (
     UnsupportedSnapshotError,
 )
 from solitonscf.grid import build_grid
-from solitonscf.scan import ScanConfig
+from solitonscf.scan import ScanConfig, find_a0
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -63,6 +66,15 @@ def test_no_setting_without_effect():
     # and a config file is read on top of the defaults only
     assert "format_version" not in {f.name for f in fields(io_mod.Snapshot)}
     assert list(inspect.signature(io_mod.load_config).parameters) == ["path"]
+
+
+def test_no_name_without_a_reader():
+    # each of these was read by tests only, or handled like another name
+    assert "norm_error" not in {f.name for f in fields(solver.IterationState)}
+    assert not hasattr(errors_mod, "StepRejectedError")
+    assert list(inspect.signature(find_a0).parameters) == ["config", "grid"]
+    assert not hasattr(io_mod.Snapshot, "grid")
+    assert not hasattr(model, "make_field")
 
 
 def test_load_config_round_trip(tmp_path):
@@ -129,7 +141,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert back.k == snap.k and back.a == snap.a
     assert np.array_equal(back.u, snap.u)
     assert np.array_equal(back.v, snap.v)
-    assert back.grid().n_nodes == snap.n_nodes
+    assert back.n_nodes == snap.n_nodes
     # a second save of the loaded state reproduces the file byte for byte
     path2 = tmp_path / "state2.json"
     io_mod.save_snapshot(str(path2), back)
@@ -525,6 +537,24 @@ def test_cli_refuses_a_grid_whose_weights_overflow(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: grid (-745.0, 709.0, 50 nodes) has a trapezoid weight "
         "h e^theta_max = inf beyond the double range\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trial-eval", "solve", "scan"])
+def test_cli_refuses_a_grid_above_the_node_cap(tmp_path, capsys, monkeypatch, command):
+    # refused by the grid check, before any node is built
+    def build(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(front, "_linspace", build)
+    monkeypatch.setattr(grid_mod, "Grid", build)
+    n = errors_mod.MAX_NODES + 1
+    out = tmp_path / "run"
+    code = main([command, "--grid-nodes", str(n), "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: n_nodes must be an integer and in [2, 1e+06], got {n}\n"
     )
     assert not out.exists()
 

@@ -7,8 +7,8 @@ from solitonscf.errors import ConfigurationError, NumericError
 from solitonscf.grid import build_grid, integrate
 from solitonscf.model import (
     SpinorPair,
+    SelfField,
     density,
-    make_field,
     potential,
     trial_functions,
 )
@@ -158,9 +158,9 @@ def test_potential_brute_force_kernel(coarse_grid):
     assert np.max(np.abs(phi0 - brute)) < 1e-10
 
 
-def test_make_field_scales_by_coupling(grid):
+def test_self_field_scales_by_coupling(grid):
     pair = trial_functions(1.0, grid)
-    fld = make_field(pair, -3.3, grid)
+    fld = SelfField(potential(density(pair, grid).rho, grid), -3.3)
     assert fld.a == -3.3
     assert np.allclose(fld.phi, -3.3 * fld.phi0, rtol=0, atol=1e-15)
 

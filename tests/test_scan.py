@@ -8,6 +8,7 @@ import pytest
 from solitonscf import solver
 from solitonscf.errors import ConfigurationError, DivergenceError, ScanFailureError
 from solitonscf.functional import kinetic_T, potential_Pi
+from solitonscf.io import RunConfig
 from solitonscf.scan import ScanConfig, ScanResult, find_a0, verify_extremum
 from solitonscf.solver import SolverConfig
 
@@ -259,8 +260,23 @@ def test_scan_stalls_when_the_seed_returns(grid):
 def test_scan_eval_cap(coarse_grid):
     cfg = ScanConfig(tol_k=1e-14)
     with pytest.raises(ScanFailureError) as info:
-        find_a0(cfg, coarse_grid, solver_config=SolverConfig())
+        find_a0(cfg, coarse_grid)
     assert len(info.value.k_history) == 2
+
+
+def test_find_a0_reports_at_a_run_configs_alpha0(scan_result, grid):
+    # the solver settings are the defaults, so the iterates are the default
+    # scan's; only the report's alpha0 differs
+    result = find_a0(RunConfig(alpha0=5.0), grid)
+    assert result.a0 == scan_result.a0
+    assert result.report.delta == result.a0 / 5.0
+    assert scan_result.report.delta == scan_result.a0 / 10.0
+
+
+def test_find_a0_solves_with_a_run_configs_solver_settings(grid):
+    with pytest.raises(ScanFailureError, match="after 3 iterations") as info:
+        find_a0(RunConfig(max_iterations=3), grid)
+    assert info.value.k_history == []
 
 
 # ---------------------------------------------------------------------------

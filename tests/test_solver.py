@@ -9,12 +9,17 @@ from solitonscf.errors import (
     DivergenceError,
     NonConvergenceError,
     StalledUpdateError,
-    StepRejectedError,
     WrongBranchError,
 )
 from solitonscf import model, solver
 from solitonscf.grid import Grid, build_grid, integrate
-from solitonscf.model import SpinorPair, density, make_field, potential, trial_functions
+from solitonscf.model import (
+    SelfField,
+    SpinorPair,
+    density,
+    potential,
+    trial_functions,
+)
 from solitonscf.solver import (
     IterationState,
     SolverConfig,
@@ -32,14 +37,12 @@ KSQ_A_PRODUCT = -2.3124125   # k(a)^2 * a, shared by every coupling
 
 
 def _make_state(pair, a, k, grid):
-    fld = make_field(pair, a, grid)
     state = IterationState(
         pair=pair,
         k=float(k),
-        field=fld,
+        field=SelfField(potential(density(pair, grid).rho, grid), float(a)),
         a=float(a),
         residual_norm=float("nan"),
-        norm_error=abs(density(pair, grid).norm - 1.0),
     )
     state.residual_norm = residual_norm(state, grid)
     return state
@@ -371,7 +374,7 @@ def test_newton_step_renormalizes(grid):
     state = _seed_state(grid)
     mu, (du, dv) = _damped(state, grid)
     new = newton_step(state, du, dv, mu, grid)
-    assert new.norm_error < 1e-12
+    assert abs(density(new.pair, grid).norm - 1) < 1e-12
     # the new fields are the raw update times one positive amplitude
     raw = SpinorPair(state.pair.u + du, state.pair.v + dv)
     a_norm = 1.0 / np.sqrt(density(raw, grid).norm)
@@ -387,8 +390,30 @@ def test_newton_step_renormalizes(grid):
 def test_newton_step_rejects_nonpositive_frequency(grid):
     state = _seed_state(grid, k=0.5)
     _, (du, dv) = _damped(state, grid)
-    with pytest.raises(StepRejectedError):
-        newton_step(state, du, dv, -1.0, grid)  # forced downhill past zero
+    # forced downhill past zero, and damped by tau_k onto k = 0 exactly; the
+    # safeguard's _try_step takes either as no valid state
+    for tau_k, k_new in ((1.0, -0.5), (0.5, 0.0)):
+        with pytest.raises(DivergenceError) as info:
+            newton_step(state, du, dv, -1.0, grid, tau_k=tau_k)
+        assert str(info.value) == f"step rejected: new k = {k_new!r} <= 0"
+        assert solver._try_step(state, du, dv, -1.0, grid, tau_k) is None
+
+
+def test_newton_step_integrates_once(grid, monkeypatch):
+    # the raw norm of the moved fields is the step's one integral
+    state = _seed_state(grid)
+    mu, (du, dv) = _damped(state, grid)
+    plain = integrate
+    calls = []
+
+    def counted(values, g):
+        calls.append(1)
+        return plain(values, g)
+
+    for module in (model, solver):
+        monkeypatch.setattr(module, "integrate", counted)
+    newton_step(state, du, dv, mu, grid)
+    assert len(calls) == 1
 
 
 def test_newton_step_flags_nonfinite_fields(grid):
@@ -646,7 +671,6 @@ def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
     state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
     assert not np.array_equal(state.pair.u, init.u)
     assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
-    assert state.norm_error <= 1e-15
 
 
 def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
@@ -685,7 +709,6 @@ def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
     assert len(calls) == 1
     dens = density(state_m33.pair, grid)
     assert np.array_equal(state.field.phi0, potential(dens.rho, grid))
-    assert state.norm_error == abs(dens.norm - 1.0)
 
 
 def test_seed_scale_insensitivity(coarse_grid):

@@ -1,0 +1,125 @@
+"""Print one sha256 over the solver's results on fixed inputs.
+
+Two source trees that print the same digest compute the same iterates, bit
+for bit, on these inputs:
+
+- find_a0 from the 29 starts a_start = -4.4, -4.3, ..., -1.6;
+- cold solve_fixed_a solves, converging and failing (no valid step, the
+  iteration cap, a refused coupling, a singular linearization);
+- warm solves from the a0 state, at a transported k0 = k_s sqrt(a_s / a)
+  and at k0 = k_s, some at a tolerance the a0 state does not meet.
+
+The digest covers the fields u, v, phi0, k, last_mu, the residual norm,
+the iteration count and trace of every solved state, each scan's a0,
+k_history and energy report, and the exception class, text and history of
+every failure. Run it against a tree's sources:
+
+    PYTHONPATH=<tree>/src python3 tools/fingerprint.py
+
+It uses the default grid (2000 nodes on ln x in [ln 1e-6, ln 80]) and
+needs only numpy and the standard library.
+"""
+
+import dataclasses
+import hashlib
+import numbers
+import sys
+
+import numpy as np
+
+from solitonscf.errors import SolitonError
+from solitonscf.grid import build_grid
+from solitonscf.scan import ScanConfig, find_a0
+from solitonscf.solver import SolverConfig, solve_fixed_a
+
+SCAN_STARTS = [round(-4.4 + 0.1 * i, 1) for i in range(29)]
+# (a, SolverConfig keywords, k0)
+COLD_SOLVES = [
+    (-3.3, {}, 1.0),
+    (-8.0, {}, 1.0),
+    (-3.3, {"tau": 1.0}, 3.0),
+    (-1.0, {}, 1.0),                    # no valid step even at the tau floor
+    (-3.3, {}, 0.2),
+    (-3.3, {"max_iterations": 5}, 1.0),  # the iteration cap
+    (0.5, {}, 1.0),                     # refused before iterating
+    (-3.3, {}, 5.0),                    # no decaying tail root
+]
+WARM_COUPLINGS = [-4.1, -2.5, -6.0]
+WARM_TOLERANCES = [1e-8, 1e-12]
+
+
+def _update(h, value):
+    """Feed one value to h: arrays by their bytes, numbers by repr."""
+    if isinstance(value, np.ndarray):
+        h.update(b"array%d:" % value.size)
+        h.update(np.ascontiguousarray(value, dtype=float).tobytes())
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for item in value:
+            _update(h, item)
+        h.update(b"]")
+    elif isinstance(value, numbers.Integral):
+        h.update(repr(int(value)).encode() + b";")
+    elif isinstance(value, numbers.Real):
+        h.update(repr(float(value)).encode() + b";")
+    else:
+        h.update(repr(value).encode() + b";")
+
+
+def _state(state):
+    return (
+        state.pair.u, state.pair.v, state.field.phi0, state.a, state.k,
+        state.last_mu, state.residual_norm, state.iteration, state.trace,
+    )
+
+
+def _failure(exc):
+    history = getattr(exc, "k_history", getattr(exc, "history", []))
+    return ("failure", type(exc).__name__, str(exc), history)
+
+
+def fingerprint(grid) -> str:
+    """The sha256 hex digest of every result above on grid."""
+    h = hashlib.sha256()
+    a0_state = None
+    for a_start in SCAN_STARTS:
+        try:
+            result = find_a0(ScanConfig(a_start=a_start), grid)
+        except SolitonError as exc:
+            _update(h, _failure(exc))
+            continue
+        _update(h, (
+            "scan", a_start, result.a0, _state(result.solution),
+            result.k_history, dataclasses.astuple(result.report),
+            result.warnings,
+        ))
+        if a_start == -3.3:
+            a0_state = (result.a0, result.solution)
+    for a, settings, k0 in COLD_SOLVES:
+        try:
+            _update(h, ("cold", a, k0, _state(
+                solve_fixed_a(a, grid, SolverConfig(**settings), k0=k0)
+            )))
+        except SolitonError as exc:
+            _update(h, _failure(exc))
+    a_s, seed = a0_state
+    for a in WARM_COUPLINGS:
+        for k0 in (seed.k * np.sqrt(a_s / a), seed.k):
+            for tol in WARM_TOLERANCES:
+                config = SolverConfig(tol_residual=tol, max_iterations=60)
+                try:
+                    _update(h, ("warm", a, k0, tol, _state(
+                        solve_fixed_a(a, grid, config, init=seed.pair, k0=k0)
+                    )))
+                except SolitonError as exc:
+                    _update(h, _failure(exc))
+    return h.hexdigest()
+
+
+def main() -> int:
+    print(fingerprint(build_grid(np.log(1e-6), np.log(80.0), 2000)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
