@@ -55,12 +55,11 @@ def _solved(state, report) -> front._Solved:
     )
 
 
-def _solve(cfg, a, k0, snap) -> front._Solved:
-    """front._cmd_solve's numpy solve: solve_fixed_a at a from k0 and the
-    snapshot's pair, or from the seed when snap is None."""
+def _solve(cfg, grid, a, k0, snap) -> front._Solved:
+    """front._cmd_solve's numpy solve on its grid: solve_fixed_a at a from k0
+    and the snapshot's pair, or from the seed when snap is None."""
     # the summary needs |a| < alpha0; refuse a coupling beyond it unsolved
     charge_relation(a, alpha0=cfg.alpha0)
-    grid = cfg.build_grid()
     init = None if snap is None else snap.pair()
     state = solve_fixed_a(a, grid, config=cfg, init=init, k0=k0)
     return _solved(state, energy_report(state.pair, grid, state.a, alpha0=cfg.alpha0))

@@ -17,7 +17,9 @@ solver. Both return one record, which one summary and one state writer
 turn into the artifacts; a certified pair's are the bytes the numpy solve
 would write.
 
-These commands repeat the arithmetic of the numpy layers element for
+These commands run on the node and weight lists of grid.Grid, the grid of
+the numpy layers too, which builds its numpy arrays only when they are
+asked for. They repeat the arithmetic of the numpy layers element for
 element, but take each integral with math.fsum where numpy takes a dot
 product, so the two agree to about 1e-15 relative, well inside the
 summaries' 6 digits. trial-eval costs about 3 us per node and the
@@ -49,9 +51,9 @@ from .errors import (
     SnapshotError,
     SolitonError,
     UnnormalizedStateError,
-    check_grid,
     check_value,
 )
+from .grid import Grid, _linspace
 
 __all__ = ["build_parser", "run_command", "main", "main_entry"]
 
@@ -165,29 +167,6 @@ def _out(cfg: io_mod.RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _linspace(start: float, stop: float, num: int) -> List[float]:
-    """num evenly spaced doubles from start to stop, as np.linspace gives them.
-
-    The arithmetic is numpy's, step for step: i * step + start, with the
-    last point set to stop. A step that underflows to zero (a range of
-    subnormal width) scales by (i / div) * delta instead.
-    """
-    delta = stop - start
-    div = num - 1
-    if div > 0:
-        step = delta / div
-        if step == 0:
-            ys = [i / div * delta for i in range(num)]
-        else:
-            ys = [i * step for i in range(num)]
-    else:
-        ys = [i * delta for i in range(num)]
-    ys = [y + start for y in ys]
-    if num > 1:
-        ys[-1] = stop
-    return ys
-
-
 def _cmd_dispersion(args) -> int:
     cfg = _run_config(args)
     if (args.e0 is None) == (args.from_summary is None):
@@ -244,40 +223,25 @@ def _cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-# grid.Grid on lists: its bounds, node count, nodes x, spacing h and
-# trapezoid weights w (quad_weights)
-_Grid = namedtuple("_Grid", "theta_min theta_max n_nodes x h w")
-
-
-def _grid(theta_min, theta_max, n_nodes) -> _Grid:
-    """grid.build_grid on lists of floats, with its refusals."""
-    theta_min, theta_max, n = check_grid(theta_min, theta_max, n_nodes)
-    h = (theta_max - theta_min) / (n - 1)
-    x = [math.exp(theta) for theta in _linspace(theta_min, theta_max, n)]
-    w = [h * xi for xi in x]  # trapezoid weights, the Jacobian e^theta absorbed
-    w[0], w[-1] = 0.5 * h * x[0], 0.5 * h * x[-1]
-    return _Grid(theta_min, theta_max, n, x, h, w)
-
-
-def _integral(grid: _Grid, f) -> float:
+def _integral(grid: Grid, f) -> float:
     """grid.integrate, which refuses non-finite values, with math.fsum."""
     if not all(map(math.isfinite, f)):
         raise NumericError("integrate: input contains non-finite values")
-    return math.fsum(map(mul, grid.w, f))
+    return math.fsum(map(mul, grid.ws, f))
 
 
-def _d_dx(grid: _Grid, f) -> List[float]:
+def _d_dx(grid: Grid, f) -> List[float]:
     """grid.differentiate: centred inside, one-sided at the two ends."""
     h = grid.h
     d = [(f[i + 1] - f[i - 1]) / (2.0 * h) for i in range(1, len(f) - 1)]
     d = [(f[1] - f[0]) / h] + d + [(f[-1] - f[-2]) / h]
-    return list(map(truediv, d, grid.x))
+    return list(map(truediv, d, grid.xs))
 
 
-def _phi0(grid: _Grid, rho) -> List[float]:
+def _phi0(grid: Grid, rho) -> List[float]:
     """model.potential: the backward sweep of rho dtheta plus the forward
     sweep of rho x dtheta over x."""
-    x, c, n = grid.x, 0.5 * grid.h, len(rho)
+    x, c, n = grid.xs, 0.5 * grid.h, len(rho)
     outer = [c * (rho[i + 1] + rho[i]) for i in reversed(range(n - 1))]
     outer = list(accumulate(outer, initial=0.0))[::-1]
     inner = [c * (rho[i + 1] * x[i + 1] + rho[i] * x[i]) for i in range(n - 1)]
@@ -285,29 +249,29 @@ def _phi0(grid: _Grid, rho) -> List[float]:
     return [o + q / xi for o, q, xi in zip(outer, inner, x)]
 
 
-def _energy(grid: _Grid, u, v, rho, phi0):
+def _energy(grid: Grid, u, v, rho, phi0):
     """T, Pi and the integral of x rho, as functional.energy_report takes them."""
     du, dv = _d_dx(grid, u), _d_dx(grid, v)
     kinetic = [
         (dui * vi - dvi * ui) - 2.0 * ui * vi / xi + (ui * ui - vi * vi)
-        for dui, dvi, ui, vi, xi in zip(du, dv, u, v, grid.x)
+        for dui, dvi, ui, vi, xi in zip(du, dv, u, v, grid.xs)
     ]
-    shell, radial = list(map(mul, phi0, rho)), list(map(mul, grid.x, rho))
+    shell, radial = list(map(mul, phi0, rho)), list(map(mul, grid.xs, rho))
     return tuple(_integral(grid, f) for f in (kinetic, shell, radial))
 
 
 def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     """trial-eval's numbers for the seed pair at scale b on the given grid.
 
-    The same arithmetic, element for element, as grid.build_grid,
-    model.trial_functions, SpinorPair.normalized, functional.kinetic_T and
-    potential_Pi, with the same refusals: the grid's, b's, a seed with no
+    The same arithmetic, element for element, as model.trial_functions,
+    SpinorPair.normalized, functional.kinetic_T and potential_Pi on the
+    same Grid, with the same refusals: the grid's, b's, a seed with no
     finite positive norm, and a rescaled pair whose norm is not 1. A seed
     whose energy integrands are not finite on the grid is refused too.
     """
-    grid = _grid(theta_min, theta_max, n_nodes)
+    grid = Grid(theta_min, theta_max, n_nodes)
     check_value("trial scale b", b, 0.0, open_low=True)
-    x = grid.x
+    x = grid.xs
     try:
         amp = b**1.5
     except OverflowError:  # numpy's power gives inf, and the norm below nan
@@ -318,7 +282,7 @@ def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     u = [A * xi * (1.0 + b * xi) * d for xi, d in zip(x, decay)]
     v = [B * xi * xi * d for xi, d in zip(x, decay)]
     try:  # unchecked, as in trial_functions: a non-finite norm is refused
-        norm = math.fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(grid.w, u, v))
+        norm = math.fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(grid.ws, u, v))
     except OverflowError:  # finite terms whose sum overflows: numpy gives inf
         norm = math.inf
     if not (math.isfinite(norm) and norm > 0.0):
@@ -363,9 +327,9 @@ def _cmd_trial_eval(args) -> int:
     return EXIT_OK
 
 
-def _residual(grid: _Grid, u, v, phi, k) -> List[float]:
+def _residual(grid: Grid, u, v, phi, k) -> List[float]:
     """|r_u| and |r_v| of solver.ode_residual on every interval, interleaved."""
-    x, h, kk = grid.x, grid.h, k * k
+    x, h, kk = grid.xs, grid.h, k * k
     out = []
     for i in range(len(u) - 1):
         phi_m = 0.5 * (phi[i + 1] + phi[i])
@@ -386,7 +350,7 @@ def _fsum(terms) -> float:
         return math.nan
 
 
-def _i_mu(grid: _Grid, u, v, phi, k) -> float:
+def _i_mu(grid: Grid, u, v, phi, k) -> float:
     """I_mu of solver.mu_update: the weighted overlap of (u, v) with the
     frequency direction that solver.solve_corrections solves for.
 
@@ -396,7 +360,7 @@ def _i_mu(grid: _Grid, u, v, phi, k) -> float:
     block j + 1. nan when a pivot block's determinant is zero or not
     finite, or the tail has no decaying root.
     """
-    x, h, n, kk = grid.x, grid.h, len(u), k * k
+    x, h, n, kk = grid.xs, grid.h, len(u), k * k
     pe, qe, de = 1.0 - kk * phi[-1], 1.0 + kk * phi[-1], 2.0 * k * phi[-1]
     disc = 1.0 / (x[-1] * x[-1]) + pe * qe
     if not disc > 0.0:
@@ -423,7 +387,7 @@ def _i_mu(grid: _Grid, u, v, phi, k) -> float:
         # z_j = g - c (up . z_{j+1}), c the second column of the block's inverse
         c0, c1 = -b01 / det, b00 / det
         g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b10 * f0) / det
-        blocks.append((c0, c1, g0, g1, up0, up1, grid.w[j] * u[j], grid.w[j] * v[j]))
+        blocks.append((c0, c1, g0, g1, up0, up1, grid.ws[j] * u[j], grid.ws[j] * v[j]))
         if j < n - 1:  # interval j's second equation is row 0 of block j + 1
             t = (-g_b * c0) + (-1.0 + 0.5 * h) * c1
             b00, b01 = -g_b - t * up0, 1.0 + 0.5 * h - t * up1
@@ -444,7 +408,7 @@ def _i_mu(grid: _Grid, u, v, phi, k) -> float:
 _Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace T Pi radius")
 
 
-def _certify(cfg, grid: _Grid, a, k, snap) -> Optional[_Solved]:
+def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     """The snapshot's pair as the state solved at (a, k), if solve_fixed_a's
     first convergence check certifies it; else None.
 
@@ -452,15 +416,16 @@ def _certify(cfg, grid: _Grid, a, k, snap) -> Optional[_Solved]:
     artifacts' values are the numpy path's bit for bit, and mu and the
     integrals come from math.fsum and block elimination. The pair is
     certified only when the residual is below tol_residual, |mu| is at most
-    half of it, the fsum norm is within 2 eps of 1 (the numpy path keeps a
-    pair within 4 eps of its dot-product norm), u has no interior node,
-    every pivot is finite and non-zero and |a| < alpha0.
+    half of tol_residual times k, |I_mu| k is at least 1e-14, the fsum
+    norm is within 2 eps of 1 (the numpy path keeps a pair within 4 eps of
+    its dot-product norm), u has no interior node, every pivot is finite
+    and non-zero and |a| < alpha0.
     """
     if not -cfg.alpha0 < a < 0.0:
         return None
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
-    norm = _fsum(map(mul, grid.w, rho))
+    norm = _fsum(map(mul, grid.ws, rho))
     if not (0.0 < k < math.inf and abs(norm - 1.0) <= 2.0 * sys.float_info.epsilon):
         return None
     phi0 = _phi0(grid, rho)
@@ -469,7 +434,8 @@ def _certify(cfg, grid: _Grid, a, k, snap) -> Optional[_Solved]:
     if not all(r < tol for r in residual):
         return None
     i_mu = _i_mu(grid, u, v, phi, k)
-    if not (1e-14 <= abs(i_mu) < math.inf and abs(norm / i_mu) <= 0.5 * tol):
+    # the thresholds of solve_fixed_a, in units of k: only k^2 a enters
+    if not (1e-14 <= abs(i_mu) * k < math.inf and abs(norm / i_mu) <= 0.5 * tol * k):
         return None
     scale = max(map(abs, u))
     core = [z for z in u if abs(z) > 1e-8 * scale]
@@ -481,7 +447,7 @@ def _certify(cfg, grid: _Grid, a, k, snap) -> Optional[_Solved]:
 
 def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:
     """profiles.csv and the snapshot file of a solved state, for solve and
-    scan; grid is a grid.Grid or a _Grid, whose x are the same doubles."""
+    scan."""
     if "csv" in cfg.formats:
         io_mod.write_profiles_csv(
             _out(cfg, "profiles.csv"), grid, solved.u, solved.v, solved.phi0
@@ -496,12 +462,13 @@ def _cmd_solve(args) -> int:
     checked once, here; a pair that _certify accepts is the solved state,
     any other solve is cli's numpy solver's. One writer serves both."""
     cfg = _run_config(args)
-    grid = _grid(cfg.theta_min, cfg.theta_max, cfg.n_nodes)
+    grid = cfg.build_grid()
     a = cfg.a_start if args.a is None else args.a
     k0, snap, solved = 1.0, None, None
     if args.warm_start:
         snap = io_mod._read_snapshot(args.warm_start)
-        if (snap.theta_min, snap.theta_max, snap.n_nodes) != grid[:3]:
+        bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
+        if (snap.theta_min, snap.theta_max, snap.n_nodes) != bounds:
             raise ConfigurationError(
                 "warm-start snapshot grid does not match the requested grid"
             )
@@ -519,7 +486,7 @@ def _cmd_solve(args) -> int:
     if solved is None:
         from . import cli  # numpy and the solver stack
 
-        solved = cli._solve(cfg, a, k0, snap)
+        solved = cli._solve(cfg, grid, a, k0, snap)
     a, T, alpha0 = solved.a, solved.T, cfg.alpha0
     if "json" in cfg.formats:  # the values of functional.energy_report
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), {

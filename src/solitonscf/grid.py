@@ -15,21 +15,55 @@ the endpoint derivatives alone and lands many orders below the nominal h^2.
 The price is that constants are integrated only to O(h^2) (about 6e-6
 relative on the default grid); the decaying integrands this package actually
 meets are the ones that matter.
+
+Grid is the one grid of the package, for the numpy layers and the
+standard-library commands alike. It checks its bounds and node count on
+construction (errors.check_grid) and builds its nodes and weights as lists
+of floats there; the numpy arrays theta, x and quad_weights hold the same
+doubles and are made from those lists on first use. So building a grid, and
+_linspace, which also spaces the dispersion command's momenta, import no
+numpy; integrate and differentiate import it when called.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import NumericError, ShapeError, check_grid
 
 __all__ = ["Grid", "build_grid", "integrate", "differentiate"]
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced doubles from start to stop, as np.linspace gives them.
+
+    The arithmetic is numpy's, step for step: i * step + start, with the
+    last point set to stop. One point is 0 * delta + start, and a step that
+    underflows to zero (a range of subnormal width) scales by
+    (i / div) * delta instead.
+    """
+    delta, div = stop - start, num - 1
+    step = delta / div if div > 0 else 0.0
+    if step != 0:
+        ys = [i * step + start for i in range(num)]
+    else:
+        ys = [(i / div if div > 0 else i) * delta + start for i in range(num)]
+    if num > 1:
+        ys[-1] = stop
+    return ys
+
+
+# each numpy array of a Grid and the list it is made from
+_ARRAY_SOURCES = {"theta": "thetas", "x": "xs", "quad_weights": "ws"}
+
+
 @dataclass
 class Grid:
     """Uniform grid in theta = ln x.
+
+    Construction refuses what errors.check_grid refuses, with
+    ConfigurationError: bounds that are not finite, not increasing or
+    whose e^theta or largest trapezoid weight is not finite and positive,
+    and an n_nodes that is not an integer in [2, errors.MAX_NODES].
 
     Attributes
     ----------
@@ -37,52 +71,62 @@ class Grid:
         Bounds in theta; x spans [e^theta_min, e^theta_max].
     n_nodes : int
         Number of nodes, endpoints included.
-    theta : np.ndarray
-        Node coordinates in theta, shape (n_nodes,).
-    x : np.ndarray
-        Node coordinates in x, math.exp of each theta node, so the
-        standard-library front builds the same doubles.
     h : float
         Uniform theta spacing.
-    quad_weights : np.ndarray
-        Trapezoid weights in theta with the Jacobian e^theta absorbed;
+    thetas, xs, ws : list of float
+        Node coordinates in theta (np.linspace's doubles), in x (math.exp
+        of each theta node) and the trapezoid weights in theta with the
+        Jacobian e^theta absorbed.
+    theta, x, quad_weights : np.ndarray
+        thetas, xs and ws as read-only arrays, made on first use;
         integrate(f) is quad_weights @ f.
     """
 
     theta_min: float
     theta_max: float
     n_nodes: int
-    theta: np.ndarray = field(init=False, repr=False)
-    x: np.ndarray = field(init=False, repr=False)
     h: float = field(init=False)
-    quad_weights: np.ndarray = field(init=False, repr=False)
+    thetas: list[float] = field(init=False, repr=False)
+    xs: list[float] = field(init=False, repr=False)
+    ws: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.theta = np.linspace(self.theta_min, self.theta_max, self.n_nodes)
-        self.x = np.array([math.exp(theta) for theta in self.theta.tolist()])
-        self.h = (self.theta_max - self.theta_min) / (self.n_nodes - 1)
-        w = np.full(self.n_nodes, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        self.quad_weights = w * self.x
+        t0, t1, n = check_grid(self.theta_min, self.theta_max, self.n_nodes)
+        self.theta_min, self.theta_max, self.n_nodes = t0, t1, n
+        h = self.h = (t1 - t0) / (n - 1)
+        self.thetas = _linspace(t0, t1, n)
+        xs = self.xs = [math.exp(theta) for theta in self.thetas]
+        self.ws = [h * x for x in xs]
+        self.ws[0], self.ws[-1] = 0.5 * h * xs[0], 0.5 * h * xs[-1]
+
+    def __getattr__(self, name):
+        # only attributes not yet set get here: an array, made once
+        source = _ARRAY_SOURCES.get(name)
+        if source is None:
+            raise AttributeError(f"'Grid' object has no attribute {name!r}")
+        import numpy as np
+
+        array = self.__dict__[name] = np.array(getattr(self, source))
+        array.flags.writeable = False  # the lists hold the same doubles
+        return array
 
     @property
     def x_min(self) -> float:
-        return float(self.x[0])
+        return self.xs[0]
 
     @property
     def x_max(self) -> float:
-        return float(self.x[-1])
+        return self.xs[-1]
 
 
 def build_grid(theta_min: float, theta_max: float, n_nodes: int) -> Grid:
-    """Construct a Grid once errors.check_grid accepts its bounds and node
-    count: finite bounds with theta_min < theta_max whose e^theta is finite
-    and positive, and an integer n_nodes in [2, errors.MAX_NODES].
-    """
-    return Grid(*check_grid(theta_min, theta_max, n_nodes))
+    """Grid(theta_min, theta_max, n_nodes), which checks its arguments."""
+    return Grid(theta_min, theta_max, n_nodes)
 
 
-def _check_values(values: np.ndarray, grid: Grid, op: str) -> np.ndarray:
+def _check_values(values, grid: Grid, op: str):
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ShapeError(
@@ -93,13 +137,13 @@ def _check_values(values: np.ndarray, grid: Grid, op: str) -> np.ndarray:
     return values
 
 
-def integrate(values: np.ndarray, grid: Grid) -> float:
+def integrate(values, grid: Grid) -> float:
     """Integral of nodal values over x in [x_min, x_max]."""
     values = _check_values(values, grid, "integrate")
     return float(grid.quad_weights @ values)
 
 
-def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
+def differentiate(values, grid: Grid):
     """d/dx of nodal values: e^{-theta} times theta differences.
 
     Centered second-order stencil at interior nodes, first-order one-sided
@@ -107,6 +151,8 @@ def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
     where every field in this problem is vanishingly small, so the lower
     order there never surfaces in assembled integrals).
     """
+    import numpy as np
+
     values = _check_values(values, grid, "differentiate")
     d = np.empty_like(values)
     d[1:-1] = values[2:] - values[:-2]

@@ -86,8 +86,8 @@ class SolverConfig:
     tau damps the field step; the frequency update is always the full mu.
     Far from convergence the fields move by that damped step; near it the
     damped step is the residual that Anderson mixing combines, so tau still
-    scales every field update. Convergence requires both the residual norm
-    and |mu| below tol_residual.
+    scales every field update. Convergence requires the residual norm below
+    tol_residual and |mu| below tol_residual times k.
     """
 
     tau: float = 0.5
@@ -129,7 +129,7 @@ class RunConfig(SolverConfig, ScanConfig):
     A RunConfig is a SolverConfig and a ScanConfig, so it is passed to
     solve_fixed_a and find_a0 as itself. The inherited fields come first,
     so construct it by keyword. validate() checks every value but the grid
-    bounds and node count, which build_grid checks.
+    bounds and node count, which Grid checks.
     """
 
     theta_min: float = math.log(1e-6)
@@ -535,15 +535,16 @@ def write_profiles_csv(path: str, grid: "Grid", u, v, phi0) -> None:
 
     Every column goes through the field memo: a profile table written next
     to a snapshot of the same state formats only phi0 and rho, and a table
-    of a state whose fields are unchanged formats nothing. Only grid.x is
-    read, and fields given as float sequences are written without numpy.
+    of a state whose fields are unchanged formats nothing. Only grid.xs,
+    the node list, is read, so the grid's arrays are not built, and fields
+    given as float sequences are written without numpy.
     """
     u, v = _field(path, "u", u), _field(path, "v", v)
     if array in (type(u), type(v)):  # rho element by element, as numpy forms it
         rho = array("d", [p * p + q * q for p, q in zip(u, v)])
     else:
         rho = u * u + v * v
-    _csv(path, ("x", "u", "v", "phi0", "rho"), (grid.x, u, v, phi0, rho))
+    _csv(path, ("x", "u", "v", "phi0", "rho"), (grid.xs, u, v, phi0, rho))
 
 
 def write_history_csv(path: str, k_history: Sequence[Tuple]) -> None:

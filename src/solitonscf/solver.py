@@ -44,6 +44,14 @@ iteration takes the safeguarded damped step (tau halving, then the
 least-bad candidate, whose frequency step is damped by the same tau).
 Above the threshold every step is the damped step.
 
+A solve stops at the first check where the residual norm is below
+tol_residual and |mu| is below tol_residual times k. Only lam = k^2 a
+enters the discrete equations, so the relative step mu / k does not depend
+on a; the stall rule (|I_mu| k below 1e-14) and the floor that k may not
+reach (0.05 times the starting k) are scaled by k in the same way. So a
+state converged at one coupling passes the same check at any other, at
+the frequency k^2 a fixes, however close to 0 that coupling is.
+
 A warm solve starts at the given k0 unless its pair already solves the
 frozen-potential equations at some frequency. The box rows are affine in
 lam = k^2 a, so the least-squares lam of the pair is one O(n) projection,
@@ -427,15 +435,16 @@ def mu_update(state: IterationState, psi_mu, psi1_mu, grid: Grid) -> float:
     residual-driven correction is (psi, psi1) = (-u, -v), so I_s = -N and
     mu = N / I_mu, which is 1 / I_mu for a normalized state. N is
     integrated all the same, so a state off the unit norm is not silently
-    assumed normalized.
+    assumed normalized. I_mu scales as 1 / k, so the update stalls
+    (StalledUpdateError) when |I_mu| k, not |I_mu|, is below 1e-14.
     """
     u, v = state.pair.u, state.pair.v
     norm = integrate(u * u + v * v, grid)
     i_mu = integrate(u * psi_mu + v * psi1_mu, grid)
-    if abs(i_mu) < _MU_DENOM_TOL:
+    if abs(i_mu) * state.k < _MU_DENOM_TOL:
         raise StalledUpdateError(
-            f"frequency update denominator |I_mu| = {abs(i_mu):.3e} < "
-            f"{_MU_DENOM_TOL:g}; the linearization carries no k-motion"
+            f"frequency update denominator |I_mu| k = {abs(i_mu) * state.k:.3e} "
+            f"< {_MU_DENOM_TOL:g}; the linearization carries no k-motion"
         )
     return float(norm / i_mu)
 
@@ -518,11 +527,11 @@ class _AndersonMixer:
         self.count = 0
         self.head = 0
 
-    def step(self, state, psi_mu, psi1_mu, mu, tau, grid):
+    def step(self, state, psi_mu, psi1_mu, mu, tau, grid, k_floor):
         """Record the current (x, f) and return the mixed IterationState.
 
         Returns None while there is no history yet, and when the proposal
-        is rejected (no valid state, or k at or below _K_FLOOR); a rejection
+        is rejected (no valid state, or k at or below k_floor); a rejection
         also clears the history.
         """
         x = np.concatenate((state.pair.u, state.pair.v))
@@ -544,7 +553,7 @@ class _AndersonMixer:
         # the fields move by exactly the mixed step, k by the full mu
         n = grid.n_nodes
         new = _try_step(state, step[:n], step[n:], mu, grid)
-        if new is None or new.k <= _K_FLOOR:
+        if new is None or new.k <= k_floor:
             self.clear()
             return None
         return new
@@ -667,17 +676,20 @@ def solve_fixed_a(
     check_value("coupling a", a, high=0.0, open_high=True)
     check_value("starting frequency k0", k0, 0.0, open_low=True)
 
-    state = _initial_state(a, grid, init, k0, config.tol_residual)
+    tol = config.tol_residual
+    state = _initial_state(a, grid, init, k0, tol)
     tau = config.tau
     tau_floor = config.tau / 64.0
     accepted_streak = 0
+    # only k^2 a enters, so the frequency's floor and stop rule scale with k
+    k_floor = _K_FLOOR * state.k
     mixer = _AndersonMixer(grid.n_nodes)
 
     for _ in range(config.max_iterations):
         psi_mu, psi1_mu = solve_corrections(state, grid)
         mu = mu_update(state, psi_mu, psi1_mu, grid)
 
-        if abs(mu) < config.tol_residual and state.residual_norm < config.tol_residual:
+        if abs(mu) < tol * state.k and state.residual_norm < tol:
             if count_nodes(state.pair.u) > 0:
                 raise WrongBranchError(
                     f"converged at a={a!r} to a state with "
@@ -690,7 +702,7 @@ def solve_fixed_a(
         if state.residual_norm > _MIX_THRESHOLD:
             mixer.clear()
         else:
-            accepted = mixer.step(state, psi_mu, psi1_mu, mu, tau, grid)
+            accepted = mixer.step(state, psi_mu, psi1_mu, mu, tau, grid, k_floor)
 
         # A step already damped to the floor would be accepted as the
         # least-bad candidate at once, so it must not move k by the full mu.
@@ -700,11 +712,10 @@ def solve_fixed_a(
             candidate = _try_step(state, du, dv, mu, grid, tau_k)
             reject = (
                 candidate is None
-                or candidate.k <= _K_FLOOR
+                or candidate.k <= k_floor
                 or (
-                    candidate.residual_norm
-                    > state.residual_norm + 10.0 * config.tol_residual
-                    and state.residual_norm > 10.0 * config.tol_residual
+                    candidate.residual_norm > state.residual_norm + 10.0 * tol
+                    and state.residual_norm > 10.0 * tol
                 )
             )
             if not reject:

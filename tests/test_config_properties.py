@@ -7,7 +7,6 @@ and it refuses every value outside the site's rule.
 """
 
 import sys
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -69,17 +68,15 @@ def _solve_fixed_a(name):
 
 
 def _grid_nodes(value):
-    """The node count build_grid holds. A count the check takes builds its
-    Grid only up to 64 nodes; a larger one is held by a stand-in, so that
+    """The node count build_grid holds. A count the check takes builds at
+    most 64 nodes: the node spacing stands in for a larger count, so that
     no large grid is allocated whatever the check lets through."""
-    real = grid_mod.Grid
+    real = grid_mod._linspace
 
-    def build(theta_min, theta_max, n_nodes):
-        if n_nodes > 64:
-            return SimpleNamespace(n_nodes=n_nodes)
-        return real(theta_min, theta_max, n_nodes)
+    def spaced(start, stop, num):
+        return real(start, stop, min(num, 64))
 
-    with mock.patch.object(grid_mod, "Grid", build):
+    with mock.patch.object(grid_mod, "_linspace", spaced):
         return grid_mod.build_grid(-1.0, 1.0, value).n_nodes
 
 

@@ -1,13 +1,15 @@
 """The stdlib-only command line front and the lazy package exports.
 
 dispersion, trial-eval, a certified warm solve, --help and usage errors
-must run without importing numpy, and the front's stdlib linspace and grid
-nodes must give numpy's momenta and Grid.x bit for bit.
+must run without importing numpy, and so must building a Grid. The
+standard-library linspace and Grid's node and weight lists must give the
+doubles of numpy's formulas bit for bit.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -20,7 +22,8 @@ import pytest
 import solitonscf
 from solitonscf import grid as grid_mod
 from solitonscf import io as io_mod
-from solitonscf.front import EXIT_OK, EXIT_USAGE, _grid, _linspace, main
+from solitonscf.front import EXIT_OK, EXIT_USAGE, main
+from solitonscf.grid import _linspace
 
 LAYERS = ("cli", "scan", "solver", "model", "grid", "functional", "dispersion", "io")
 
@@ -208,9 +211,41 @@ def test_linspace_matches_numpy_on_random_ranges():
 
 @pytest.mark.parametrize("n_nodes", [500, 2000, 16000])
 def test_stdlib_grid_is_grid_x_and_weights_bit_for_bit(n_nodes):
+    # the reference: Grid's nodes and weights by numpy's formulas
     cfg = io_mod.RunConfig()
-    grid = grid_mod.build_grid(cfg.theta_min, cfg.theta_max, n_nodes)
-    stdlib = _grid(cfg.theta_min, cfg.theta_max, n_nodes)
-    assert _bits(stdlib.x) == _bits(grid.x)
-    assert _bits(stdlib.w) == _bits(grid.quad_weights)
-    assert stdlib.h == grid.h
+    grid = grid_mod.Grid(cfg.theta_min, cfg.theta_max, n_nodes)
+    theta = np.linspace(cfg.theta_min, cfg.theta_max, n_nodes)
+    x = np.array([math.exp(t) for t in theta.tolist()])
+    h = (cfg.theta_max - cfg.theta_min) / (n_nodes - 1)
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    for values, array, expected in (
+        (grid.thetas, grid.theta, theta),
+        (grid.xs, grid.x, x),
+        (grid.ws, grid.quad_weights, w * x),
+    ):
+        assert _bits(values) == _bits(array) == _bits(expected)
+    assert grid.h == h
+
+
+def test_building_a_grid_imports_no_numpy():
+    code = (
+        "import sys; from solitonscf.grid import Grid; "
+        "from solitonscf.io import RunConfig; c = RunConfig(); "
+        "g = Grid(c.theta_min, c.theta_max, c.n_nodes); "
+        "print('numpy' in sys.modules, len(g.xs))"
+    )
+    proc = _run(["-c", code])
+    assert proc.stdout.split() == ["False", "2000"], proc.stderr
+
+
+def test_a_warm_solve_near_zero_coupling_is_certified(tmp_path, a0_state):
+    # only k^2 a enters, so the a0 state is converged at a = -1e-20 too, at
+    # k = k_s sqrt(a_s / a) near 1.5e10; the certificate's tolerances scale
+    # with k as solve_fixed_a's do
+    shutil.copy(a0_state, tmp_path / "a0_state.json")
+    argv = ["solve", "--warm-start", "a0_state.json", "--a=-1e-20"]
+    report, stderr = _run_module(argv, tmp_path)
+    assert report == {"numpy": False, "exit": EXIT_OK}, stderr
+    summary = json.loads((tmp_path / "solve_summary.json").read_text())
+    assert summary["iterations"] == 0

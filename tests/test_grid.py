@@ -10,7 +10,7 @@ from solitonscf.errors import (
     ShapeError,
     check_grid,
 )
-from solitonscf.grid import build_grid, differentiate, integrate
+from solitonscf.grid import Grid, build_grid, differentiate, integrate
 
 
 def test_build_grid_basic():
@@ -37,11 +37,15 @@ def test_build_grid_basic():
         (0.0, 1.0, 2.9),        # not an integer, refused rather than truncated
         (0.0, 1.0, "5"),        # not a number
         (True, 2.0, 5),         # a bool is no bound
+        (1.0, 0.0, 5),          # reversed, on few nodes
+        (0.0, 1.0, MAX_NODES + 1),
     ],
 )
 def test_build_grid_rejects_bad_input(args):
-    with pytest.raises(ConfigurationError):
-        build_grid(*args)
+    # Grid checks its own arguments, so both spellings refuse alike
+    for build in (build_grid, Grid):
+        with pytest.raises(ConfigurationError):
+            build(*args)
 
 
 # the check alone: a grid at these counts is never built

@@ -278,7 +278,7 @@ def test_csv_bytes_match_the_row_recipe(tmp_path, name):
     phi0 = -u
     path = tmp_path / "profiles.csv"
     with np.errstate(over="ignore", invalid="ignore"):
-        io_mod.write_profiles_csv(str(path), SimpleNamespace(x=x), u, v, phi0)
+        io_mod.write_profiles_csv(str(path), SimpleNamespace(xs=x), u, v, phi0)
         rho = u * u + v * v
     assert path.read_text() == _reference_csv_text(
         ("x", "u", "v", "phi0", "rho"), zip(x, u, v, phi0, rho)
@@ -518,7 +518,7 @@ def test_field_writers_take_float_lists_as_arrays(tmp_path, memo):
     for form, as_form in (("array", np.asarray), ("list", np.ndarray.tolist)):
         u, v, p = (as_form(f) for f in (snap.u, snap.v, phi0))
         memo.clear()
-        grid = SimpleNamespace(x=as_form(x))
+        grid = SimpleNamespace(xs=as_form(x))
         io_mod.write_profiles_csv(str(tmp_path / f"{form}.csv"), grid, u, v, p)
         io_mod.save_snapshot(str(tmp_path / f"{form}.json"), replace(snap, u=u, v=v))
     for ext in ("csv", "json"):
@@ -547,8 +547,7 @@ def test_cli_refuses_a_grid_above_the_node_cap(tmp_path, capsys, monkeypatch, co
     def build(*args):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(front, "_linspace", build)
-    monkeypatch.setattr(grid_mod, "Grid", build)
+    monkeypatch.setattr(grid_mod, "_linspace", build)  # Grid's nodes
     n = errors_mod.MAX_NODES + 1
     out = tmp_path / "run"
     code = main([command, "--grid-nodes", str(n), "--output-dir", str(out)])
@@ -621,7 +620,7 @@ def _memo_writers(tmp_path, x, u, v):
         return snap_path.read_text()
 
     def csv():
-        io_mod.write_profiles_csv(str(csv_path), SimpleNamespace(x=x), u, v, -u)
+        io_mod.write_profiles_csv(str(csv_path), SimpleNamespace(xs=x), u, v, -u)
         rho = u * u + v * v
         assert csv_path.read_text() == _reference_csv_text(
             ("x", "u", "v", "phi0", "rho"), zip(x, u, v, -u, rho)
@@ -730,7 +729,7 @@ def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
     x, u, v = _memo_fields(10, "finite")
     old = os.umask(0o022)
     try:
-        io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), u, v, u)
+        io_mod.write_profiles_csv(str(target), SimpleNamespace(xs=x), u, v, u)
         before = target.read_bytes()
 
         def pieces():
@@ -756,14 +755,14 @@ def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
         monkeypatch.setattr(io_mod, "_CHUNK_ROWS", 4)
         monkeypatch.setattr(io_mod, "_text_chunks", failing)
         with pytest.raises(RuntimeError):
-            io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
+            io_mod.write_profiles_csv(str(target), SimpleNamespace(xs=x), 2 * u, v, u)
         # each of the five columns gave its first chunk of rows before the raise
         assert [len(chunk) for chunk in served] == [4] * 5
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
 
         monkeypatch.setattr(io_mod, "_text_chunks", real)
-        io_mod.write_profiles_csv(str(target), SimpleNamespace(x=x), 2 * u, v, u)
+        io_mod.write_profiles_csv(str(target), SimpleNamespace(xs=x), 2 * u, v, u)
     finally:
         os.umask(old)
     assert target.read_bytes() != before
@@ -1074,7 +1073,7 @@ def test_cli_path_with_a_nul_is_a_usage_error(tmp_path, capsys, monkeypatch, arg
 
 def test_cli_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     # only the package's own ValueErrors are usage errors; a fault propagates
-    def internal(cfg, a, k0, snap):
+    def internal(cfg, grid, a, k0, snap):
         raise ValueError("internal")
 
     monkeypatch.setattr(cli_mod, "_solve", internal)

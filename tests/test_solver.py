@@ -711,6 +711,46 @@ def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
     assert np.array_equal(state.field.phi0, potential(dens.rho, grid))
 
 
+@pytest.mark.parametrize("a", [-1e-12, -1e-20, -1e-100, -1e-300])
+def test_a0_state_is_converged_at_couplings_near_zero(scan_result, grid, a):
+    # only k^2 a enters, so the a0 state at k = k_s sqrt(a_s / a) passes the
+    # first check: the stop rule, the stall rule and the floor scale with k
+    source = scan_result.solution
+    k0 = source.k * np.sqrt(source.a / a)
+    state = solve_fixed_a(a, grid, init=source.pair, k0=k0)
+    assert state.iteration == 0
+    assert state.pair.u.tobytes() == source.pair.u.tobytes()
+    assert state.k**2 * a == pytest.approx(-2.31241247338, abs=1e-11)
+
+
+def test_cold_solves_from_every_seed_reach_one_state(grid):
+    # the paper: the solution is unique at fixed coupling. Cold solves from
+    # 15 (trial scale b, coupling lam0) cells, each its own trajectory, end
+    # on one k^2 lam0 within ten times the tolerance
+    config = SolverConfig(tol_residual=1e-12)
+    cells = [
+        (0.3, -8.0), (0.5, -5.0), (0.6, -4.0), (0.8, -3.3), (1.0, -1.6),
+        (1.0, -3.3), (1.2, -2.5), (1.4, -3.0), (1.5, -4.0), (1.8, -12.0),
+        (2.0, -3.3), (2.5, -5.0), (3.0, -4.0), (3.5, -6.0), (4.0, -4.0),
+    ]
+    lams = []
+    for b, lam0 in cells:
+        init = trial_functions(b, grid).normalized(grid)
+        state = solve_fixed_a(lam0, grid, config, init=init, k0=1.0)
+        lams.append(state.k**2 * lam0)
+    assert max(lams) - min(lams) <= 10.0 * config.tol_residual
+
+
+@pytest.mark.parametrize("a", [-2.181168, -4.3])
+def test_one_node_state_regression(grid, monkeypatch, a):
+    # these cold solves end on the state whose u has one interior node,
+    # which the node check refuses; with the check off they return it
+    monkeypatch.setattr(solver, "count_nodes", lambda values: 0)
+    state = solve_fixed_a(a, grid, k0=1.0)
+    assert count_nodes(state.pair.u) == 1
+    assert state.k**2 * a == pytest.approx(-4.63587504, abs=5e-8)
+
+
 def test_seed_scale_insensitivity(coarse_grid):
     cfg = SolverConfig(tol_residual=1e-10, max_iterations=400)
     ks = []
