@@ -35,6 +35,13 @@ class NumericError(SolitonError, ArithmeticError):
 
 NORM_TOL = 1e-6  # how far from 1 the norm of a "unit-norm" pair may be
 
+# Two thresholds of solve_fixed_a's convergence check, which front's
+# certificate of a warm solve repeats on lists of floats: the frequency
+# update stalls where |I_mu| k is below MU_DENOM_TOL, and count_nodes skips
+# the values of u whose size is at most NODE_TOL times max |u|.
+MU_DENOM_TOL = 1e-14
+NODE_TOL = 1e-8
+
 
 class UnnormalizedStateError(SolitonError, ValueError):
     """A spinor pair violated the unit-norm precondition.

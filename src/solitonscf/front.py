@@ -44,6 +44,8 @@ from typing import List, Optional
 from . import io as io_mod
 from .dispersion import dispersion_table
 from .errors import (
+    MU_DENOM_TOL,
+    NODE_TOL,
     NORM_TOL,
     ConfigurationError,
     NumericError,
@@ -416,7 +418,7 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     artifacts' values are the numpy path's bit for bit, and mu and the
     integrals come from math.fsum and block elimination. The pair is
     certified only when the residual is below tol_residual, |mu| is at most
-    half of tol_residual times k, |I_mu| k is at least 1e-14, the fsum
+    half of tol_residual times k, |I_mu| k is at least MU_DENOM_TOL, the fsum
     norm is within 2 eps of 1 (the numpy path keeps a pair within 4 eps of
     its dot-product norm), u has no interior node, every pivot is finite
     and non-zero and |a| < alpha0.
@@ -435,10 +437,11 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
         return None
     i_mu = _i_mu(grid, u, v, phi, k)
     # the thresholds of solve_fixed_a, in units of k: only k^2 a enters
-    if not (1e-14 <= abs(i_mu) * k < math.inf and abs(norm / i_mu) <= 0.5 * tol * k):
+    i_mu_k = abs(i_mu) * k
+    if not (MU_DENOM_TOL <= i_mu_k < math.inf and abs(norm / i_mu) <= 0.5 * tol * k):
         return None
     scale = max(map(abs, u))
-    core = [z for z in u if abs(z) > 1e-8 * scale]
+    core = [z for z in u if abs(z) > NODE_TOL * scale]
     if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
         return None  # a node: solve_fixed_a refuses the state
     T, Pi, radius = _energy(grid, u, v, rho, phi0)

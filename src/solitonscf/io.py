@@ -7,12 +7,16 @@ ScanConfig, and the grid, alpha0 and output settings in RunConfig, which
 extends both.
 
 Snapshots are JSON with an explicit format_version and a sha256 checksum
-over the reprs of the values, so a truncated, hand-edited or mistyped file
-is detected at load time rather than producing a silently wrong warm start.
-Doubles are written through repr, which round-trips them exactly. The
-loader keeps the text of every JSON number and verifies the checksum from
-those tokens first; only a file that spells its numbers otherwise (0.50,
-1E5) has the reprs of its values recomputed.
+over the number tokens as written, so a truncated, hand-edited or mistyped
+file is detected at load time rather than producing a silently wrong warm
+start. A snapshot has one spelling. Doubles are written through repr, which
+round-trips them exactly, so the tokens of a file save_snapshot writes are
+the reprs of its values. The loader keeps the text of every JSON number and
+verifies the checksum from those tokens alone: format_version and n_nodes
+must be JSON integers and every other value a JSON number with a fraction
+or an exponent, and a file whose numbers were re-spelled (0.50, 1E5)
+without a new checksum is refused. No JSON number is NaN or infinite, so
+save_snapshot refuses a non-finite value before it writes anything.
 
 Each field array is formatted once across artifacts. The module keeps the
 comma-joined reprs of the last x, u, v, phi0 and rho arrays it wrote, one
@@ -54,6 +58,7 @@ from typing import Iterable, Sequence, Set, Tuple, Union
 from .errors import (
     ConfigurationError,
     CorruptSnapshotError,
+    NumericError,
     ShapeError,
     UnsupportedSnapshotError,
     check_value,
@@ -233,26 +238,12 @@ class Snapshot:
 
 
 _CANON_SCALARS = ("format_version", "theta_min", "theta_max", "n_nodes", "a", "k")
-# JSON numbers as load_snapshot parses them: the ASCII bytes of a token with
-# a fraction or an exponent, which no JSON string parses to, or an int (bool
-# is an int subclass, not a number)
-_NUMBER_TYPES = {bytes, int}
-# json spells the non-finite doubles NaN/Infinity/-Infinity where repr
-# gives nan/inf/-inf
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _digest(texts: Sequence[str]) -> str:
-    """sha256 of the canon: the value texts in _CANON_SCALARS order, then u, v."""
-    return hashlib.sha256("|".join(texts).encode("ascii")).hexdigest()
-
-
-def _snapshot_checksum(payload: dict) -> str:
-    """Checksum over the reprs of a payload's values."""
-    return _digest(
-        [repr(payload[key]) for key in _CANON_SCALARS]
-        + [",".join(repr(x) for x in payload[key]) for key in ("u", "v")]
-    )
+def _digest(tokens: Sequence[bytes]) -> str:
+    """sha256 of the canon: the number tokens of the values in _CANON_SCALARS
+    order, then the comma-joined tokens of u and of v, joined by '|'."""
+    return hashlib.sha256(b"|".join(tokens)).hexdigest()
 
 
 def _umask() -> int:
@@ -329,11 +320,7 @@ def _field(path: str, name: str, values):
 
 def _json_array(text: str) -> str:
     """A field's repr text laid out as json.dumps(..., indent=1) nests a list."""
-    if not text:
-        return "[]"
-    if "n" in text:  # nan, inf or -inf: no finite repr has an n
-        text = ",".join(_JSON_CONSTANTS.get(t, t) for t in text.split(","))
-    return "[\n  " + text.replace(",", ",\n  ") + "\n ]"
+    return "[\n  " + text.replace(",", ",\n  ") + "\n ]" if text else "[]"
 
 
 def save_snapshot(path: str, snapshot: Snapshot) -> None:
@@ -343,52 +330,40 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     newline, laid out directly. The repr text of u and v comes from the
     field memo (the module docstring), so a state whose profile table was
     just written is not formatted again; the same text feeds the checksum
-    and the body. Raises ShapeError, and writes nothing, unless u and v are
-    one-dimensional.
+    and the body, and the checksum covers those reprs, the file's tokens.
+
+    Raises ShapeError unless u and v are one-dimensional with n_nodes
+    values each, and NumericError if a value is not finite: no JSON number
+    spells one, so load_snapshot would refuse the file. Either way nothing
+    is written, not even a temporary file, and path is left as it was.
     """
     version = SNAPSHOT_FORMAT_VERSION
     n_nodes = int(snapshot.n_nodes)
     scalars = [snapshot.theta_min, snapshot.theta_max, snapshot.a, snapshot.k]
     t_min, t_max, a, k = (repr(float(value)) for value in scalars)
-    j_min, j_max, j_a, j_k = (_JSON_CONSTANTS.get(t, t) for t in (t_min, t_max, a, k))
     u = _field(path, "u", snapshot.u)
     v = _field(path, "v", snapshot.v)
+    if len(u) != n_nodes or len(v) != n_nodes:
+        raise ShapeError(f"{path}: u and v must hold n_nodes = {n_nodes} values each")
     u_text, v_text = _field_text("u", u), _field_text("v", v)
-    checksum = _digest([str(version), t_min, t_max, str(n_nodes), a, k, u_text, v_text])
+    texts = [str(version), t_min, t_max, str(n_nodes), a, k, u_text, v_text]
+    if any("n" in text for text in texts):  # nan, inf, -inf: no finite repr has an n
+        raise NumericError(f"{path}: snapshot values must be finite")
+    checksum = _digest([text.encode("ascii") for text in texts])
     atomic_write_text(
         path,
         "{\n"
-        f' "a": {j_a},\n'
+        f' "a": {a},\n'
         f' "checksum": "{checksum}",\n'
         f' "format_version": {version},\n'
-        f' "k": {j_k},\n'
+        f' "k": {k},\n'
         f' "n_nodes": {n_nodes},\n'
-        f' "theta_max": {j_max},\n'
-        f' "theta_min": {j_min},\n'
+        f' "theta_max": {t_max},\n'
+        f' "theta_min": {t_min},\n'
         f' "u": {_json_array(u_text)},\n'
         f' "v": {_json_array(v_text)}\n'
         "}\n",
     )
-
-
-def _text(value) -> str:
-    """The text of a parsed JSON number."""
-    return value.decode("ascii") if type(value) is bytes else str(value)
-
-
-def _joined(values: list) -> str:
-    """Comma-join the texts of parsed JSON numbers."""
-    try:
-        return b",".join(values).decode("ascii")
-    except TypeError:  # JSON integers parse to int, not to token bytes
-        return ",".join(map(_text, values))
-
-
-def _parsed(value):
-    """A value as json.load without parse_float would have returned it."""
-    if isinstance(value, list):
-        return [_parsed(x) for x in value]
-    return float(value) if type(value) is bytes else value
 
 
 def _finite(values: list) -> bool:
@@ -406,9 +381,13 @@ def load_snapshot(path: str) -> Snapshot:
 
     Raises CorruptSnapshotError for unparseable, incomplete, mistyped,
     non-finite or checksum-failing files and UnsupportedSnapshotError for a
-    format_version this build does not know. Each value must be a JSON
-    number (n_nodes a JSON integer) and finite. The checks are
-    _read_snapshot's; this adds only the numpy arrays of u and v.
+    format_version this build does not know. n_nodes must be a JSON
+    integer, and theta_min, theta_max, a, k and the values of u and v JSON
+    numbers with a fraction or an exponent, all finite. The checksum must
+    be the sha256 of the number tokens as written, so every file
+    save_snapshot wrote loads, and one whose numbers were re-spelled
+    without a new checksum does not. The checks are _read_snapshot's; this
+    adds only the numpy arrays of u and v.
     """
     import numpy as np
 
@@ -421,7 +400,8 @@ def _read_snapshot(path: str) -> Snapshot:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_float=str.encode)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an integer too long to convert;
         # RecursionError: arrays or objects nested too deep to decode
         raise CorruptSnapshotError(f"{path}: not valid snapshot JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -439,26 +419,21 @@ def _read_snapshot(path: str) -> Snapshot:
         raise CorruptSnapshotError(f"{path}: missing keys {missing}")
     scalars = [payload[key] for key in ("theta_min", "theta_max", "a", "k")]
     u, v = payload["u"], payload["v"]
+    # A JSON number with a fraction or an exponent parses to the bytes of
+    # its token, which no other JSON value parses to; a JSON integer to an
+    # int (bool is an int subclass, not a JSON integer).
     if not (
         type(payload["n_nodes"]) is int
-        and set(map(type, scalars)) <= _NUMBER_TYPES
-        and all(
-            isinstance(x, list) and set(map(type, x)) <= _NUMBER_TYPES for x in (u, v)
-        )
+        and set(map(type, scalars)) <= {bytes}
+        and all(isinstance(x, list) and set(map(type, x)) <= {bytes} for x in (u, v))
     ):
         raise CorruptSnapshotError(f"{path}: snapshot values must be JSON numbers")
-    # A token that matches is the repr the writer hashed; only a file with
-    # other spellings of its numbers (0.50, 1E5) needs the reprs recomputed.
-    texts = [_text(payload[key]) for key in _CANON_SCALARS]
-    if _digest(texts + [_joined(u), _joined(v)]) != payload["checksum"]:
-        body = {key: _parsed(payload[key]) for key in _CANON_SCALARS + ("u", "v")}
-        if _snapshot_checksum(body) != payload["checksum"]:
-            raise CorruptSnapshotError(f"{path}: checksum mismatch")
-    try:
-        theta_min, theta_max, a, k = map(float, scalars)
-        u, v = list(map(float, u)), list(map(float, v))
-    except OverflowError as exc:  # an integer beyond the double range
-        raise CorruptSnapshotError(f"{path}: snapshot values must be finite") from exc
+    tokens = [payload[key] for key in _CANON_SCALARS]
+    tokens = [t if type(t) is bytes else str(t).encode() for t in tokens]
+    if _digest(tokens + [b",".join(u), b",".join(v)]) != payload["checksum"]:
+        raise CorruptSnapshotError(f"{path}: checksum mismatch")
+    theta_min, theta_max, a, k = map(float, scalars)
+    u, v = list(map(float, u)), list(map(float, v))
     if not (_finite([theta_min, theta_max, a, k]) and _finite(u) and _finite(v)):
         raise CorruptSnapshotError(f"{path}: snapshot values must be finite")
     n_nodes = payload["n_nodes"]

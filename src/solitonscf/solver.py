@@ -79,6 +79,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
+    MU_DENOM_TOL,
+    NODE_TOL,
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
@@ -109,7 +111,6 @@ __all__ = [
 ]
 
 _K_FLOOR = 0.05
-_MU_DENOM_TOL = 1e-14
 _MIX_DEPTH = 5          # Anderson history: differences kept
 _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 _PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
@@ -441,10 +442,10 @@ def mu_update(state: IterationState, psi_mu, psi1_mu, grid: Grid) -> float:
     u, v = state.pair.u, state.pair.v
     norm = integrate(u * u + v * v, grid)
     i_mu = integrate(u * psi_mu + v * psi1_mu, grid)
-    if abs(i_mu) * state.k < _MU_DENOM_TOL:
+    if abs(i_mu) * state.k < MU_DENOM_TOL:
         raise StalledUpdateError(
             f"frequency update denominator |I_mu| k = {abs(i_mu) * state.k:.3e} "
-            f"< {_MU_DENOM_TOL:g}; the linearization carries no k-motion"
+            f"< {MU_DENOM_TOL:g}; the linearization carries no k-motion"
         )
     return float(norm / i_mu)
 
@@ -559,7 +560,7 @@ class _AndersonMixer:
         return new
 
 
-def count_nodes(values: np.ndarray, threshold: float = 1e-8) -> int:
+def count_nodes(values: np.ndarray, threshold: float = NODE_TOL) -> int:
     """Interior sign changes of a profile, ignoring sub-threshold noise."""
     z = np.asarray(values, dtype=float)
     scale = np.max(np.abs(z))

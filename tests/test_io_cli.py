@@ -31,6 +31,7 @@ from solitonscf.cli import (
 from solitonscf.errors import (
     ConfigurationError,
     CorruptSnapshotError,
+    NumericError,
     ShapeError,
     UnsupportedSnapshotError,
 )
@@ -200,16 +201,16 @@ def test_snapshot_rejects_shape_mismatch(tmp_path):
     io_mod.save_snapshot(str(path), _sample_snapshot())
     payload = json.loads(path.read_text())
     payload["u"] = payload["u"][:-1]
-    body = {k: payload[k] for k in payload if k != "checksum"}
-    payload["checksum"] = io_mod._snapshot_checksum(body)
+    payload["checksum"] = _reference_checksum(payload)
     path.write_text(json.dumps(payload, sort_keys=True))
     with pytest.raises(CorruptSnapshotError):
         io_mod.load_snapshot(str(path))
 
 
 # The byte contract, kept here as the reference recipe: the checksum is
-# sha256 over the reprs of the values, and the file is json.dumps of the
-# payload with sorted keys and indent 1.
+# sha256 over the number tokens as written, which json.dumps writes as the
+# reprs of the values, and the file is json.dumps of the payload with
+# sorted keys and indent 1.
 
 _CANON = ("format_version", "theta_min", "theta_max", "n_nodes", "a", "k", "u", "v")
 
@@ -225,6 +226,22 @@ def _reference_checksum(body):
 
     canon = "|".join(text(key) for key in _CANON)
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+def _token_checksum(text):
+    """The checksum over the number tokens of a snapshot's text, as written."""
+    body = json.loads(text, parse_float=str, parse_int=str)
+    canon = "|".join(
+        ",".join(body[key]) if isinstance(body[key], list) else body[key]
+        for key in _CANON
+    )
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+def _with_token_checksum(text):
+    """A snapshot's text with its checksum replaced by its token checksum."""
+    old = json.loads(text)["checksum"]
+    return text.replace(old, _token_checksum(text))
 
 
 def _reference_snapshot_text(snap):
@@ -266,8 +283,39 @@ def test_snapshot_bytes_match_the_json_recipe(tmp_path, name, a, k):
         a=a, k=k, u=values, v=-values[::-1],
     )
     path = tmp_path / "state.json"
-    io_mod.save_snapshot(str(path), snap)
-    assert path.read_text() == _reference_snapshot_text(snap)
+    if np.all(np.isfinite([a, k, *values])):
+        io_mod.save_snapshot(str(path), snap)
+        assert path.read_text() == _reference_snapshot_text(snap)
+    else:
+        # no JSON number is non-finite: the writer refuses what the reader would
+        with pytest.raises(NumericError, match="must be finite"):
+            io_mod.save_snapshot(str(path), snap)
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp-*
+
+
+@pytest.mark.parametrize("key", ["theta_min", "theta_max", "a", "k", "u", "v"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_snapshot_refuses_a_non_finite_value(tmp_path, key, bad):
+    snap = _sample_snapshot(5)
+    if key in ("u", "v"):
+        getattr(snap, key)[2] = bad
+    else:
+        setattr(snap, key, bad)
+    path = tmp_path / "state.json"
+    path.write_text("the old state\n")
+    with pytest.raises(NumericError, match="must be finite"):
+        io_mod.save_snapshot(str(path), snap)
+    assert path.read_text() == "the old state\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+@pytest.mark.parametrize("key", ["u", "v"])
+def test_save_snapshot_refuses_fields_that_miss_n_nodes(tmp_path, key):
+    snap = _sample_snapshot(5)
+    setattr(snap, key, getattr(snap, key)[:-1])
+    with pytest.raises(ShapeError, match="n_nodes = 5"):
+        io_mod.save_snapshot(str(tmp_path / "state.json"), snap)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_ARRAYS))
@@ -344,8 +392,9 @@ def test_snapshot_nested_too_deep_is_corrupt(tmp_path):
 
 
 def test_snapshot_checksum_over_reprs_of_other_spellings(tmp_path):
-    # Valid JSON numbers that are not shortest reprs; the checksum covers
-    # the reprs of their values, so the file loads, bit-exact.
+    # Valid JSON numbers that are not shortest reprs. The checksum covers
+    # the tokens as written, so a checksum over the reprs of the values is
+    # refused, and one over the file's own tokens loads, bit-exact.
     values = {
         "format_version": 1, "theta_min": -13.0, "theta_max": 4.0, "n_nodes": 3,
         "a": -2.3, "k": 0.9, "u": [0.5, 1e5, 1e-05], "v": [-0.5, 2.5, 1e-05],
@@ -357,14 +406,40 @@ def test_snapshot_checksum_over_reprs_of_other_spellings(tmp_path):
     )
     path = tmp_path / "state.json"
     path.write_text(text % _reference_checksum(values))
+    with pytest.raises(CorruptSnapshotError, match="checksum mismatch"):
+        io_mod.load_snapshot(str(path))
+
+    path.write_text(_with_token_checksum(text % "old"))
     back = io_mod.load_snapshot(str(path))
     assert (back.theta_min, back.theta_max, back.n_nodes, back.a, back.k) == (
         -13.0, 4.0, 3, -2.3, 0.9
     )
     assert back.u.tolist() == values["u"] and back.v.tolist() == values["v"]
     # the same file with one value changed is refused
-    path.write_text((text % _reference_checksum(values)).replace("0.50,", "0.51,"))
-    with pytest.raises(CorruptSnapshotError):
+    path.write_text(_with_token_checksum(text % "old").replace("0.50,", "0.51,"))
+    with pytest.raises(CorruptSnapshotError, match="checksum mismatch"):
+        io_mod.load_snapshot(str(path))
+
+
+def test_snapshot_refuses_an_integer_token(tmp_path):
+    # -3 and -3.0 are one value, but a snapshot spells a double with a
+    # fraction or an exponent; a token checksum does not make -3 one
+    path = tmp_path / "state.json"
+    snap = _sample_snapshot()
+    snap.a = -3.0
+    io_mod.save_snapshot(str(path), snap)
+    text = path.read_text()
+    assert '"a": -3.0,' in text
+    path.write_text(_with_token_checksum(text.replace('"a": -3.0,', '"a": -3,')))
+    with pytest.raises(CorruptSnapshotError, match="must be JSON numbers"):
+        io_mod.load_snapshot(str(path))
+
+
+def test_snapshot_with_an_integer_too_long_to_convert_is_corrupt(tmp_path):
+    # json raises a bare ValueError for an integer of more than 4300 digits
+    path = tmp_path / "state.json"
+    path.write_text('{"format_version": 1, "n_nodes": 1%s}' % ("0" * 5000))
+    with pytest.raises(CorruptSnapshotError, match="not valid snapshot JSON"):
         io_mod.load_snapshot(str(path))
 
 
@@ -412,8 +487,10 @@ def test_snapshot_rejects_a_number_beyond_the_double_range(tmp_path, key):
         payload[key] = float("inf")
     else:
         payload[key][1] = float("inf")
-    payload["checksum"] = _reference_checksum(payload)
-    path.write_text(json.dumps(payload, sort_keys=True).replace("Infinity", "1e400"))
+    # the checksum covers the 1e400 token as written, so only the finiteness
+    # check is left to refuse the file
+    text = json.dumps(payload, sort_keys=True).replace("Infinity", "1e400")
+    path.write_text(_with_token_checksum(text))
     with pytest.raises(CorruptSnapshotError, match="must be finite"):
         io_mod.load_snapshot(str(path))
 
@@ -602,8 +679,10 @@ def _memo_fields(n, kind):
     x = np.exp(np.linspace(np.log(1e-6), np.log(80.0), n))
     u, v = rng.standard_normal(n), rng.standard_normal(n)
     if kind == "edge":
-        v[n // 2] = 5e-324
-        u[0], v[0], u[-1], v[-1] = -0.0, np.nan, np.inf, -np.inf
+        # the shared fields are finite, as a snapshot's must be; the table's
+        # grid column carries the non-finite values
+        u[0], v[n // 2] = -0.0, 5e-324
+        x[0], x[-1] = np.nan, np.inf
     return x, u, v
 
 
@@ -644,13 +723,10 @@ def test_field_memo_serves_both_orders(tmp_path, memo, n, kind, order):
     assert all(memo[name][1] is shared[name] for name in ("u", "v"))
     if kind == "edge":
         body = json.loads(texts["snapshot"])
-        assert body["u"][0] == -0.0 and str(body["u"][0]) == "-0.0"
-        assert "Infinity" in texts["snapshot"] and "nan" not in texts["snapshot"]
+        assert str(body["u"][0]) == "-0.0" and body["v"][n // 2] == 5e-324
         rows = [line.split(",") for line in texts["csv"].splitlines()[1:]]
-        assert (rows[0][1], rows[0][2], rows[-1][1], rows[-1][2]) == (
-            "-0.0", "nan", "inf", "-inf"
-        )
-        assert n == 2 or rows[n // 2][2] == "5e-324"
+        assert (rows[0][0], rows[0][1], rows[-1][0]) == ("nan", "-0.0", "inf")
+        assert rows[n // 2][2] == "5e-324"
 
 
 def test_field_memo_misses_on_an_in_place_change(tmp_path, memo):
