@@ -39,7 +39,7 @@ from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
     build_parser,
     main_entry,
 )
-from .functional import charge_relation, energy_report
+from .functional import energy_report
 from .scan import find_a0, verify_extremum
 from .solver import solve_fixed_a
 
@@ -57,9 +57,8 @@ def _solved(state, report) -> front._Solved:
 
 def _solve(cfg, grid, a, k0, snap) -> front._Solved:
     """front._cmd_solve's numpy solve on its grid: solve_fixed_a at a from k0
-    and the snapshot's pair, or from the seed when snap is None."""
-    # the summary needs |a| < alpha0; refuse a coupling beyond it unsolved
-    charge_relation(a, alpha0=cfg.alpha0)
+    and the snapshot's pair, or from the seed when snap is None. The front
+    has checked a against alpha0."""
     init = None if snap is None else snap.pair()
     state = solve_fixed_a(a, grid, config=cfg, init=init, k0=k0)
     return _solved(state, energy_report(state.pair, grid, state.a, alpha0=cfg.alpha0))

@@ -3,9 +3,10 @@
 Everything derives from SolitonError so callers can catch the whole family,
 but the CLI maps individual classes to distinct exit codes, so the split
 below is part of the public contract. check_value, the one check of every
-configuration value, and check_grid, the one check of the grid bounds and
-node count, live here too: they need only the standard library, so the
-command line can run them without importing numpy.
+configuration value, check_coupling, the one check of a coupling against
+alpha0, and check_grid, the one check of the grid bounds and node count,
+live here too: they need only the standard library, so the command line
+can run them without importing numpy.
 """
 
 import math
@@ -144,6 +145,24 @@ def check_value(
             f"got {value!r}"
         )
     return value
+
+
+def check_coupling(a, alpha0):
+    """Refuse the coupling a unless it is finite with |a| < alpha0.
+
+    These are the checks of the charge relations, whose mixing parameters
+    delta = a/alpha0 and C = (alpha0 - a)/(alpha0 + a) are undefined at
+    |a| >= alpha0: a not finite, then alpha0 not finite and positive, raise
+    ConfigurationError (check_value's message); |a| >= alpha0 raises
+    UnphysicalMixingError. The command line runs them before it imports
+    numpy.
+    """
+    check_value("coupling a", a)
+    check_value("alpha0", alpha0, 0.0, open_low=True)
+    if abs(a) >= alpha0:
+        raise UnphysicalMixingError(
+            f"|a| = {abs(a):g} >= alpha0 = {alpha0:g}: mixing parameters undefined"
+        )
 
 
 def _rule(low, high, open_low, open_high, integer):

@@ -53,6 +53,7 @@ from .errors import (
     SnapshotError,
     SolitonError,
     UnnormalizedStateError,
+    check_coupling,
     check_value,
 )
 from .grid import Grid, _linspace
@@ -420,11 +421,9 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     certified only when the residual is below tol_residual, |mu| is at most
     half of tol_residual times k, |I_mu| k is at least MU_DENOM_TOL, the fsum
     norm is within 2 eps of 1 (the numpy path keeps a pair within 4 eps of
-    its dot-product norm), u has no interior node, every pivot is finite
-    and non-zero and |a| < alpha0.
+    its dot-product norm), u has no interior node and every pivot is
+    finite and non-zero. The caller has checked -alpha0 < a < 0.
     """
-    if not -cfg.alpha0 < a < 0.0:
-        return None
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
     norm = _fsum(map(mul, grid.ws, rho))
@@ -467,7 +466,7 @@ def _cmd_solve(args) -> int:
     cfg = _run_config(args)
     grid = cfg.build_grid()
     a = cfg.a_start if args.a is None else args.a
-    k0, snap, solved = 1.0, None, None
+    k0, snap = 1.0, None
     if args.warm_start:
         snap = io_mod._read_snapshot(args.warm_start)
         bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
@@ -485,7 +484,11 @@ def _cmd_solve(args) -> int:
             k0 *= math.sqrt(snap.a / a)
             if not math.isfinite(k0):  # a_s / a overflowed
                 raise ConfigurationError(f"coupling a = {a!r} is too close to 0")
-        solved = _certify(cfg, grid, a, k0, snap)
+    # the summary needs |a| < alpha0, and the bound branch a < 0 (the
+    # first checks of solve_fixed_a): refuse any other coupling unsolved
+    check_coupling(a, cfg.alpha0)
+    check_value("coupling a", a, high=0.0, open_high=True)
+    solved = None if snap is None else _certify(cfg, grid, a, k0, snap)
     if solved is None:
         from . import cli  # numpy and the solver stack
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_TOL, UnnormalizedStateError, UnphysicalMixingError, check_value
+from .errors import NORM_TOL, UnnormalizedStateError, check_coupling, check_value
 from .grid import Grid, differentiate, integrate
 from .model import SpinorPair, density, potential
 
@@ -88,12 +88,7 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
     dict with e_times_e0, e, delta, C.
     """
     check_value("e0", e0, 0.0, open_low=True)
-    check_value("coupling a", a)
-    check_value("alpha0", alpha0, 0.0, open_low=True)
-    if abs(a) >= alpha0:
-        raise UnphysicalMixingError(
-            f"|a| = {abs(a):g} >= alpha0 = {alpha0:g}: mixing parameters undefined"
-        )
+    check_coupling(a, alpha0)
     e_e0 = 4.0 * np.pi * a
     C = (alpha0 - a) / (alpha0 + a)
     return {

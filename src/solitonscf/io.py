@@ -2,9 +2,9 @@
 
 Configuration files are flat key=value text with '#' comments; every key
 has a typed default in RunConfig and unknown keys are rejected loudly. Each
-setting is defined once: the solver's in SolverConfig, the scan's in
-ScanConfig, and the grid, alpha0 and output settings in RunConfig, which
-extends both.
+setting is defined once, as a keyword-only field of RunConfig: the
+solver's, the scan's, the grid, alpha0 and the output settings.
+SolverConfig and ScanConfig are other names of RunConfig.
 
 Snapshots are JSON with an explicit format_version and a sha256 checksum
 over the number tokens as written, so a truncated, hand-edited or mistyped
@@ -84,59 +84,37 @@ __all__ = [
 SNAPSHOT_FORMAT_VERSION = 1
 
 
-@dataclass
-class SolverConfig:
-    """Iteration controls.
+@dataclass(kw_only=True)
+class RunConfig:
+    """Every tunable of a run, with the package defaults filled in.
 
-    tau damps the field step; the frequency update is always the full mu.
-    Far from convergence the fields move by that damped step; near it the
-    damped step is the residual that Anderson mixing combines, so tau still
-    scales every field update. Convergence requires the residual norm below
-    tol_residual and |mu| below tol_residual times k.
-    """
+    The solver's iteration controls: tau damps the field step; the
+    frequency update is always the full mu. Far from convergence the fields
+    move by that damped step; near it the damped step is the residual that
+    Anderson mixing combines, so tau still scales every field update.
+    Convergence requires the residual norm below tol_residual and |mu|
+    below tol_residual times k; max_iterations caps each solve.
 
-    tau: float = 0.5
-    tol_residual: float = 1e-8
-    max_iterations: int = 200
+    The scan's: a_start is the cold solve's coupling (the attractive branch
+    needs a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0
+    sets the scale of the cold solve's seed. The scan always makes two
+    solves, so no setting caps their number.
 
-    def validate(self) -> "SolverConfig":
-        check_value("tau", self.tau, 0.0, 1.0, open_low=True)
-        check_value("tol_residual", self.tol_residual, 0.0, open_low=True)
-        check_value("max_iterations", self.max_iterations, 1, integer=True)
-        return self
+    Then the grid (theta_min, theta_max, n_nodes), the mixing scale alpha0
+    of the energy report, and the output directory and formats.
 
-
-@dataclass
-class ScanConfig:
-    """Controls for the coupling scan.
-
-    a_start is the cold solve's coupling (the attractive branch needs
-    a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0 sets
-    the scale of the cold solve's seed. The scan always makes two solves,
-    so no setting caps their number.
+    Every field is keyword-only. SolverConfig and ScanConfig are other
+    names of this class, so solve_fixed_a and find_a0 each read the one
+    config whole. validate() checks every value but the grid bounds and
+    node count, which Grid checks.
     """
 
     a_start: float = -3.3
     tol_k: float = 1e-6
     trial_b: float = 1.0
-
-    def validate(self) -> "ScanConfig":
-        check_value("a_start", self.a_start, high=0.0, open_high=True)
-        check_value("tol_k", self.tol_k, 0.0, open_low=True)
-        check_value("trial_b", self.trial_b, 0.0, open_low=True)
-        return self
-
-
-@dataclass
-class RunConfig(SolverConfig, ScanConfig):
-    """Every tunable of a run, with the package defaults filled in.
-
-    A RunConfig is a SolverConfig and a ScanConfig, so it is passed to
-    solve_fixed_a and find_a0 as itself. The inherited fields come first,
-    so construct it by keyword. validate() checks every value but the grid
-    bounds and node count, which Grid checks.
-    """
-
+    tau: float = 0.5
+    tol_residual: float = 1e-8
+    max_iterations: int = 200
     theta_min: float = math.log(1e-6)
     theta_max: float = math.log(80.0)
     n_nodes: int = 2000
@@ -145,8 +123,12 @@ class RunConfig(SolverConfig, ScanConfig):
     formats: Set[str] = field(default_factory=lambda: {"csv", "json"})
 
     def validate(self) -> "RunConfig":
-        SolverConfig.validate(self)
-        ScanConfig.validate(self)
+        check_value("tau", self.tau, 0.0, 1.0, open_low=True)
+        check_value("tol_residual", self.tol_residual, 0.0, open_low=True)
+        check_value("max_iterations", self.max_iterations, 1, integer=True)
+        check_value("a_start", self.a_start, high=0.0, open_high=True)
+        check_value("tol_k", self.tol_k, 0.0, open_low=True)
+        check_value("trial_b", self.trial_b, 0.0, open_low=True)
         check_value("alpha0", self.alpha0, 0.0, open_low=True)
         return self
 
@@ -154,6 +136,10 @@ class RunConfig(SolverConfig, ScanConfig):
         from .grid import build_grid
 
         return build_grid(self.theta_min, self.theta_max, self.n_nodes)
+
+
+# the names that solve_fixed_a's and find_a0's callers build the config by
+SolverConfig = ScanConfig = RunConfig
 
 
 _ALLOWED_FORMATS = {"csv", "json"}
@@ -458,13 +444,25 @@ def _read_snapshot(path: str) -> Snapshot:
 
 # rows per piece of a streamed table
 _CHUNK_ROWS = 1024
+# characters split per piece: no double's repr is longer than 24, so with
+# its comma each value takes at most 25, and a window that ends before the
+# text does holds _CHUNK_ROWS whole values
+_CHUNK_CHARS = 25 * _CHUNK_ROWS
 
 
 def _text_chunks(text: str):
-    """Lists of up to _CHUNK_ROWS texts from a comma-joined text, split lazily."""
-    while text:
-        chunk = text.split(",", _CHUNK_ROWS)
-        text = chunk.pop() if len(chunk) > _CHUNK_ROWS else ""
+    """Lists of up to _CHUNK_ROWS texts from a comma-joined text, split lazily.
+
+    Each piece is split from a window of _CHUNK_CHARS characters at the
+    current offset, so the rest of the text is never copied and a column
+    costs time linear in its length.
+    """
+    start = 0
+    while start < len(text):
+        window = text[start : start + _CHUNK_CHARS]
+        chunk = window.split(",", _CHUNK_ROWS)
+        rest = chunk.pop() if len(chunk) > _CHUNK_ROWS else ""
+        start += len(window) - len(rest)
         yield chunk
 
 

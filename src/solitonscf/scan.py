@@ -28,7 +28,7 @@ from .functional import EnergyReport, energy_report
 from .grid import Grid
 from .io import ScanConfig
 from .model import trial_functions
-from .solver import IterationState, SolverConfig, solve_fixed_a
+from .solver import IterationState, solve_fixed_a
 
 __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 
@@ -62,11 +62,9 @@ def find_a0(
     |k^2 - 1| <= tol_k. Returns the ScanResult with both (a, k, iterations,
     residual) rows and an energy report at a0.
 
-    config is read whole. A config that is also a SolverConfig, such as a
-    RunConfig, sets the tau, tol_residual and max_iterations of both
-    solves, and a RunConfig's alpha0 goes to the energy report. A plain
-    ScanConfig solves with the SolverConfig defaults and reports at
-    alpha0 = 10.
+    config is read whole: ScanConfig, SolverConfig and RunConfig are one
+    type, so its tau, tol_residual and max_iterations set both solves and
+    its alpha0 goes to the energy report. None takes the defaults.
 
     Raises
     ------
@@ -78,15 +76,13 @@ def find_a0(
     if grid is None:
         raise ConfigurationError("find_a0 requires a grid")
     config = (config or ScanConfig()).validate()
-    solver_config = config if isinstance(config, SolverConfig) else None
-    alpha0 = getattr(config, "alpha0", 10.0)
 
     k_history: List[Tuple[float, float, int, float]] = []
 
     def solve(a, pair):
         try:
             # k0 = 1: the cold seed, and the invariant frequency at a0
-            state = solve_fixed_a(a, grid, config=solver_config, init=pair, k0=1.0)
+            state = solve_fixed_a(a, grid, config=config, init=pair, k0=1.0)
         except SolitonError as exc:
             raise ScanFailureError(
                 f"inner solve failed at a={a!r}: {exc}", k_history=k_history
@@ -112,7 +108,7 @@ def find_a0(
         a0=float(a0),
         solution=state,
         k_history=k_history,
-        report=energy_report(state.pair, grid, a0, alpha0=alpha0),
+        report=energy_report(state.pair, grid, a0, alpha0=config.alpha0),
     )
 
 

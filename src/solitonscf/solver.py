@@ -643,6 +643,9 @@ def solve_fixed_a(
         a < 0.
     grid : Grid
     config : SolverConfig, optional
+        The run's config: SolverConfig, ScanConfig and RunConfig are one
+        type, and its tau, tol_residual and max_iterations are read. None
+        takes the defaults.
     init : SpinorPair, optional
         Warm-start fields, renormalized on entry unless their norm is
         already within 4 eps of one (they are then kept bit for bit); the

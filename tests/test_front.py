@@ -108,6 +108,29 @@ def test_commands_that_compute_nothing_numeric_skip_numpy(
     assert report == {"numpy": False, "exit": code}, stderr
 
 
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ("-20", "|a| = 20 >= alpha0 = 10: mixing parameters undefined"),
+        ("0.5", "coupling a must be finite and negative, got 0.5"),
+        ("nan", "coupling a must be finite, got nan"),
+        ("-1e400", "coupling a must be finite, got -inf"),
+    ],
+    ids=["beyond-alpha0", "positive", "nan", "overflow"],
+)
+def test_a_bad_coupling_is_refused_before_numpy(tmp_path, a0_state, start, a, message):
+    argv = ["solve", f"--a={a}"]
+    if start == "warm":
+        shutil.copy(a0_state, tmp_path / "a0_state.json")
+        argv += ["--warm-start", "a0_state.json"]
+    report, stderr = _run_module(argv, tmp_path)
+    assert report == {"numpy": False, "exit": EXIT_USAGE}, stderr
+    assert stderr == f"error: {message}\n"
+    written = {p.name for p in tmp_path.iterdir()} - {"a0_state.json"}
+    assert written == set()
+
+
 def test_a_solving_command_loads_numpy(tmp_path):
     report, stderr = _run_module(["solve", "--grid-nodes", "200"], tmp_path)
     assert report == {"numpy": True, "exit": EXIT_OK}, stderr

@@ -44,22 +44,37 @@ from solitonscf.scan import ScanConfig, find_a0
 
 def test_run_config_defaults():
     cfg = io_mod.RunConfig()
-    # exact: the grid, and every artifact built on it, must keep numpy's bits
-    assert cfg.theta_min == float(np.log(1e-6))
-    assert cfg.theta_max == float(np.log(80.0))
-    assert cfg.n_nodes == 2000
-    assert cfg.formats == {"csv", "json"}
+    # exact: repr compares type and bits, and the grid, and every artifact
+    # built on it, must keep numpy's bits
+    defaults = {
+        "a_start": -3.3,
+        "tol_k": 1e-6,
+        "trial_b": 1.0,
+        "tau": 0.5,
+        "tol_residual": 1e-8,
+        "max_iterations": 200,
+        "theta_min": float(np.log(1e-6)),
+        "theta_max": float(np.log(80.0)),
+        "n_nodes": 2000,
+        "alpha0": 10.0,
+        "output_dir": ".",
+        "formats": {"csv", "json"},
+    }
+    assert [f.name for f in fields(cfg)] == list(defaults)
+    for name, value in defaults.items():
+        assert repr(getattr(cfg, name)) == repr(value), name
     grid = cfg.build_grid()
     assert grid.n_nodes == 2000
 
 
-def test_run_config_defaults_match_the_solver_and_scan_defaults():
-    # RunConfig inherits these fields; a field it declared again with
-    # another default would show here. repr compares type and bits
-    run = io_mod.RunConfig()
-    for cfg in (solver.SolverConfig(), ScanConfig()):
-        for f in fields(cfg):
-            assert repr(getattr(run, f.name)) == repr(getattr(cfg, f.name)), f.name
+def test_one_config_type_under_three_names():
+    assert solver.SolverConfig is ScanConfig is io_mod.RunConfig
+    # keyword-only: a positional value names no field
+    with pytest.raises(TypeError):
+        io_mod.RunConfig(-3.0)
+    with pytest.raises(TypeError):
+        solver.SolverConfig(0.3)
+    assert solver.SolverConfig(tau=0.3) == io_mod.RunConfig(tau=0.3)
 
 
 def test_no_setting_without_effect():
@@ -844,6 +859,45 @@ def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
     assert target.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
     assert target.stat().st_mode & 0o777 == 0o644
+
+
+def _split_rest_chunks(text):
+    """The chunker that split the whole rest of the text each time: the
+    reference the windowed one must match."""
+    while text:
+        chunk = text.split(",", io_mod._CHUNK_ROWS)
+        text = chunk.pop() if len(chunk) > io_mod._CHUNK_ROWS else ""
+        yield chunk
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("kind", ["any-bits", "longest", "mixed"])
+def test_text_chunks_match_the_split_of_the_rest(rows, kind):
+    rng = np.random.default_rng(rows)
+    longest = -2.2250738585072014e-308  # 24 characters, no repr is longer
+    values = {
+        "any-bits": np.frombuffer(rng.bytes(8 * rows), dtype=np.float64),
+        "longest": np.full(rows, longest),
+        "mixed": rng.choice([0.0, 1.5, longest, 5e-324, -np.inf], rows),
+    }[kind]
+    text = ",".join(map(repr, values.tolist()))
+    assert list(io_mod._text_chunks(text)) == list(_split_rest_chunks(text))
+
+
+def test_a_long_profile_table_reads_back_bit_exact(tmp_path, memo):
+    n = 100_000
+    rng = np.random.default_rng(7)
+    x = np.exp(np.linspace(np.log(1e-6), np.log(80.0), n))
+    u, v, phi0 = (
+        rng.standard_normal(n) * 10.0 ** rng.integers(-100, 100, n) for _ in range(3)
+    )
+    path = tmp_path / "profiles.csv"
+    io_mod.write_profiles_csv(str(path), SimpleNamespace(xs=x), u, v, phi0)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,u,v,phi0,rho" and len(lines) == n + 1
+    columns = zip(*(line.split(",") for line in lines[1:]))
+    for column, expected in zip(columns, (x, u, v, phi0, u * u + v * v)):
+        assert np.array(list(map(float, column))).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

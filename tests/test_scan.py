@@ -10,7 +10,7 @@ from solitonscf.errors import ConfigurationError, DivergenceError, ScanFailureEr
 from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.io import RunConfig
 from solitonscf.scan import ScanConfig, ScanResult, find_a0, verify_extremum
-from solitonscf.solver import SolverConfig
+from solitonscf.solver import SolverConfig, solve_fixed_a
 
 A0_REFERENCE = -2.31241249   # frozen scan result, defaults, n = 2000
 
@@ -277,6 +277,31 @@ def test_find_a0_solves_with_a_run_configs_solver_settings(grid):
     with pytest.raises(ScanFailureError, match="after 3 iterations") as info:
         find_a0(RunConfig(max_iterations=3), grid)
     assert info.value.k_history == []
+
+
+def test_find_a0_takes_a_solver_config_whole(grid, monkeypatch):
+    # SolverConfig is RunConfig: its tau sets both solves, and the scan is
+    # the one a RunConfig with that tau makes
+    reference = find_a0(RunConfig(tau=0.3), grid)
+    taus = []
+
+    def recorded(a, grid, config=None, **kwargs):
+        taus.append(config.tau)
+        return solve_fixed_a(a, grid, config=config, **kwargs)
+
+    monkeypatch.setattr("solitonscf.scan.solve_fixed_a", recorded)
+    result = find_a0(SolverConfig(tau=0.3), grid)
+    assert taus == [0.3, 0.3]
+    assert result.k_history == reference.k_history
+    assert result.a0 == reference.a0
+
+
+def test_solve_fixed_a_takes_a_scan_config(grid, state_m33):
+    # ScanConfig is RunConfig: its solver settings are the defaults
+    state = solve_fixed_a(-3.3, grid, ScanConfig())
+    assert (state.k, state.iteration) == (state_m33.k, state_m33.iteration)
+    assert np.array_equal(state.pair.u, state_m33.pair.u)
+    assert np.array_equal(state.pair.v, state_m33.pair.v)
 
 
 # ---------------------------------------------------------------------------
