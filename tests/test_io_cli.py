@@ -67,6 +67,16 @@ def test_run_config_defaults():
     assert grid.n_nodes == 2000
 
 
+def test_run_config_defaults_match_the_solver_and_scan_defaults():
+    # the solver and the scan build their config under their own names;
+    # each must start from the run defaults. repr compares type and bits
+    run = io_mod.RunConfig()
+    for cfg in (solver.SolverConfig(), ScanConfig()):
+        assert [f.name for f in fields(cfg)] == [f.name for f in fields(run)]
+        for f in fields(cfg):
+            assert repr(getattr(run, f.name)) == repr(getattr(cfg, f.name)), f.name
+
+
 def test_one_config_type_under_three_names():
     assert solver.SolverConfig is ScanConfig is io_mod.RunConfig
     # keyword-only: a positional value names no field
