@@ -22,9 +22,13 @@ the numpy layers too, which builds its numpy arrays only when they are
 asked for. They repeat the arithmetic of the numpy layers element for
 element, but take each integral with math.fsum where numpy takes a dot
 product, so the two agree to about 1e-15 relative, well inside the
-summaries' 6 digits. trial-eval costs about 3 us per node and the
-certificate about 16 us, so above about 5e4 and 3e4 grid nodes respectively
-they are no faster than the numpy layers would be.
+summaries' 6 digits. The certificate takes grid's box-scheme coefficients
+and boundary rows, the functions the numpy solver calls, and checks the
+residual and sums I_mu in one forward sweep (_sweep). trial-eval costs
+about 3 us per node, and a certified solve about 16 us per node of
+command time (snapshot, grid, check and writes; the sweep is about 2 us of
+it), so above about 5e4 and 3e4 grid nodes respectively they are no
+faster than the numpy layers would be.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -48,6 +52,7 @@ from .errors import (
     NODE_TOL,
     NORM_TOL,
     ConfigurationError,
+    DegenerateLinearizationError,
     NumericError,
     ScanFailureError,
     SnapshotError,
@@ -56,7 +61,7 @@ from .errors import (
     check_coupling,
     check_value,
 )
-from .grid import Grid, _linspace
+from .grid import Grid, _coefficients, _linspace, _origin_row, _tail_row
 
 __all__ = ["build_parser", "run_command", "main", "main_entry"]
 
@@ -72,8 +77,21 @@ MAX_P_COUNT = 100000  # dispersion rows; every row is held in memory
 _PATH_FLAGS = ("config", "output_dir", "snapshot", "warm_start", "from_summary")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a negative number in any spelling
+    float() reads (-1e-3, -5., -inf) is a value, not an unknown option:
+    argparse's own test knows only -N and -N.N."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solitonscf",
         description="Self-consistent soliton bound state: solve, scan, dispersion.",
     )
@@ -330,20 +348,6 @@ def _cmd_trial_eval(args) -> int:
     return EXIT_OK
 
 
-def _residual(grid: Grid, u, v, phi, k) -> List[float]:
-    """|r_u| and |r_v| of solver.ode_residual on every interval, interleaved."""
-    x, h, kk = grid.xs, grid.h, k * k
-    out = []
-    for i in range(len(u) - 1):
-        phi_m = 0.5 * (phi[i + 1] + phi[i])
-        xm = math.sqrt(x[i + 1] * x[i])
-        um, vm = 0.5 * (u[i + 1] + u[i]), 0.5 * (v[i + 1] + v[i])
-        r_u = (u[i + 1] - u[i]) / (h * xm) - um / xm - (1.0 - kk * phi_m) * vm
-        r_v = (v[i + 1] - v[i]) / (h * xm) + vm / xm - (1.0 + kk * phi_m) * um
-        out += (abs(r_u), abs(r_v))
-    return out
-
-
 def _fsum(terms) -> float:
     """math.fsum, or nan where it raises: on finite terms whose sum
     overflows, and on inf and -inf together."""
@@ -353,56 +357,63 @@ def _fsum(terms) -> float:
         return math.nan
 
 
-def _i_mu(grid: Grid, u, v, phi, k) -> float:
-    """I_mu of solver.mu_update: the weighted overlap of (u, v) with the
-    frequency direction that solver.solve_corrections solves for.
+def _sweep(grid: Grid, u, v, phi, k, tol):
+    """The max-norm of solver.ode_residual and I_mu of solver.mu_update, in
+    one forward sweep over the intervals; None at the first residual not
+    below tol, and where the linearization has no solution.
 
-    The same box and boundary rows and right-hand side, solved by
-    sequential 2x2 block elimination: block j is the rows (2j, 2j+1) and
-    the unknowns (u_j, v_j); row 2j reaches block j - 1 and row 2j + 1
-    block j + 1. nan when a pivot block's determinant is zero or not
-    finite, or the tail has no decaying root.
+    I_mu = sum_j w_j . z_j is the weighted overlap of (u, v) with the
+    frequency direction z that solver.solve_corrections solves for: grid's
+    box and boundary rows and the same right-hand side, solved by
+    sequential 2x2 block elimination. Block j is the rows (2j, 2j+1) and
+    z_j = (u_j, v_j); row 2j reaches block j - 1, and row 2j + 1 reaches
+    block j + 1 through up_j. Elimination leaves z_j = g_j - c_j y_j with
+    y_j = up_j . z_{j+1}, so the overlap of blocks 0 to j is sigma + tau y_j,
+    and the tail block, which reaches no block after it, leaves
+    I_mu = sigma. None also where the tail row has no root or a pivot
+    block's determinant is zero or not finite.
     """
-    x, h, n, kk = grid.xs, grid.h, len(u), k * k
-    pe, qe, de = 1.0 - kk * phi[-1], 1.0 + kk * phi[-1], 2.0 * k * phi[-1]
-    disc = 1.0 / (x[-1] * x[-1]) + pe * qe
-    if not disc > 0.0:
-        return math.nan
-    s = math.sqrt(disc)
-    r_end = (1.0 / x[-1] - s) / qe
-    dr_end = -(pe * de - qe * de) / (2.0 * s) / qe - (1.0 / x[-1] - s) * de / (qe * qe)
+    x, ws, h = grid.xs, grid.ws, grid.h
+    c0, dc0 = _origin_row(k, phi[0])
+    try:
+        r_end, dr_end = _tail_row(k, phi[-1], x[-1])
+    except DegenerateLinearizationError:
+        return None
     # row 0 of block 0 is the origin's: -c0 x_0 u_0 + v_0
-    b00, b01 = -(1.0 + kk * phi[0]) / 3.0 * x[0], 1.0
-    f0 = 2.0 * k * phi[0] / 3.0 * x[0] * u[0]
-    blocks = []
-    for j in range(n):
-        if j < n - 1:  # interval j: its first equation is row 1 of block j
-            phi_m = 0.5 * (phi[j + 1] + phi[j])
-            hx = h * math.sqrt(x[j + 1] * x[j])
-            g_a, g_b = 0.5 * hx * (1.0 - kk * phi_m), 0.5 * hx * (1.0 + kk * phi_m)
-            b10, b11, up0, up1 = -1.0 - 0.5 * h, -g_a, 1.0 - 0.5 * h, -g_a
-            f1 = hx * (-2.0 * k * phi_m) * (0.5 * (v[j + 1] + v[j]))
+    b00, b01, f0 = -c0 * x[0], 1.0, dc0 * x[0] * u[0]
+    worst = sigma = tau = up0 = up1 = 0.0
+    last = len(u) - 1
+    for j in range(last + 1):
+        if j < last:  # interval j: its first equation is row 1 of block j
+            p, q, dp, dq = _coefficients(k, 0.5 * (phi[j + 1] + phi[j]))
+            xm = math.sqrt(x[j + 1] * x[j])
+            hx = h * xm
+            um, vm = 0.5 * (u[j + 1] + u[j]), 0.5 * (v[j + 1] + v[j])
+            r_u = abs((u[j + 1] - u[j]) / hx - um / xm - p * vm)
+            r_v = abs((v[j + 1] - v[j]) / hx + vm / xm - q * um)
+            if not (r_u < tol and r_v < tol):
+                return None
+            worst = max(worst, r_u, r_v)
+            g_a, g_b = 0.5 * hx * p, 0.5 * hx * q
+            b10, b11, f1 = -1.0 - 0.5 * h, -g_a, hx * dp * vm
         else:  # the outer Riccati row
-            b10, b11, up0, up1, f1 = 1.0, -r_end, 0.0, 0.0, dr_end * v[-1]
+            b10, b11, f1 = 1.0, -r_end, dr_end * v[-1]
         det = b00 * b11 - b01 * b10
         if not (math.isfinite(det) and det != 0.0):
-            return math.nan
-        # z_j = g - c (up . z_{j+1}), c the second column of the block's inverse
+            return None
+        # z_j = g - c y_j, c the second column of the block's inverse
         c0, c1 = -b01 / det, b00 / det
         g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b10 * f0) / det
-        blocks.append((c0, c1, g0, g1, up0, up1, grid.ws[j] * u[j], grid.ws[j] * v[j]))
-        if j < n - 1:  # interval j's second equation is row 0 of block j + 1
+        # y_{j-1} = up_{j-1} . z_j, with up_{-1} = 0
+        wu, wv = ws[j] * u[j], ws[j] * v[j]
+        sigma += tau * (up0 * g0 + up1 * g1) + (wu * g0 + wv * g1)
+        tau = -tau * (up0 * c0 + up1 * c1) - (wu * c0 + wv * c1)
+        if j < last:  # interval j's second equation is row 0 of block j + 1
+            up0, up1 = 1.0 - 0.5 * h, -g_a
             t = (-g_b * c0) + (-1.0 + 0.5 * h) * c1
             b00, b01 = -g_b - t * up0, 1.0 + 0.5 * h - t * up1
-            f0 = hx * (2.0 * k * phi_m) * (0.5 * (u[j + 1] + u[j]))
-            f0 -= (-g_b * g0) + (-1.0 + 0.5 * h) * g1
-    z0 = z1 = 0.0
-    terms = []
-    for c0, c1, g0, g1, up0, up1, wu, wv in reversed(blocks):
-        t = up0 * z0 + up1 * z1
-        z0, z1 = g0 - t * c0, g1 - t * c1
-        terms.append(wu * z0 + wv * z1)
-    return _fsum(terms)
+            f0 = hx * dq * um - ((-g_b * g0) + (-1.0 + 0.5 * h) * g1)
+    return worst, sigma
 
 
 # a solved state, as _certify and cli's numpy solve return it: coupling,
@@ -416,13 +427,14 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     first convergence check certifies it; else None.
 
     That check on lists of floats: the residual, the potential and the
-    artifacts' values are the numpy path's bit for bit, and mu and the
-    integrals come from math.fsum and block elimination. The pair is
+    artifacts' values are the numpy path's bit for bit, the integrals come
+    from math.fsum and I_mu from _sweep's block elimination. The pair is
     certified only when the residual is below tol_residual, |mu| is at most
     half of tol_residual times k, |I_mu| k is at least MU_DENOM_TOL, the fsum
     norm is within 2 eps of 1 (the numpy path keeps a pair within 4 eps of
-    its dot-product norm), u has no interior node and every pivot is
-    finite and non-zero. The caller has checked -alpha0 < a < 0.
+    its dot-product norm), u has no interior node, the tail row has a root,
+    every pivot is finite and non-zero and no node's x^2 underflows. The
+    caller has checked -alpha0 < a < 0.
     """
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
@@ -430,11 +442,13 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     if not (0.0 < k < math.inf and abs(norm - 1.0) <= 2.0 * sys.float_info.epsilon):
         return None
     phi0 = _phi0(grid, rho)
-    phi = [a * p for p in phi0]
-    residual = _residual(grid, u, v, phi, k)
-    if not all(r < tol for r in residual):
+    try:
+        swept = _sweep(grid, u, v, [a * p for p in phi0], k, tol)
+    except ZeroDivisionError:  # x^2 underflows at a node, where numpy has inf
         return None
-    i_mu = _i_mu(grid, u, v, phi, k)
+    if swept is None:
+        return None
+    residual, i_mu = swept
     # the thresholds of solve_fixed_a, in units of k: only k^2 a enters
     i_mu_k = abs(i_mu) * k
     if not (MU_DENOM_TOL <= i_mu_k < math.inf and abs(norm / i_mu) <= 0.5 * tol * k):
@@ -444,7 +458,7 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
         return None  # a node: solve_fixed_a refuses the state
     T, Pi, radius = _energy(grid, u, v, rho, phi0)
-    return _Solved(a, k, u, v, phi0, 0, max(residual), [], T, Pi, radius / norm)
+    return _Solved(a, k, u, v, phi0, 0, residual, [], T, Pi, radius / norm)
 
 
 def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:

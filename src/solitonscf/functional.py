@@ -53,7 +53,11 @@ def kinetic_T(pair: SpinorPair, grid: Grid, check_norm: bool = True) -> float:
     the functional's normalization-sensitive pieces make a silent
     unnormalized evaluation a bug, not a feature.
     """
-    dens = density(pair, grid)
+    return _kinetic(pair, grid, density(pair, grid), check_norm)
+
+
+def _kinetic(pair: SpinorPair, grid: Grid, dens, check_norm: bool = True) -> float:
+    """kinetic_T, given the pair's density dens."""
     if check_norm and abs(dens.norm - 1.0) > NORM_TOL:
         raise UnnormalizedStateError(dens.norm, NORM_TOL)
     u, v = pair.u, pair.v
@@ -66,7 +70,11 @@ def kinetic_T(pair: SpinorPair, grid: Grid, check_norm: bool = True) -> float:
 def potential_Pi(pair: SpinorPair, grid: Grid) -> float:
     """Self-interaction integral int phi0 rho dx, phi0 the pair's own
     potential shape."""
-    rho = density(pair, grid).rho
+    return _self_interaction(density(pair, grid).rho, grid)
+
+
+def _self_interaction(rho, grid: Grid) -> float:
+    """potential_Pi, given the pair's density rho."""
     return integrate(potential(rho, grid) * rho, grid)
 
 
@@ -102,11 +110,15 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
 def energy_report(
     pair: SpinorPair, grid: Grid, a: float, alpha0: float = 10.0
 ) -> EnergyReport:
-    """Evaluate every derived quantity of a (converged) unit-norm state."""
-    T = kinetic_T(pair, grid)
-    Pi = potential_Pi(pair, grid)
-    charges = charge_relation(a, alpha0=alpha0)
+    """Evaluate every derived quantity of a (converged) unit-norm state.
+
+    The density, its norm and its potential are built once, for T, Pi and
+    the localization radius alike.
+    """
     dens = density(pair, grid)
+    T = _kinetic(pair, grid, dens)
+    Pi = _self_interaction(dens.rho, grid)
+    charges = charge_relation(a, alpha0=alpha0)
     return EnergyReport(
         a=float(a),
         T=T,

@@ -23,12 +23,19 @@ of floats there; the numpy arrays theta, x and quad_weights hold the same
 doubles and are made from those lists on first use. So building a grid, and
 _linspace, which also spaces the dispersion command's momenta, import no
 numpy; integrate and differentiate import it when called.
+
+The box scheme's interval coefficients and its two boundary rows (Keller
+1974) are defined here once, for solver.solve_corrections and the
+standard-library warm-start certificate in front alike. They are plain
+arithmetic: the solver calls them on arrays and numpy scalars and the
+certificate on floats, and both get the same IEEE operations in the same
+order.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .errors import NumericError, ShapeError, check_grid
+from .errors import DegenerateLinearizationError, NumericError, ShapeError, check_grid
 
 __all__ = ["Grid", "build_grid", "integrate", "differentiate"]
 
@@ -160,3 +167,39 @@ def differentiate(values, grid: Grid):
     d[0] = (values[1] - values[0]) / grid.h
     d[-1] = (values[-1] - values[-2]) / grid.h
     return d / grid.x
+
+
+def _coefficients(k, phi):
+    """P = 1 - k^2 phi, Q = 1 + k^2 phi and their k-derivatives at potential
+    samples phi, an array or a float."""
+    kk = k * k
+    return 1.0 - kk * phi, 1.0 + kk * phi, -2.0 * k * phi, 2.0 * k * phi
+
+
+def _origin_row(k, phi_origin):
+    """Slope c0 of v = c0 x u at the origin and its k-derivative."""
+    return (1.0 + k * k * phi_origin) / 3.0, 2.0 * k * phi_origin / 3.0
+
+
+def _tail_row(k, phi_end, x_end):
+    """Decaying Riccati root r = u/v at the outer edge and its k-derivative.
+
+    DegenerateLinearizationError where the root is not defined: 1/x^2 + P Q
+    is not positive, or Q is zero (or its square underflows) at the outer
+    node.
+    """
+    p, q, dp, dq = _coefficients(k, phi_end)
+    disc = 1.0 / (x_end * x_end) + p * q
+    if not disc > 0.0:
+        raise DegenerateLinearizationError(
+            f"no decaying tail root at k={k!r}: 1/x^2 + P Q = {float(disc)!r}"
+        )
+    if q * q == 0.0:
+        raise DegenerateLinearizationError(
+            f"no decaying tail root at k={k!r}: Q = {float(q)!r} at the outer node"
+        )
+    s = math.sqrt(disc)
+    r = (1.0 / x_end - s) / q
+    ds = (p * dq + q * dp) / (2.0 * s)
+    dr = -ds / q - (1.0 / x_end - s) * dq / (q * q)
+    return float(r), float(dr)

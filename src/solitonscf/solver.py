@@ -65,7 +65,9 @@ Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
 origin the regular branch gives v = c0 x u with c0 = (1 + k^2 phi(0))/3; at
 the outer end u = r v with r the decaying root of the local Riccati equation
-Q r^2 - 2 r/x - P = 0, which absorbs the slow Coulomb tail of phi. Unknowns
+Q r^2 - 2 r/x - P = 0, which absorbs the slow Coulomb tail of phi. P, Q
+and both boundary rows come from grid, which defines them once for this
+module and the standard-library certificate in front. Unknowns
 interleave as (u_0, v_0, u_1, v_1, ...), making the matrix pentadiagonal
 and, in blocks of two rows, block tridiagonal with 2x2 blocks. solve_banded
 solves it for the one k-derivative right-hand side by block cyclic
@@ -88,7 +90,7 @@ from .errors import (
     WrongBranchError,
     check_value,
 )
-from .grid import Grid, integrate
+from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
 from .io import SolverConfig
 from .model import (
     SelfField,
@@ -138,38 +140,6 @@ class IterationState:
     iteration: int = 0
     last_mu: float = float("nan")
     trace: list = field(default_factory=list, repr=False)
-
-
-def _coefficients(k: float, phi: np.ndarray):
-    """P, Q and their k-derivatives at given potential samples."""
-    kk = k * k
-    p = 1.0 - kk * phi
-    q = 1.0 + kk * phi
-    dp = -2.0 * k * phi
-    dq = 2.0 * k * phi
-    return p, q, dp, dq
-
-
-def _origin_row(k: float, phi0_origin: float):
-    """Slope c0 of v = c0 x u at the origin and its k-derivative."""
-    c0 = (1.0 + k * k * phi0_origin) / 3.0
-    dc0 = 2.0 * k * phi0_origin / 3.0
-    return c0, dc0
-
-
-def _tail_row(k: float, phi_end: float, x_end: float):
-    """Decaying Riccati root r = u/v at the outer edge and its k-derivative."""
-    p, q, dp, dq = _coefficients(k, np.asarray(phi_end))
-    disc = 1.0 / (x_end * x_end) + p * q
-    if not disc > 0.0:
-        raise DegenerateLinearizationError(
-            f"no decaying tail root at k={k!r}: 1/x^2 + P Q = {float(disc)!r}"
-        )
-    s = np.sqrt(disc)
-    r = (1.0 / x_end - s) / q
-    ds = (p * dq + q * dp) / (2.0 * s)
-    dr = -ds / q - (1.0 / x_end - s) * dq / (q * q)
-    return float(r), float(dr)
 
 
 def solve_banded(l_and_u, ab, b):

@@ -1,5 +1,6 @@
 """Shared fixtures: the default grid and converged states, computed once."""
 
+import math
 import os
 import shutil
 import tempfile
@@ -65,3 +66,21 @@ def tight_solution(grid, scan_result):
         init=scan_result.solution.pair,
         k0=scan_result.solution.k,
     )
+
+
+@pytest.fixture(scope="session")
+def q_zero_coupling():
+    """The function that gives, for phi0 at the outer node, a coupling a
+    near -3 and a frequency k with k^2 (a phi0) = -1 exactly: Q = 0 there."""
+
+    def find(phi0_end):
+        a = -3.0
+        for _ in range(100):
+            k = math.sqrt(-1.0 / (a * phi0_end))
+            for k in (k, math.nextafter(k, 0.0), math.nextafter(k, math.inf)):
+                if k * k * (a * phi0_end) == -1.0:
+                    return a, k
+            a = math.nextafter(a, -math.inf)
+        raise AssertionError(f"no coupling gives Q = 0 at phi0 = {phi0_end!r}")
+
+    return find

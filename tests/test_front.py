@@ -3,7 +3,9 @@
 dispersion, trial-eval, a certified warm solve, --help and usage errors
 must run without importing numpy, and so must building a Grid. The
 standard-library linspace and Grid's node and weight lists must give the
-doubles of numpy's formulas bit for bit.
+doubles of numpy's formulas bit for bit. The warm-start certificate's one
+forward sweep must give the residual and I_mu of a two-pass block
+elimination, and a negative number after a float flag is its value.
 """
 
 import contextlib
@@ -20,10 +22,13 @@ import numpy as np
 import pytest
 
 import solitonscf
+from solitonscf import front
 from solitonscf import grid as grid_mod
 from solitonscf import io as io_mod
+from solitonscf.errors import MU_DENOM_TOL, DegenerateLinearizationError
 from solitonscf.front import EXIT_OK, EXIT_USAGE, main
 from solitonscf.grid import _linspace
+from solitonscf.scan import find_a0
 
 LAYERS = ("cli", "scan", "solver", "model", "grid", "functional", "dispersion", "io")
 
@@ -272,3 +277,160 @@ def test_a_warm_solve_near_zero_coupling_is_certified(tmp_path, a0_state):
     assert report == {"numpy": False, "exit": EXIT_OK}, stderr
     summary = json.loads((tmp_path / "solve_summary.json").read_text())
     assert summary["iterations"] == 0
+
+
+def _outcome(argv, out):
+    """Exit code, stdout and stderr of main(argv) writing to out, in process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--output-dir", str(out)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["solve"], "--a", "-1e-3"),
+        (["solve"], "--a", "-2.5e1"),
+        (["solve"], "--a", "-nan"),
+        (["solve"], "--tau", "-5."),
+        (["solve"], "--tol", "-1e-3"),
+        (["dispersion"], "--e0", "-inf"),
+        (["dispersion", "--e0", "1"], "--p-min", "-5."),
+        (["dispersion", "--e0", "1"], "--p-max", "-1e-3"),
+        (["trial-eval"], "--b", "-2.5e0"),
+    ],
+    ids=lambda p: p if isinstance(p, str) else " ".join(p),
+)
+def test_a_negative_float_flag_value_in_any_spelling(tmp_path, command, flag, value):
+    # argparse takes only -N and -N.N for negative numbers; the front's
+    # parser takes whatever float() reads, so "--flag V" is "--flag=V"
+    spaced = _outcome(command + [flag, value], tmp_path / "spaced")
+    joined = _outcome(command + [f"{flag}={value}"], tmp_path / "joined")
+    assert spaced == joined
+    assert spaced[0] != EXIT_OK and "expected one argument" not in spaced[2]
+    assert spaced[2].startswith("error: ")  # the value check's own message
+
+
+# The certificate's two passes before it became one sweep, kept as the
+# reference: every |residual| in a list, then I_mu by forward block
+# elimination into a list and a backward pass.
+def _reference_residual(grid, u, v, phi, k):
+    x, h, kk = grid.xs, grid.h, k * k
+    out = []
+    for i in range(len(u) - 1):
+        phi_m = 0.5 * (phi[i + 1] + phi[i])
+        xm = math.sqrt(x[i + 1] * x[i])
+        um, vm = 0.5 * (u[i + 1] + u[i]), 0.5 * (v[i + 1] + v[i])
+        r_u = (u[i + 1] - u[i]) / (h * xm) - um / xm - (1.0 - kk * phi_m) * vm
+        r_v = (v[i + 1] - v[i]) / (h * xm) + vm / xm - (1.0 + kk * phi_m) * um
+        out += (abs(r_u), abs(r_v))
+    return out
+
+
+def _reference_i_mu(grid, u, v, phi, k):
+    x, h, n, kk = grid.xs, grid.h, len(u), k * k
+    pe, qe, de = 1.0 - kk * phi[-1], 1.0 + kk * phi[-1], 2.0 * k * phi[-1]
+    disc = 1.0 / (x[-1] * x[-1]) + pe * qe
+    if not disc > 0.0:
+        return math.nan
+    s = math.sqrt(disc)
+    r_end = (1.0 / x[-1] - s) / qe
+    dr_end = -(pe * de - qe * de) / (2.0 * s) / qe - (1.0 / x[-1] - s) * de / (qe * qe)
+    b00, b01 = -(1.0 + kk * phi[0]) / 3.0 * x[0], 1.0
+    f0 = 2.0 * k * phi[0] / 3.0 * x[0] * u[0]
+    blocks = []
+    for j in range(n):
+        if j < n - 1:
+            phi_m = 0.5 * (phi[j + 1] + phi[j])
+            hx = h * math.sqrt(x[j + 1] * x[j])
+            g_a, g_b = 0.5 * hx * (1.0 - kk * phi_m), 0.5 * hx * (1.0 + kk * phi_m)
+            b10, b11, up0, up1 = -1.0 - 0.5 * h, -g_a, 1.0 - 0.5 * h, -g_a
+            f1 = hx * (-2.0 * k * phi_m) * (0.5 * (v[j + 1] + v[j]))
+        else:
+            b10, b11, up0, up1, f1 = 1.0, -r_end, 0.0, 0.0, dr_end * v[-1]
+        det = b00 * b11 - b01 * b10
+        if not (math.isfinite(det) and det != 0.0):
+            return math.nan
+        c0, c1 = -b01 / det, b00 / det
+        g0, g1 = (b11 * f0 - b01 * f1) / det, (b00 * f1 - b10 * f0) / det
+        blocks.append((c0, c1, g0, g1, up0, up1, grid.ws[j] * u[j], grid.ws[j] * v[j]))
+        if j < n - 1:
+            t = (-g_b * c0) + (-1.0 + 0.5 * h) * c1
+            b00, b01 = -g_b - t * up0, 1.0 + 0.5 * h - t * up1
+            f0 = hx * (2.0 * k * phi_m) * (0.5 * (u[j + 1] + u[j]))
+            f0 -= (-g_b * g0) + (-1.0 + 0.5 * h) * g1
+    z0 = z1 = 0.0
+    terms = []
+    for c0, c1, g0, g1, up0, up1, wu, wv in reversed(blocks):
+        t = up0 * z0 + up1 * z1
+        z0, z1 = g0 - t * c0, g1 - t * c1
+        terms.append(wu * z0 + wv * z1)
+    return front._fsum(terms)
+
+
+@pytest.fixture(scope="module", params=[700, 2000])
+def a0_pair(request):
+    """The grid, and the a0 state of a default scan on it as a snapshot."""
+    cfg = io_mod.RunConfig()
+    grid = grid_mod.Grid(cfg.theta_min, cfg.theta_max, request.param)
+    result = find_a0(cfg, grid)
+    state = result.solution
+    snap = io_mod.Snapshot(
+        grid.theta_min, grid.theta_max, grid.n_nodes, result.a0, state.k,
+        state.pair.u.tolist(), state.pair.v.tolist(),
+    )
+    return grid, snap
+
+
+@pytest.mark.parametrize("a", [-4.4, -3.0, -1.6, -1e-20])
+def test_one_sweep_certificate_matches_the_two_pass_elimination(a0_pair, a):
+    grid, snap = a0_pair
+    u, v = snap.u, snap.v
+    rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
+    norm = front._fsum(w * r for w, r in zip(grid.ws, rho))
+    phi0 = front._phi0(grid, rho)
+    phi = [a * p for p in phi0]
+    k_a = snap.k * math.sqrt(snap.a / a)  # the converged frequency at a
+    decisions = []
+    for k in (k_a, k_a * (1.0 + 1e-9), k_a * (1.0 + 1e-6)):
+        residual = _reference_residual(grid, u, v, phi, k)
+        i_mu = _reference_i_mu(grid, u, v, phi, k)
+        worst, swept_i_mu = front._sweep(grid, u, v, phi, k, math.inf)
+        assert worst == max(residual)
+        assert swept_i_mu == pytest.approx(i_mu, rel=1e-12, abs=0.0)
+        for tol in (1e-8, 1e-10, 1e-12):
+            # the two-pass certificate's decision
+            expected = (
+                all(r < tol for r in residual)
+                and MU_DENOM_TOL <= abs(i_mu) * k < math.inf
+                and abs(norm / i_mu) <= 0.5 * tol * k
+            )
+            cfg = io_mod.RunConfig(tol_residual=tol)
+            solved = front._certify(cfg, grid, a, k, snap)
+            assert (solved is not None) == expected, (k, tol)
+            if solved is not None:
+                assert solved.residual == worst
+            decisions.append(expected)
+    assert True in decisions and False in decisions
+
+
+def test_a_pair_with_zero_q_at_the_outer_node_is_not_certified(
+    a0_pair, q_zero_coupling
+):
+    # k^2 phi = -1 at the outer node: the shared tail row refuses it, so the
+    # sweep returns None; the two-pass elimination divided by Q = 0
+    grid, snap = a0_pair
+    rho = [ui * ui + vi * vi for ui, vi in zip(snap.u, snap.v)]
+    phi0 = front._phi0(grid, rho)
+    a, k = q_zero_coupling(phi0[-1])
+    phi = [a * p for p in phi0]
+    with pytest.raises(DegenerateLinearizationError):
+        grid_mod._tail_row(k, phi[-1], grid.xs[-1])
+    with pytest.raises(ZeroDivisionError):
+        _reference_i_mu(grid, snap.u, snap.v, phi, k)
+    assert front._sweep(grid, snap.u, snap.v, phi, k, math.inf) is None
+    assert front._certify(io_mod.RunConfig(), grid, a, k, snap) is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from solitonscf import functional
 from solitonscf.errors import (
     ConfigurationError,
     UnnormalizedStateError,
@@ -98,6 +99,27 @@ def test_energy_report_arithmetic(grid):
     assert rep.E0_over_m0 == pytest.approx(-rep.T * -2.0 / 16.0, rel=1e-14)
     assert rep.e_times_e0 == pytest.approx(-8.0 * np.pi, rel=1e-14)
     assert rep.delta == pytest.approx(-0.25, rel=1e-14)
+
+
+def test_energy_report_builds_density_and_potential_once(grid, monkeypatch):
+    # one density and one potential per report, and the values of the
+    # public pieces, which each build their own, bit for bit
+    pair = trial_functions(1.3, grid).normalized(grid)
+    expected = (kinetic_T(pair, grid), potential_Pi(pair, grid))
+    calls = []
+    for name in ("density", "potential"):
+        plain = getattr(functional, name)
+
+        def counted(*args, _name=name, _plain=plain):
+            calls.append(_name)
+            return _plain(*args)
+
+        monkeypatch.setattr(functional, name, counted)
+    rep = energy_report(pair, grid, a=-3.3)
+    assert sorted(calls) == ["density", "potential"]
+    assert (rep.T, rep.Pi) == expected
+    with pytest.raises(UnnormalizedStateError):  # the unit-norm check stays
+        energy_report(trial_functions(0.5, grid), grid, a=-3.3)
 
 
 def test_kinetic_sign_flip_under_v_conjugation(grid):

@@ -12,7 +12,7 @@ from solitonscf.errors import (
     WrongBranchError,
 )
 from solitonscf import model, solver
-from solitonscf.grid import Grid, build_grid, integrate
+from solitonscf.grid import Grid, _origin_row, _tail_row, build_grid, integrate
 from solitonscf.model import (
     SelfField,
     SpinorPair,
@@ -183,19 +183,19 @@ def _k_difference(row, k, *args, h=1e-6):
 def test_origin_row_is_the_regular_branch(state_m33, grid):
     # u = A x, v = c0 A x^2 solves v' = -v/x + Q0 u at leading order iff
     # 3 c0 = Q0 = 1 + k^2 phi(0), so v/u -> (Q0/3) x
-    c0, _ = solver._origin_row(1.0, -2.5)
+    c0, _ = _origin_row(1.0, -2.5)
     x = 1e-3
     assert c0 * x == pytest.approx((1.0 - 2.5) / 3.0 * x, rel=1e-12)
     # worked reference: k = 1, phi(0) = -2.5, x = 0.01 -> v/u = -0.005
     assert c0 * 0.01 == pytest.approx(-0.005, rel=1e-12)
     for k in (1.0, 0.9):
-        assert solver._origin_row(k, -2.5)[1] == pytest.approx(
-            _k_difference(solver._origin_row, k, -2.5), rel=1e-8
+        assert _origin_row(k, -2.5)[1] == pytest.approx(
+            _k_difference(_origin_row, k, -2.5), rel=1e-8
         )
     # the converged state follows the branch near the origin: u/x is
     # constant and v/u = c0 x, not only at the node the row is imposed on
     u, v, x = state_m33.pair.u, state_m33.pair.v, grid.x
-    c0, _ = solver._origin_row(state_m33.k, state_m33.field.phi[0])
+    c0, _ = _origin_row(state_m33.k, state_m33.field.phi[0])
     near = x < 1e-4
     assert np.max(np.abs((u / x)[near] / (u[0] / x[0]) - 1.0)) < 1e-4
     assert np.max(np.abs((v / (x * u))[near] / c0 - 1.0)) < 5e-5
@@ -203,19 +203,19 @@ def test_origin_row_is_the_regular_branch(state_m33, grid):
 
 def test_tail_row_is_the_coulomb_branch(state_m33, grid):
     # no potential: the decaying root r = u/v tends to -1
-    r, _ = solver._tail_row(1.0, 0.0, 30.0)
+    r, _ = _tail_row(1.0, 0.0, 30.0)
     assert abs(r + 1.0) < 0.04
     # Coulomb potential phi = a/x: u/v = -1 + (1 + k^2 a)/x + O(1/x^2)
     a = -2.3
     for k in (1.0, 0.9):
         dev = []
         for x in (25.0, 50.0, 100.0, 200.0):
-            r, dr = solver._tail_row(k, a / x, x)
+            r, dr = _tail_row(k, a / x, x)
             p, q = 1.0 - k * k * a / x, 1.0 + k * k * a / x
             # the decaying root of the Riccati equation Q r^2 - 2 r/x - P = 0
             assert q * r * r - 2.0 * r / x - p == pytest.approx(0.0, abs=1e-14)
             assert r < 0.0
-            fd = _k_difference(solver._tail_row, k, a / x, x)
+            fd = _k_difference(_tail_row, k, a / x, x)
             assert dr == pytest.approx(fd, rel=1e-7)
             dev.append(r - (-1.0 + (1.0 + k * k * a) / x))
         assert abs(dev[1]) < 2e-3
@@ -223,7 +223,7 @@ def test_tail_row_is_the_coulomb_branch(state_m33, grid):
         assert all(3.5 < d0 / d1 < 4.5 for d0, d1 in zip(dev, dev[1:]))
     # the converged state ends on the root its outer row imposes
     u, v, x = state_m33.pair.u, state_m33.pair.v, grid.x
-    r, _ = solver._tail_row(state_m33.k, state_m33.field.phi[-1], x[-1])
+    r, _ = _tail_row(state_m33.k, state_m33.field.phi[-1], x[-1])
     assert u[-1] / v[-1] == pytest.approx(r, rel=1e-6)
 
 
@@ -246,6 +246,34 @@ def _box_system(state, grid):
     finally:
         solver.solve_banded = real
     return seen[0]
+
+
+def test_band_boundary_rows_are_the_shared_rows(state_m33, grid):
+    # rows 0 and m - 1 of the band and the two end entries of the right-hand
+    # side are grid's origin and tail rows, which front's certificate uses
+    ab, b = _box_system(state_m33, grid)
+    u, v, x = state_m33.pair.u, state_m33.pair.v, grid.x
+    phi, k = state_m33.field.phi, state_m33.k
+    c0, dc0 = _origin_row(k, phi[0])
+    r_end, dr_end = _tail_row(k, phi[-1], x[-1])
+    assert (ab[2, 0], ab[1, 1]) == (-c0 * x[0], 1.0)
+    assert (ab[3, -2], ab[2, -1]) == (1.0, -r_end)
+    assert ab[0, 2] == ab[4, -3] == 0.0   # neither row reaches a second block
+    assert b[0] == dc0 * x[0] * u[0]
+    assert b[-1] == dr_end * v[-1]
+
+
+def test_zero_q_at_the_outer_node_is_refused(state_m33, grid, q_zero_coupling):
+    # k^2 phi = -1 at the outer node: Q = 0 there and the tail row's root
+    # formula is 0/0; the solver refuses the linearization
+    phi_end = state_m33.field.phi0[-1]
+    a, k = q_zero_coupling(phi_end)
+    with pytest.raises(DegenerateLinearizationError, match="Q = 0.0 at the outer"):
+        _tail_row(k, a * phi_end, grid.x[-1])
+    state = _make_state(state_m33.pair, a, k, grid)
+    assert state.field.phi[-1] == a * phi_end
+    with pytest.raises(DegenerateLinearizationError, match="Q = 0.0 at the outer"):
+        solve_corrections(state, grid)
 
 
 def _relative_residual(ab, b, x):

@@ -12,7 +12,16 @@ for bit, on these inputs:
 The digest covers the fields u, v, phi0, k, last_mu, the residual norm,
 the iteration count and trace of every solved state, each scan's a0,
 k_history and energy report, and the exception class, text and history of
-every failure. Run it against a tree's sources:
+every failure.
+
+A second line is a digest over the standard-library warm-start certificate,
+front._certify: its record (the solved state and its energy integrals) or
+None, for the a0 pair of the scan from -3.3 at WARM_COUPLINGS x
+WARM_TOLERANCES with the frequency k_s sqrt(a_s / a) that solve passes it,
+and for two pairs it does not certify (the a0 pair at a frequency 1e-6
+off, and the normalized seed at b = 1).
+
+Run it against a tree's sources:
 
     PYTHONPATH=<tree>/src python3 tools/fingerprint.py
 
@@ -22,13 +31,17 @@ needs only numpy and the standard library.
 
 import dataclasses
 import hashlib
+import math
 import numbers
 import sys
 
 import numpy as np
 
+from solitonscf import front
 from solitonscf.errors import SolitonError
 from solitonscf.grid import build_grid
+from solitonscf.io import RunConfig, Snapshot
+from solitonscf.model import trial_functions
 from solitonscf.scan import ScanConfig, find_a0
 from solitonscf.solver import SolverConfig, solve_fixed_a
 
@@ -116,8 +129,43 @@ def fingerprint(grid) -> str:
     return h.hexdigest()
 
 
+def certificates(grid) -> list:
+    """((a, k, tol), front._certify's record or None) for each pair above."""
+    result = find_a0(ScanConfig(a_start=-3.3), grid)
+    a_s, k_s = result.a0, result.solution.k
+    bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
+
+    def snapshot(a, k, pair):
+        return Snapshot(*bounds, a, k, pair.u.tolist(), pair.v.tolist())
+
+    a0_pair = snapshot(a_s, k_s, result.solution.pair)
+    cases = [
+        (a, k_s * math.sqrt(a_s / a), tol, a0_pair)
+        for a in WARM_COUPLINGS
+        for tol in WARM_TOLERANCES
+    ]
+    a = WARM_COUPLINGS[0]
+    cases.append((a, k_s * math.sqrt(a_s / a) * (1.0 + 1e-6), 1e-8, a0_pair))
+    seed = trial_functions(1.0, grid).normalized(grid)
+    cases.append((-3.3, 1.0, 1e-8, snapshot(-3.3, 1.0, seed)))
+    return [
+        ((a, k, tol), front._certify(RunConfig(tol_residual=tol), grid, a, k, snap))
+        for a, k, tol, snap in cases
+    ]
+
+
+def certificate_digest(grid) -> str:
+    """The sha256 hex digest of every certificate above on grid."""
+    h = hashlib.sha256()
+    for case, record in certificates(grid):
+        _update(h, ("certify", case, record))
+    return h.hexdigest()
+
+
 def main() -> int:
-    print(fingerprint(build_grid(np.log(1e-6), np.log(80.0), 2000)))
+    grid = build_grid(np.log(1e-6), np.log(80.0), 2000)
+    print(fingerprint(grid))
+    print(certificate_digest(grid))
     return 0
 
 
