@@ -13,8 +13,10 @@ import math
 import numbers
 
 # Largest grid node count: over 60 times the 16000 nodes of the finest grid
-# any test, demo or benchmark uses. A cold solve peaks at about 0.7 kB per
-# node (measured at 1e5 nodes), so a grid at the cap stays under a gigabyte.
+# any test, demo or benchmark uses. Building the grid and running a cold
+# solve raise the peak resident memory by about 0.67 kB per node (ru_maxrss
+# over an interpreter that has imported the package, at 1e5 nodes), so a
+# grid at the cap stays under a gigabyte.
 MAX_NODES = 10**6
 
 
@@ -187,10 +189,12 @@ def check_grid(theta_min, theta_max, n_nodes):
     refuse them with ConfigurationError.
 
     The bounds must be finite, with theta_min < theta_max and e^theta
-    finite and positive at both, and the largest trapezoid weight, the
-    theta spacing h times e^theta_max, must be finite; n_nodes must be an
-    integer in [2, MAX_NODES] (a float is refused, not truncated). Nothing
-    is built before these checks pass.
+    finite and positive at both, the largest trapezoid weight, the theta
+    spacing h times e^theta_max, must be finite, and the smallest midpoint
+    Jacobian, h sqrt(x_0 x_1), must not underflow to zero (below x of about
+    1e-162, x_0 x_1 does); n_nodes must be an integer in [2, MAX_NODES] (a
+    float is refused, not truncated). Nothing is built before these checks
+    pass.
     """
     theta_min = float(check_value("theta_min", theta_min))
     theta_max = float(check_value("theta_max", theta_max))
@@ -211,10 +215,21 @@ def check_grid(theta_min, theta_max, n_nodes):
             f"grid bounds ({theta_min!r}, {theta_max!r}) give x = e^theta "
             f"outside the positive finite range: {x_bounds!r}"
         )
-    weight = (theta_max - theta_min) / (n_nodes - 1) * x_bounds[1]
+    h = (theta_max - theta_min) / (n_nodes - 1)
+    weight = h * x_bounds[1]
     if not weight < math.inf:
         raise ConfigurationError(
             f"grid ({theta_min!r}, {theta_max!r}, {n_nodes!r} nodes) has a "
             f"trapezoid weight h e^theta_max = {weight!r} beyond the double range"
+        )
+    # The box rows divide by h sqrt(x_j x_{j+1}), smallest on the first
+    # interval; its second node is grid._linspace's 1 * h + theta_min.
+    theta_1 = theta_max if n_nodes == 2 else h + theta_min
+    x_0_x_1 = x_bounds[0] * math.exp(theta_1)
+    if not h * math.sqrt(x_0_x_1) > 0.0:
+        raise ConfigurationError(
+            f"grid ({theta_min!r}, {theta_max!r}, {n_nodes!r} nodes) has a "
+            f"first interval whose x_0 x_1 = {x_0_x_1!r} or theta spacing "
+            f"h = {h!r} underflows to zero"
         )
     return theta_min, theta_max, int(n_nodes)

@@ -432,9 +432,9 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     certified only when the residual is below tol_residual, |mu| is at most
     half of tol_residual times k, |I_mu| k is at least MU_DENOM_TOL, the fsum
     norm is within 2 eps of 1 (the numpy path keeps a pair within 4 eps of
-    its dot-product norm), u has no interior node, the tail row has a root,
-    every pivot is finite and non-zero and no node's x^2 underflows. The
-    caller has checked -alpha0 < a < 0.
+    its dot-product norm), u has no interior node, the tail row has a root
+    and every pivot is finite and non-zero. The caller has checked
+    -alpha0 < a < 0, and Grid that no h sqrt(x_j x_{j+1}) underflows.
     """
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
@@ -442,10 +442,7 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     if not (0.0 < k < math.inf and abs(norm - 1.0) <= 2.0 * sys.float_info.epsilon):
         return None
     phi0 = _phi0(grid, rho)
-    try:
-        swept = _sweep(grid, u, v, [a * p for p in phi0], k, tol)
-    except ZeroDivisionError:  # x^2 underflows at a node, where numpy has inf
-        return None
+    swept = _sweep(grid, u, v, [a * p for p in phi0], k, tol)
     if swept is None:
         return None
     residual, i_mu = swept

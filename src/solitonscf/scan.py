@@ -28,7 +28,7 @@ from .functional import EnergyReport, energy_report
 from .grid import Grid
 from .io import ScanConfig
 from .model import trial_functions
-from .solver import IterationState, solve_fixed_a
+from .solver import IterationState, _Seed, solve_fixed_a
 
 __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 
@@ -56,7 +56,8 @@ def find_a0(
 ) -> ScanResult:
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
-    Two solves: a cold one at a_start from the trial_b seed gives
+    Two solves: a cold one at a_start from the trial_b seed (a
+    solver._Seed, to which no frequency is fitted) gives
     a0 = k^2 a_start, and a warm one at a0, seeded with the cold pair at
     k0 = 1, confirms it when the measured frequency k + mu gives
     |k^2 - 1| <= tol_k. Returns the ScanResult with both (a, k, iterations,
@@ -91,7 +92,7 @@ def find_a0(
         return state
 
     seed = trial_functions(config.trial_b, grid).normalized(grid)
-    cold = solve(config.a_start, seed)
+    cold = solve(config.a_start, _Seed(seed.u, seed.v))
     a0 = cold.k**2 * config.a_start
     state = solve(a0, cold.pair)
     # Measured, not read back: a warm solve that converges at its first

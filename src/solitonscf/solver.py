@@ -59,7 +59,8 @@ and a pair whose residual at sqrt(lam / a) is within tol_residual starts
 there: a state converged at any coupling is then returned at its first
 check, fields untouched, whatever frequency its caller passed. A warm pair
 already at unit norm (within 4 eps) is not rescaled, so it stays bit for
-bit what the caller gave.
+bit what the caller gave. find_a0's trial seed comes as a _Seed, which is
+rescaled the same way but never fitted.
 
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
@@ -335,6 +336,21 @@ def solve_corrections(
     (both sides are the same box rows and boundary rows), so
     J psi = -residual has the solution (psi, psi1) = (-u, -v).
     """
+    ab, rhs = _band_system(state, grid)
+    try:
+        sol = solve_banded((2, 2), ab, rhs)
+    except DegenerateLinearizationError as exc:
+        raise DegenerateLinearizationError(f"at k={state.k!r}: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise DegenerateLinearizationError(
+            f"banded solve produced non-finite corrections at k={state.k!r}"
+        )
+    return sol[0::2], sol[1::2]
+
+
+def _band_system(state: IterationState, grid: Grid):
+    """The band ab of J and the right-hand side -(dF/dk), in solve_banded's
+    layout. Its coefficient arrays are freed on return, before the solve."""
     x = grid.x
     h = grid.h
     n = grid.n_nodes
@@ -380,16 +396,7 @@ def solve_corrections(
     rhs[2:-1:2] = hx * dq * (0.5 * (u[1:] + u[:-1]))
     rhs[0] = dc0 * x[0] * u[0]
     rhs[-1] = dr_end * v[-1]
-
-    try:
-        sol = solve_banded((2, 2), ab, rhs)
-    except DegenerateLinearizationError as exc:
-        raise DegenerateLinearizationError(f"at k={state.k!r}: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise DegenerateLinearizationError(
-            f"banded solve produced non-finite corrections at k={state.k!r}"
-        )
-    return sol[0::2], sol[1::2]
+    return ab, rhs
 
 
 def mu_update(state: IterationState, psi_mu, psi1_mu, grid: Grid) -> float:
@@ -436,9 +443,11 @@ def newton_step(
     it when retrying a rejected step and when tau is already at its floor).
     The potential is recomputed from the new density, so the returned state
     is ready for the next residual evaluation. Raises DivergenceError on
-    non-finite results and when the frequency would leave the positive
-    branch (k <= 0). It integrates once, for the norm of the moved fields;
-    the renormalized norm is not integrated again.
+    non-finite results, the residual norm included, and when the frequency
+    would leave the positive branch (k <= 0), so the safeguard loop and the
+    mixer reject such a step as they reject no state at all. It integrates
+    once, for the norm of the moved fields; the renormalized norm is not
+    integrated again.
     """
     u_new = state.pair.u + du
     v_new = state.pair.v + dv
@@ -454,9 +463,14 @@ def newton_step(
     if not (np.isfinite(raw) and raw > 0):
         raise DivergenceError(f"update produced unnormalizable fields (norm {raw!r})")
     a_norm = float(1.0 / np.sqrt(raw))
-    pair = SpinorPair(u_new * a_norm, v_new * a_norm)
+    # u_new, v_new and rho are this step's own arrays: scaled in place, by
+    # the multiply a copy would take
+    u_new *= a_norm
+    v_new *= a_norm
+    pair = SpinorPair(u_new, v_new)
     # the renormalized pair's density is the raw one scaled by a_norm^2
-    rho = dens.rho * (a_norm * a_norm)
+    rho = dens.rho
+    rho *= a_norm * a_norm
     new = IterationState(
         pair=pair,
         k=float(k_new),
@@ -468,6 +482,12 @@ def newton_step(
         trace=state.trace,
     )
     new.residual_norm = residual_norm(new, grid)
+    # every comparison with nan is false: no reject test would see it
+    if not np.isfinite(new.residual_norm):
+        raise DivergenceError(
+            f"non-finite residual norm {new.residual_norm!r} after update "
+            f"at iteration {state.iteration}"
+        )
     return new
 
 
@@ -483,14 +503,14 @@ class _AndersonMixer:
     """Type-II Anderson mixing of the fields x = (u, v) with the damped step f.
 
     The last _MIX_DEPTH differences of iterates and steps are kept as the
-    rows of two preallocated ring buffers; the proposal is
+    rows of two ring buffers, allocated when the first difference is
+    recorded, so a solve that never mixes holds none; the proposal is
     x + f - (dX + dF) gamma with gamma the least-squares solution of
     dF gamma = f. The frequency is not mixed: it moves by the full mu.
     """
 
-    def __init__(self, n_nodes: int):
-        self.d_x = np.empty((_MIX_DEPTH, 2 * n_nodes))
-        self.d_f = np.empty((_MIX_DEPTH, 2 * n_nodes))
+    def __init__(self):
+        self.d_x = self.d_f = None
         self.clear()
 
     def clear(self) -> None:
@@ -508,6 +528,9 @@ class _AndersonMixer:
         x = np.concatenate((state.pair.u, state.pair.v))
         f = np.concatenate(_damped_step(state, psi_mu, psi1_mu, mu, tau))
         if self.x is not None:
+            if self.d_x is None:
+                self.d_x = np.empty((_MIX_DEPTH, x.size))
+                self.d_f = np.empty((_MIX_DEPTH, x.size))
             np.subtract(x, self.x, out=self.d_x[self.head])
             np.subtract(f, self.f, out=self.d_f[self.head])
             self.head = (self.head + 1) % _MIX_DEPTH
@@ -569,6 +592,12 @@ def _fitted_start(state: IterationState, grid: Grid, tol: float) -> IterationSta
     return fitted if fitted.residual_norm <= tol else state
 
 
+class _Seed(SpinorPair):
+    """A starting pair that is no solved state, such as find_a0's trial seed:
+    solve_fixed_a takes it as init, rescaled as any warm pair, but fits it
+    no frequency, since its residual is nowhere near tol_residual."""
+
+
 def _initial_state(a, grid, init, k0, tol) -> IterationState:
     if init is None:
         pair = trial_functions(1.0, grid).normalized(grid)
@@ -594,7 +623,9 @@ def _initial_state(a, grid, init, k0, tol) -> IterationState:
         residual_norm=float("nan"),
     )
     state.residual_norm = residual_norm(state, grid)
-    return state if init is None else _fitted_start(state, grid, tol)
+    if init is None or isinstance(init, _Seed):
+        return state
+    return _fitted_start(state, grid, tol)
 
 
 def solve_fixed_a(
@@ -657,7 +688,7 @@ def solve_fixed_a(
     accepted_streak = 0
     # only k^2 a enters, so the frequency's floor and stop rule scale with k
     k_floor = _K_FLOOR * state.k
-    mixer = _AndersonMixer(grid.n_nodes)
+    mixer = _AndersonMixer()
 
     for _ in range(config.max_iterations):
         psi_mu, psi1_mu = solve_corrections(state, grid)

@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import tempfile
+import unicodedata
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from solitonscf.solver import SolverConfig, solve_fixed_a
 
 
 _HYPOTHESIS_HOME = "HYPOTHESIS_STORAGE_DIRECTORY"
+# where hypothesis keeps its Unicode tables, relative to its home
+_UNICODE_DATA = ("unicode_data", unicodedata.unidata_version)
 
 
 def pytest_configure(config):
@@ -24,8 +27,25 @@ def pytest_configure(config):
         return
     home = tempfile.mkdtemp(prefix="hypothesis-home-")
     os.environ[_HYPOTHESIS_HOME] = home
+    # The first st.text() draw of a session builds hypothesis's tables of
+    # all of Unicode (its character map and the UTF-8 codec's intervals)
+    # into that home, about 2 s. They depend on the Unicode version alone,
+    # so a session that built them keeps them in pytest's cache, and later
+    # sessions start with a copy.
+    cache = getattr(config, "cache", None)  # None under -p no:cacheprovider
+    kept = cache and cache.mkdir("hypothesis").joinpath(*_UNICODE_DATA)
+    fresh = os.path.join(home, *_UNICODE_DATA)
+    if kept and kept.is_dir():
+        shutil.copytree(kept, fresh)
 
     def cleanup():
+        if kept and not kept.is_dir() and os.path.isdir(fresh):
+            partial = kept.with_name(f"{kept.name}.{os.getpid()}")
+            shutil.copytree(fresh, partial)
+            try:
+                partial.rename(kept)  # whole, if two sessions end at once
+            except OSError:
+                shutil.rmtree(partial, ignore_errors=True)
         del os.environ[_HYPOTHESIS_HOME]
         shutil.rmtree(home, ignore_errors=True)
 

@@ -33,6 +33,8 @@ def test_build_grid_basic():
         (0.0, 1e308, 100),      # e^theta overflows
         (-1e308, 0.0, 100),     # e^theta underflows to x = 0
         (-745.0, 709.0, 50),    # h e^theta_max overflows
+        (-400.0, -380.0, 200),  # x_0 x_1 underflows to 0
+        (0.0, 5e-324, 3),       # h underflows to 0
         (0.0, 1.0, 1),          # too few nodes
         (0.0, 1.0, 2.9),        # not an integer, refused rather than truncated
         (0.0, 1.0, "5"),        # not a number

@@ -644,6 +644,21 @@ def test_cli_refuses_a_grid_whose_weights_overflow(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["trial-eval", "solve", "scan"])
+def test_cli_refuses_a_grid_whose_first_interval_underflows(tmp_path, capsys, command):
+    # x_0 x_1 underflows to 0, where the box rows would divide by zero; a
+    # cold solve once ran 200 iterations on nan residuals (exit 3, scan 4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta_min = -700\n")
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg), "--output-dir", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid (-700.0, 4.382026634673881, 2000 nodes) ")
+    assert "x_0 x_1 = 0.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trial-eval", "solve", "scan"])
 def test_cli_refuses_a_grid_above_the_node_cap(tmp_path, capsys, monkeypatch, command):
     # refused by the grid check, before any node is built
     def build(*args):

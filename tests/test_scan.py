@@ -34,6 +34,21 @@ def test_default_scan_keeps_its_starts(scan_result):
     assert scan_result.a0 == pytest.approx(-2.3124124733762415, abs=1e-12)
 
 
+def test_cold_seed_is_not_refitted(coarse_grid, monkeypatch):
+    # the trial seed can never pass the warm-start fit, so only the
+    # confirming solve's pair, the cold solve's state, is fitted
+    plain = solver._fitted_start
+    fitted = []
+
+    def record(state, grid, tol):
+        fitted.append(state.a)
+        return plain(state, grid, tol)
+
+    monkeypatch.setattr(solver, "_fitted_start", record)
+    result = find_a0(ScanConfig(), coarse_grid)
+    assert fitted == [result.a0]
+
+
 def test_scan_is_frugal(scan_result):
     assert len(scan_result.k_history) <= 12
 

@@ -1,5 +1,8 @@
 """Inner iteration: residuals, linearized corrections, frequency update."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -452,6 +455,55 @@ def test_newton_step_flags_nonfinite_fields(grid):
         newton_step(state, du, dv, 0.0, grid)
 
 
+def test_newton_step_leaves_its_inputs_unmodified(grid):
+    # the step renormalizes its own new arrays in place, with the multiply
+    # a copy would take: the state's fields and the increments keep their
+    # bits, and the new fields are the scaled copy's, bit for bit
+    state = _seed_state(grid)
+    mu, (du, dv) = _damped(state, grid)
+    inputs = (state.pair.u, state.pair.v, du, dv)
+    before = [x.tobytes() for x in inputs]
+    new = newton_step(state, du, dv, mu, grid)
+    assert [x.tobytes() for x in inputs] == before
+    raw = SpinorPair(state.pair.u + du, state.pair.v + dv)
+    a_norm = float(1.0 / np.sqrt(density(raw, grid).norm))
+    assert new.pair.u.tobytes() == (raw.u * a_norm).tobytes()
+    assert new.pair.v.tobytes() == (raw.v * a_norm).tobytes()
+
+
+def _nan_residuals(monkeypatch, first, last):
+    """Make residual_norm calls first to last (1-based, inclusive) give nan."""
+    plain = solver.residual_norm
+    calls = []
+
+    def patched(state, g):
+        calls.append(1)
+        return float("nan") if first <= len(calls) <= last else plain(state, g)
+
+    monkeypatch.setattr(solver, "residual_norm", patched)
+
+
+def test_nan_candidate_residual_is_rejected_and_damped(grid, monkeypatch):
+    # call 1 is the starting state's, call 2 the first candidate's. Every
+    # comparison with nan is false, so the reject test alone once accepted
+    # that candidate with k moved by the full mu; it is now rejected, and
+    # the retry damps the fields and the frequency by tau / 2
+    _nan_residuals(monkeypatch, 2, 2)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_fixed_a(-3.3, grid, SolverConfig(max_iterations=1))
+    (iteration, k1, residual, mu), = info.value.history
+    assert iteration == 1 and np.isfinite(residual)
+    assert k1 == 1.0 + 0.25 * mu
+
+
+def test_nan_residuals_down_to_the_floor_end_in_divergence(grid, monkeypatch):
+    # a non-finite candidate is no least-bad step: at the floor of tau it
+    # ends the solve as a candidate with no valid state does
+    _nan_residuals(monkeypatch, 2, math.inf)
+    with pytest.raises(DivergenceError, match="no valid state"):
+        solve_fixed_a(-3.3, grid)
+
+
 def test_converged_state_is_fixed_point(tight_solution, grid):
     mu, (du, dv) = _damped(tight_solution, grid, tau=1.0)
     assert abs(mu) < 1e-10
@@ -680,6 +732,25 @@ def test_converged_pair_at_its_own_frequency_is_not_refitted(state_m33, grid):
     state = _make_state(state_m33.pair, state_m33.a, state_m33.k, grid)
     assert state.residual_norm <= SolverConfig().tol_residual
     assert solver._fitted_start(state, grid, SolverConfig().tol_residual) is state
+
+
+def test_warm_solve_at_its_first_check_allocates_no_mixing_history(state_m33, grid):
+    # A solve that returns at its first check never mixes, so it must not
+    # set aside the two (5, 2n) Anderson buffers, 160 B per node. Measured:
+    # a peak of 243 B per node on this grid (the band, the right-hand side
+    # and the cyclic reduction's levels); the bound leaves 23% above that,
+    # and the buffers would take the peak to about 400.
+    warm = dict(init=state_m33.pair, k0=state_m33.k)
+    solve_fixed_a(-3.3, grid, **warm)  # the grid's arrays and solver caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = solve_fixed_a(-3.3, grid, **warm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert state.iteration == 0
+    assert peak / grid.n_nodes < 300
 
 
 def test_two_warm_solves_from_one_pair_are_identical(state_m33, grid):

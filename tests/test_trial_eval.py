@@ -96,15 +96,15 @@ def test_trial_eval_refuses_as_the_numpy_path_does(tmp_path, capsys, b, config):
 
 
 def test_trial_eval_refuses_a_seed_whose_integrands_overflow(tmp_path, capsys):
-    # at x ~ 1e-304 the derivatives d/dx = e^-theta d/dtheta overflow; no
+    # at x ~ 1e-156 the derivatives d/dx = e^-theta d/dtheta overflow; no
     # solver runs, so this is a refused seed (2), not a non-convergence (3)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("theta_min = -700\ntheta_max = -690\nn_nodes = 40\n")
+    cfg.write_text("theta_min = -360\ntheta_max = -350\nn_nodes = 40\n")
     out = tmp_path / "run"
-    argv = ["trial-eval", "--b", "1e200", "--config", str(cfg), "--output-dir", str(out)]
+    argv = ["trial-eval", "--b", "1e155", "--config", str(cfg), "--output-dir", str(out)]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: trial scale b = 1e+200 gives a seed whose energy integrands are "
+        "error: trial scale b = 1e+155 gives a seed whose energy integrands are "
         "not finite on this grid (integrate: input contains non-finite values)\n"
     )
     assert not out.exists()

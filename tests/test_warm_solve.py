@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from solitonscf import front
 from solitonscf import io as io_mod
 from solitonscf.front import EXIT_IO, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE
-from solitonscf.grid import Grid
 from solitonscf.model import trial_functions
 
 A_STARTS = (-2.8, -3.3, -3.8)  # scan starts that converge (perfbench/README.md)
@@ -210,23 +209,24 @@ def test_an_uncertified_warm_solve_reads_its_snapshot_once(
     assert reads == [warm]
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # numpy's inf
-def test_a_grid_whose_squares_underflow_ends_as_the_numpy_path(certified, tmp_path):
-    # below x = 1e-162, x^2 underflows to 0: the certificate's float
-    # arithmetic would divide by zero, so it declines, and the numpy path,
-    # whose inf and nan reach its own checks, ends the solve
+def test_a_grid_whose_squares_underflow_ends_as_the_numpy_path(
+    certified, monkeypatch, tmp_path
+):
+    # below x = 1e-162, x_0 x_1 underflows to 0 and the box rows would divide
+    # by zero: the grid check refuses the bounds (exit 2) on both paths alike,
+    # before the snapshot is read or a solve starts
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("theta_min = -400.0\ntheta_max = -380.0\nn_nodes = 200\n")
-    grid = Grid(-400.0, -380.0, 200)
-    # a unit-norm pair, v = u / 10, so that the certificate reaches its sweep
-    bump = [math.exp(-(((i - 100) / 30.0) ** 2)) for i in range(200)]
-    s = 1.0 / math.sqrt(sum(w * 1.01 * b * b for w, b in zip(grid.ws, bump)))
-    u = [s * b for b in bump]
     warm = str(tmp_path / "tiny.json")
+    u = [math.exp(-(((i - 100) / 30.0) ** 2)) for i in range(200)]
     snap = io_mod.Snapshot(-400.0, -380.0, 200, -3.3, 1.0, u, [0.1 * x for x in u])
     io_mod.save_snapshot(warm, snap)
+    reads = []
+    monkeypatch.setattr(io_mod, "_read_snapshot", reads.append)
     argv = ["solve", "--config", str(cfg), "--warm-start", warm]
     via_front, via_numpy = _both_paths(argv, str(tmp_path))
     assert via_front == via_numpy
-    assert via_front[0] == EXIT_NO_CONVERGENCE
-    assert certified == [False]
+    code, stdout, stderr, files = via_front
+    assert (code, stdout, files) == (EXIT_USAGE, "", {})
+    assert stderr.startswith("error: grid (-400.0, -380.0, 200 nodes) has a first interval")
+    assert reads == [] and certified == []
