@@ -14,9 +14,10 @@ import numbers
 
 # Largest grid node count: over 60 times the 16000 nodes of the finest grid
 # any test, demo or benchmark uses. Building the grid and running a cold
-# solve raise the peak resident memory by about 0.67 kB per node (ru_maxrss
-# over an interpreter that has imported the package, at 1e5 nodes), so a
-# grid at the cap stays under a gigabyte.
+# solve raise the peak resident memory by about 0.56 kB per node (ru_maxrss
+# over an interpreter that has imported the package and run one small
+# solve, at 1e5 nodes; python3 tools/node_memory.py N prints it), so a grid
+# at the cap stays under a gigabyte.
 MAX_NODES = 10**6
 
 

@@ -17,9 +17,9 @@ solver. Both return one record, which one summary and one state writer
 turn into the artifacts; a certified pair's are the bytes the numpy solve
 would write.
 
-These commands run on the node and weight lists of grid.Grid, the grid of
-the numpy layers too, which builds its numpy arrays only when they are
-asked for. They repeat the arithmetic of the numpy layers element for
+These commands run on the node and weight buffers (array('d')) of
+grid.Grid, the grid of the numpy layers too, which makes its numpy views
+of them only when they are asked for. They repeat the arithmetic of the numpy layers element for
 element, but take each integral with math.fsum where numpy takes a dot
 product, so the two agree to about 1e-15 relative, well inside the
 summaries' 6 digits. The certificate takes grid's box-scheme coefficients

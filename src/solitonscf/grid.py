@@ -18,11 +18,12 @@ meets are the ones that matter.
 
 Grid is the one grid of the package, for the numpy layers and the
 standard-library commands alike. It checks its bounds and node count on
-construction (errors.check_grid) and builds its nodes and weights as lists
-of floats there; the numpy arrays theta, x and quad_weights hold the same
-doubles and are made from those lists on first use. So building a grid, and
-_linspace, which also spaces the dispersion command's momenta, import no
-numpy; integrate and differentiate import it when called.
+construction (errors.check_grid) and builds its nodes and weights there,
+each held once, as an array('d') of 8 bytes a value; the numpy arrays
+theta, x and quad_weights are read-only views of those buffers, made on
+first use without a copy. So building a grid, and _linspace, which also
+spaces the dispersion command's momenta, import no numpy; integrate and
+differentiate import it when called.
 
 The box scheme's interval coefficients and its two boundary rows (Keller
 1974) are defined here once, for solver.solve_corrections and the
@@ -33,6 +34,7 @@ order.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import DegenerateLinearizationError, NumericError, ShapeError, check_grid
@@ -59,7 +61,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return ys
 
 
-# each numpy array of a Grid and the list it is made from
+# each numpy array of a Grid and the buffer it views
 _ARRAY_SOURCES = {"theta": "thetas", "x": "xs", "quad_weights": "ws"}
 
 
@@ -80,31 +82,32 @@ class Grid:
         Number of nodes, endpoints included.
     h : float
         Uniform theta spacing.
-    thetas, xs, ws : list of float
+    thetas, xs, ws : array('d')
         Node coordinates in theta (np.linspace's doubles), in x (math.exp
         of each theta node) and the trapezoid weights in theta with the
         Jacobian e^theta absorbed.
     theta, x, quad_weights : np.ndarray
-        thetas, xs and ws as read-only arrays, made on first use;
-        integrate(f) is quad_weights @ f.
+        Read-only views of thetas, xs and ws, made on first use without a
+        copy; integrate(f) is quad_weights @ f.
     """
 
     theta_min: float
     theta_max: float
     n_nodes: int
     h: float = field(init=False)
-    thetas: list[float] = field(init=False, repr=False)
-    xs: list[float] = field(init=False, repr=False)
-    ws: list[float] = field(init=False, repr=False)
+    thetas: array = field(init=False, repr=False)
+    xs: array = field(init=False, repr=False)
+    ws: array = field(init=False, repr=False)
 
     def __post_init__(self):
         t0, t1, n = check_grid(self.theta_min, self.theta_max, self.n_nodes)
         self.theta_min, self.theta_max, self.n_nodes = t0, t1, n
         h = self.h = (t1 - t0) / (n - 1)
-        self.thetas = _linspace(t0, t1, n)
-        xs = self.xs = [math.exp(theta) for theta in self.thetas]
-        self.ws = [h * x for x in xs]
-        self.ws[0], self.ws[-1] = 0.5 * h * xs[0], 0.5 * h * xs[-1]
+        # each list is freed once its doubles are in the buffer
+        self.thetas = array("d", _linspace(t0, t1, n))
+        xs = self.xs = array("d", [math.exp(theta) for theta in self.thetas])
+        ws = self.ws = array("d", [h * x for x in xs])
+        ws[0], ws[-1] = 0.5 * h * xs[0], 0.5 * h * xs[-1]
 
     def __getattr__(self, name):
         # only attributes not yet set get here: an array, made once
@@ -113,9 +116,9 @@ class Grid:
             raise AttributeError(f"'Grid' object has no attribute {name!r}")
         import numpy as np
 
-        array = self.__dict__[name] = np.array(getattr(self, source))
-        array.flags.writeable = False  # the lists hold the same doubles
-        return array
+        view = self.__dict__[name] = np.frombuffer(getattr(self, source))
+        view.flags.writeable = False
+        return view
 
     @property
     def x_min(self) -> float:

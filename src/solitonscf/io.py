@@ -232,30 +232,23 @@ def _digest(tokens: Sequence[bytes]) -> str:
     return hashlib.sha256(b"|".join(tokens)).hexdigest()
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write text to path via a temporary file and an atomic rename.
 
     text is one string or an iterable of strings written in order, so a
     table can be streamed without building it whole. If the iterable
     raises, the temporary file is removed and path is left as it was. The
-    file gets the mode a plain open() would give it (0o666 less the umask),
-    not the owner-only mode of the temporary file.
+    temporary file is created with mode 0o666, which the kernel reduces by
+    the umask, so the file gets the mode a plain open() would give it.
     """
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = _create_temporary(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -263,6 +256,21 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
         except OSError:
             pass
         raise
+
+
+def _create_temporary(directory: str) -> Tuple[int, str]:
+    """A new file .tmp-<random> in directory, opened for writing, and its path.
+
+    O_EXCL makes the name the caller's alone; a name already taken is
+    drawn again, as tempfile.mkstemp does.
+    """
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary name in {directory}")
 
 
 # field name -> (bytes of the array, comma-joined reprs of its values) for
@@ -287,10 +295,12 @@ def _field_text(name: str, values) -> str:
 def _field(path: str, name: str, values):
     """A field array as doubles; ShapeError unless it is one-dimensional.
 
-    A flat list or array('d') of numbers becomes an array('d'), without
-    numpy: its tobytes and tolist serve the memo as an ndarray's do. Any
-    other value becomes an ndarray.
+    An array('d') is returned as it is, and a flat list or other array of
+    numbers becomes an array('d'), without numpy: its tobytes and tolist
+    serve the memo as an ndarray's do. Any other value becomes an ndarray.
     """
+    if isinstance(values, array) and values.typecode == "d":
+        return values
     if isinstance(values, (list, array)):
         try:
             return array("d", values)
@@ -407,16 +417,22 @@ def _read_snapshot(path: str) -> Snapshot:
     u, v = payload["u"], payload["v"]
     # A JSON number with a fraction or an exponent parses to the bytes of
     # its token, which no other JSON value parses to; a JSON integer to an
-    # int (bool is an int subclass, not a JSON integer).
+    # int (bool is an int subclass, not a JSON integer). The values of u
+    # and v are checked by the checksum's join, which takes only bytes.
+    mistyped = f"{path}: snapshot values must be JSON numbers"
     if not (
         type(payload["n_nodes"]) is int
         and set(map(type, scalars)) <= {bytes}
-        and all(isinstance(x, list) and set(map(type, x)) <= {bytes} for x in (u, v))
+        and all(isinstance(x, list) for x in (u, v))
     ):
-        raise CorruptSnapshotError(f"{path}: snapshot values must be JSON numbers")
+        raise CorruptSnapshotError(mistyped)
+    try:
+        fields = [b",".join(u), b",".join(v)]
+    except TypeError:
+        raise CorruptSnapshotError(mistyped) from None
     tokens = [payload[key] for key in _CANON_SCALARS]
     tokens = [t if type(t) is bytes else str(t).encode() for t in tokens]
-    if _digest(tokens + [b",".join(u), b",".join(v)]) != payload["checksum"]:
+    if _digest(tokens + fields) != payload["checksum"]:
         raise CorruptSnapshotError(f"{path}: checksum mismatch")
     theta_min, theta_max, a, k = map(float, scalars)
     u, v = list(map(float, u)), list(map(float, v))
@@ -509,8 +525,9 @@ def write_profiles_csv(path: str, grid: "Grid", u, v, phi0) -> None:
     Every column goes through the field memo: a profile table written next
     to a snapshot of the same state formats only phi0 and rho, and a table
     of a state whose fields are unchanged formats nothing. Only grid.xs,
-    the node list, is read, so the grid's arrays are not built, and fields
-    given as float sequences are written without numpy.
+    the node buffer, is read, and written without a copy, so the grid's
+    arrays are not built, and fields given as float sequences are written
+    without numpy.
     """
     u, v = _field(path, "u", u), _field(path, "v", v)
     if array in (type(u), type(v)):  # rho element by element, as numpy forms it

@@ -1,5 +1,9 @@
 """Grid construction, quadrature and differentiation."""
 
+import math
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,8 @@ from solitonscf.errors import (
     ShapeError,
     check_grid,
 )
-from solitonscf.grid import Grid, build_grid, differentiate, integrate
+from solitonscf.grid import Grid, _linspace, build_grid, differentiate, integrate
+from solitonscf.io import RunConfig
 
 
 def test_build_grid_basic():
@@ -63,6 +68,65 @@ def test_grid_check_refuses_a_node_count_above_the_cap(n_nodes):
 def test_grid_check_takes_the_cap():
     assert MAX_NODES == 10**6
     assert check_grid(0.0, 1.0, MAX_NODES) == (0.0, 1.0, MAX_NODES)
+
+
+def _list_grid(theta_min, theta_max, n_nodes):
+    """The reference: thetas, xs and ws as lists of floats, by the
+    arithmetic Grid's buffers must match bit for bit."""
+    h = (theta_max - theta_min) / (n_nodes - 1)
+    thetas = _linspace(theta_min, theta_max, n_nodes)
+    xs = [math.exp(theta) for theta in thetas]
+    ws = [h * x for x in xs]
+    ws[0], ws[-1] = 0.5 * h * xs[0], 0.5 * h * xs[-1]
+    return thetas, xs, ws
+
+
+_DEFAULT = RunConfig()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(_DEFAULT.theta_min, _DEFAULT.theta_max, n) for n in (2, 3, 2000, 16000)]
+    + [
+        (-372.567, -372.566, 2),  # near the lowest theta_min check_grid takes
+        (708.78, 709.78, 2),  # near the highest theta_max
+        (-372.567, 709.78, 1081),  # both, on the fewest nodes check_grid takes
+        (0.0, 1e-323, 3),  # a subnormal width
+    ],
+)
+def test_grid_buffers_hold_the_list_construction_bit_for_bit(bounds):
+    grid = Grid(*bounds)
+    for buffer, reference in zip((grid.thetas, grid.xs, grid.ws), _list_grid(*bounds)):
+        assert type(buffer) is array and buffer.typecode == "d"
+        assert buffer.tobytes() == array("d", reference).tobytes()
+
+
+def test_grid_arrays_are_read_only_views_of_the_buffers():
+    grid = Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, 50)
+    for name, source in (("theta", "thetas"), ("x", "xs"), ("quad_weights", "ws")):
+        view, buffer = getattr(grid, name), getattr(grid, source)
+        assert view is getattr(grid, name)  # made once
+        assert np.shares_memory(view, buffer)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+
+
+def test_a_built_grid_holds_each_value_once():
+    # three doubles a node: measured 24.27 B/node at 16000 nodes, the rest
+    # being the buffers' and views' fixed headers. The bound, 26, leaves a
+    # margin of 1.7 B/node (7%); a second copy of any one coordinate would
+    # add 8.
+    n_nodes = 16000
+    Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, 2).x  # numpy imported first
+    tracemalloc.start()
+    try:
+        grid = Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, n_nodes)
+        grid.theta, grid.x, grid.quad_weights
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / n_nodes < 26.0
 
 
 def test_integrate_decaying_exponential(grid):

@@ -502,6 +502,17 @@ def test_snapshot_rejects_mistyped_values(tmp_path, case):
         io_mod.load_snapshot(str(path))
 
 
+@pytest.mark.parametrize(
+    "token", [1, None, True, "1.5", [1.5], {}], ids=lambda t: type(t).__name__
+)
+def test_snapshot_field_value_that_is_no_json_number_is_mistyped(tmp_path, token):
+    # the last value of v, so the checksum's join meets it last
+    path = tmp_path / "state.json"
+    _mistyped_snapshot(path, "v", lambda v: v[:-1] + [token])
+    with pytest.raises(CorruptSnapshotError, match="must be JSON numbers"):
+        io_mod.load_snapshot(str(path))
+
+
 @pytest.mark.parametrize("key", ["u", "v", "k"])
 def test_snapshot_rejects_a_number_beyond_the_double_range(tmp_path, key):
     # 1e400 is a JSON number, but no double: it parses to inf
@@ -544,6 +555,32 @@ def test_atomic_write_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert target.stat().st_mode & 0o777 == 0o644
+
+
+def test_atomic_write_never_changes_the_umask(tmp_path, monkeypatch):
+    # the kernel applies the umask to the temporary file as it is created,
+    # so no write sets the process umask, which other threads share
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    target = tmp_path / "file.txt"
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", no_umask)
+            io_mod.atomic_write_text(str(target), "payload\n")
+
+            def pieces():
+                yield "partial\n"
+                raise RuntimeError("row source failed")
+
+            with pytest.raises(RuntimeError):
+                io_mod.atomic_write_text(str(target), pieces())
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert target.read_text() == "payload\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
 # ---------------------------------------------------------------------------
