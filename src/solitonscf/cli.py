@@ -9,17 +9,18 @@ for the rest:
     scan    locate the self-consistent coupling a0 (k = 1)
     _solve  the numpy solve of a ``solve`` that the front does not certify
 
-``_solve`` returns the front's record of the solved state, and the front
-writes every solve's artifacts from it; ``scan`` writes its state through
-the same front writer. ``main`` here hands any command to ``front.main``,
-so in-process callers take the same path as the command line.
+``_solve`` returns the front's record of the solved state, with the
+report of functional.energy_report, and the front writes every solve's
+artifacts from it; ``scan`` writes its state through the same front
+writer. ``main``, the one export, hands any command to ``front.main``, so
+in-process callers take the same path as the command line. The exit
+codes, OUTPUT_DIR_ENV, build_parser and main_entry are front's: import
+them from there.
 
-Exit codes are part of the contract: 0 success, 2 usage or configuration
-error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
-snapshot problem. The output directory resolves flag first, then the
-SOLITONSCF_OUTPUT_DIR environment variable, then the config file, then the
-current directory. All artifacts are deterministic; rerunning a command
-with the same inputs reproduces byte-identical files.
+The output directory resolves flag first, then the SOLITONSCF_OUTPUT_DIR
+environment variable, then the config file, then the current directory.
+All artifacts are deterministic; rerunning a command with the same inputs
+reproduces byte-identical files.
 """
 
 from typing import List, Optional
@@ -27,31 +28,19 @@ from typing import List, Optional
 from . import front
 from . import io as io_mod
 from .errors import ScanFailureError
-from .front import (  # the exit codes and OUTPUT_DIR_ENV are re-exported
-    EXIT_IO,
-    EXIT_NO_CONVERGENCE,
-    EXIT_OK,
-    EXIT_SCAN_FAILURE,
-    EXIT_USAGE,
-    OUTPUT_DIR_ENV,
-    _out,
-    _run_config,
-    build_parser,
-    main_entry,
-)
+from .front import EXIT_OK, _out, _run_config
 from .functional import energy_report
 from .scan import find_a0, verify_extremum
 from .solver import solve_fixed_a
 
-__all__ = ["build_parser", "main", "main_entry"]
+__all__ = ["main"]
 
 
 def _solved(state, report) -> front._Solved:
     """A solver state and its energy report as the front's record."""
     return front._Solved(
         state.a, state.k, state.pair.u, state.pair.v, state.field.phi0,
-        state.iteration, state.residual_norm, state.trace, report.T, report.Pi,
-        report.localization_radius,
+        state.iteration, state.residual_norm, state.trace, report,
     )
 
 

@@ -13,9 +13,10 @@ the starting frequency (by the k^2 a invariance, a snapshot's state is
 the converged state at any coupling). A warm pair that solve_fixed_a's
 first convergence check certifies (``_certify``, on lists of floats) is
 the solved state; any other solve goes to ``cli._solve``, the numpy
-solver. Both return one record, which one summary and one state writer
-turn into the artifacts; a certified pair's are the bytes the numpy solve
-would write.
+solver. Both return one record, whose energy report functional._report
+builds from the state's integrals (that import loads no numpy), and one
+summary and one state writer turn it into the artifacts; a certified
+pair's are the bytes the numpy solve would write.
 
 These commands run on the node and weight buffers (array('d')) of
 grid.Grid, the grid of the numpy layers too, which makes its numpy views
@@ -325,6 +326,11 @@ def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
             f"trial scale b = {b!r} gives a seed whose energy integrands are "
             f"not finite on this grid ({exc})"
         ) from exc
+    if Pi == 0.0:  # -T / Pi would divide by zero
+        raise ConfigurationError(
+            f"trial scale b = {b!r} gives a seed whose self-interaction Pi "
+            "underflows to 0 on this grid"
+        )
     return {
         "b": float(b),
         "norm_before_rescale": norm,
@@ -417,9 +423,9 @@ def _sweep(grid: Grid, u, v, phi, k, tol):
 
 
 # a solved state, as _certify and cli's numpy solve return it: coupling,
-# frequency, fields, iterations, residual norm, iteration trace, and T, Pi
-# and the localization radius of its energy report
-_Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace T Pi radius")
+# frequency, fields, iterations, residual norm, iteration trace and its
+# functional.EnergyReport
+_Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace report")
 
 
 def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
@@ -454,8 +460,11 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     core = [z for z in u if abs(z) > NODE_TOL * scale]
     if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
         return None  # a node: solve_fixed_a refuses the state
+    from .functional import _report  # no numpy: only solve loads it
+
     T, Pi, radius = _energy(grid, u, v, rho, phi0)
-    return _Solved(a, k, u, v, phi0, 0, residual, [], T, Pi, radius / norm)
+    report = _report(a, T, Pi, radius / norm, cfg.alpha0)
+    return _Solved(a, k, u, v, phi0, 0, residual, [], report)
 
 
 def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:
@@ -504,21 +513,17 @@ def _cmd_solve(args) -> int:
         from . import cli  # numpy and the solver stack
 
         solved = cli._solve(cfg, grid, a, k0, snap)
-    a, T, alpha0 = solved.a, solved.T, cfg.alpha0
-    if "json" in cfg.formats:  # the values of functional.energy_report
+    if "json" in cfg.formats:
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), {
-            "a": a, "k": solved.k, "iterations": solved.iterations,
-            "residual": solved.residual, "T": T, "Pi": solved.Pi,
-            "a_extremum": -T / solved.Pi, "E0_over_m0": -T * a / (2.0 * alpha0),
-            "e_times_e0": 4.0 * math.pi * a, "delta": a / alpha0,
-            "C": (alpha0 - a) / (alpha0 + a), "localization_radius": solved.radius,
+            **vars(solved.report), "k": solved.k,
+            "iterations": solved.iterations, "residual": solved.residual,
         })
     _write_state(cfg, grid, solved, args.snapshot)
     if args.trace and "csv" in cfg.formats:
         io_mod.write_trace_csv(_out(cfg, "trace.csv"), solved.trace)
     print(
-        f"solve: a = {a:.6g}, k = {solved.k:.6g}, T = {T:.6g}, "
-        f"iterations = {solved.iterations}"
+        f"solve: a = {solved.a:.6g}, k = {solved.k:.6g}, "
+        f"T = {solved.report.T:.6g}, iterations = {solved.iterations}"
     )
     return EXIT_OK
 

@@ -14,11 +14,16 @@ coupling scan is checked against. The remaining observables are algebraic in
 a: rest energy E(0)/m0 = -T a / (2 alpha0), the product of the two charge
 units e e0 = 4 pi a, and the mixing parameters delta = a/alpha0 and
 C = (alpha0 - a)/(alpha0 + a), tied by delta = (1 - C)/(1 + C).
+
+_report builds the EnergyReport from a, T, Pi and the localization radius
+alone, for energy_report here and for the standard-library warm-start
+certificate in front, which takes those integrals on lists of floats. Like
+model, the module loads no numpy until a function that integrates an array
+is called.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NORM_TOL, UnnormalizedStateError, check_coupling, check_value
 from .grid import Grid, differentiate, integrate
@@ -97,7 +102,7 @@ def charge_relation(a: float, e0: float = 1.0, alpha0: float = 10.0) -> dict:
     """
     check_value("e0", e0, 0.0, open_low=True)
     check_coupling(a, alpha0)
-    e_e0 = 4.0 * np.pi * a
+    e_e0 = 4.0 * math.pi * a
     C = (alpha0 - a) / (alpha0 + a)
     return {
         "e_times_e0": e_e0,
@@ -118,6 +123,13 @@ def energy_report(
     dens = density(pair, grid)
     T = _kinetic(pair, grid, dens)
     Pi = _self_interaction(dens.rho, grid)
+    radius = integrate(grid.x * dens.rho, grid) / dens.norm
+    return _report(a, T, Pi, radius, alpha0)
+
+
+def _report(a, T, Pi, radius, alpha0) -> EnergyReport:
+    """The report of a state at coupling a, from its integrals T and Pi and
+    its localization radius; refuses what charge_relation refuses."""
     charges = charge_relation(a, alpha0=alpha0)
     return EnergyReport(
         a=float(a),
@@ -128,5 +140,5 @@ def energy_report(
         e_times_e0=charges["e_times_e0"],
         delta=charges["delta"],
         C=charges["C"],
-        localization_radius=integrate(grid.x * dens.rho, grid) / dens.norm,
+        localization_radius=radius,
     )

@@ -13,11 +13,12 @@ phi = a * phi0 with coupling a (negative on the physical branch).
 On the log grid both pieces are single cumulative trapezoid sweeps:
 int rho/y dy has Jacobian-free form int rho dtheta, and int rho dy becomes
 int rho e^theta dtheta.
+
+Importing the module loads no numpy: the functions that build arrays,
+SpinorPair.normalized, potential and trial_functions, import it when called.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError, check_value
 from .grid import Grid, _check_values, integrate
@@ -36,11 +37,13 @@ __all__ = [
 class SpinorPair:
     """Radial amplitudes (u, v) sampled on a grid."""
 
-    u: np.ndarray
-    v: np.ndarray
+    u: "np.ndarray"
+    v: "np.ndarray"
 
     def normalized(self, grid: Grid) -> "SpinorPair":
         """Scaled copy with unit density integral."""
+        import numpy as np
+
         n = integrate(self.u**2 + self.v**2, grid)
         s = 1.0 / np.sqrt(n)
         return SpinorPair(self.u * s, self.v * s)
@@ -48,7 +51,7 @@ class SpinorPair:
 
 @dataclass
 class Density:
-    rho: np.ndarray
+    rho: "np.ndarray"
     norm: float
 
 
@@ -56,11 +59,11 @@ class Density:
 class SelfField:
     """Self-generated potential: shape phi0 plus the coupling that scales it."""
 
-    phi0: np.ndarray
+    phi0: "np.ndarray"
     a: float
 
     @property
-    def phi(self) -> np.ndarray:
+    def phi(self) -> "np.ndarray":
         return self.a * self.phi0
 
 
@@ -72,7 +75,7 @@ def density(pair: SpinorPair, grid: Grid) -> Density:
     return Density(rho=rho, norm=integrate(rho, grid))
 
 
-def potential(rho: np.ndarray, grid: Grid) -> np.ndarray:
+def potential(rho: "np.ndarray", grid: Grid) -> "np.ndarray":
     """Shape function phi0 of the self-potential for a given density.
 
     Linear in rho. Monotone non-increasing, and equal to (int rho)/x
@@ -83,6 +86,8 @@ def potential(rho: np.ndarray, grid: Grid) -> np.ndarray:
     np.ndarray
         phi0 at the grid nodes.
     """
+    import numpy as np
+
     rho = _check_values(rho, grid, "potential")
     if np.any(rho < 0.0):
         raise ConfigurationError(
@@ -114,6 +119,8 @@ def trial_functions(b: float, grid: Grid) -> SpinorPair:
     is not finite, or has no finite positive norm to rescale by, raises
     ConfigurationError.
     """
+    import numpy as np
+
     check_value("trial scale b", b, 0.0, open_low=True)
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.float64(b) ** 1.5  # inf, where a Python float would raise

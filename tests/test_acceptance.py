@@ -19,15 +19,15 @@ import numpy as np
 import pytest
 
 from solitonscf import io as io_mod
-from solitonscf.cli import (
+from solitonscf.cli import main
+from solitonscf.dispersion import group_velocity, mixing_coefficients, spectrum
+from solitonscf.front import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_SCAN_FAILURE,
     EXIT_USAGE,
-    main,
 )
-from solitonscf.dispersion import group_velocity, mixing_coefficients, spectrum
 from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.grid import Grid, integrate
 from solitonscf.io import RunConfig

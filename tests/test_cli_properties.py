@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from solitonscf import io as io_mod
-from solitonscf.cli import (
+from solitonscf.cli import main
+from solitonscf.front import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_SCAN_FAILURE,
     EXIT_USAGE,
-    main,
 )
 from solitonscf.model import trial_functions
 

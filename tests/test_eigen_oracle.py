@@ -11,6 +11,13 @@ u = r v takes the decaying root r of the Riccati equation of u/v at the
 last node, evaluated at the scan's a0, so it belongs to A. The pencil's
 nodeless eigenvalue is then a0 itself, and its eigenvector, at unit norm,
 is the scan's state.
+
+A second oracle closes the self-consistent loop that the frozen phi0
+leaves open. From the seed at b = 1 and a = -3.3, each step factors
+A + a B at the current a with a sparse LU, runs three inverse iterations
+on the pencil, moves a to sigma - 1/nu, and rebuilds phi0 from the
+eigenvector's density; the tail root follows the current a. Its fixed
+point is a0 and the scan's state.
 """
 
 import math
@@ -22,6 +29,8 @@ from solitonscf.io import RunConfig
 from solitonscf.scan import find_a0
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
+scipy_sparse = pytest.importorskip("scipy.sparse")
+scipy_splu = pytest.importorskip("scipy.sparse.linalg").splu
 
 N_NODES = 200
 
@@ -78,6 +87,12 @@ def _shape(rho, theta):
     return outer + inner / x
 
 
+def _has_node(u):
+    """Whether u changes sign outside its negligible tails."""
+    core = u[np.abs(u) > 1e-8 * np.max(np.abs(u))]
+    return not np.all(np.sign(core) == np.sign(core[0]))
+
+
 def test_dense_eigen_solve_reproduces_a0_and_its_state():
     cfg = RunConfig(n_nodes=N_NODES)
     result = find_a0(cfg, cfg.build_grid())
@@ -94,8 +109,7 @@ def test_dense_eigen_solve_reproduces_a0_and_its_state():
     index = negative[np.argmin(np.abs(values[negative]))]
     a_eig = values[index].real
     u, v = vectors[0::2, index].real, vectors[1::2, index].real
-    core = u[np.abs(u) > 1e-8 * np.max(np.abs(u))]
-    assert np.all(np.sign(core) == np.sign(core[0])), "the eigenvector has a node"
+    assert not _has_node(u), "the eigenvector has a node"
     assert abs(a_eig - result.a0) <= 1e-8
 
     # unit norm, and the sign of the scan's state
@@ -104,3 +118,35 @@ def test_dense_eigen_solve_reproduces_a0_and_its_state():
     u, v = scale * u, scale * v
     assert max(np.max(np.abs(u - u_ref)), np.max(np.abs(v - v_ref))) <= 1e-10
     assert np.max(np.abs(_shape(u * u + v * v, theta) - phi0)) <= 1e-10
+
+
+def test_self_consistent_sparse_pencil_reproduces_a0_and_its_state():
+    cfg = RunConfig(n_nodes=N_NODES, tol_residual=1e-11)
+    result = find_a0(cfg, cfg.build_grid())
+    theta = np.linspace(cfg.theta_min, cfg.theta_max, N_NODES)
+    x, weights = np.exp(theta), _trapezoid_weights(theta)
+    u, v = x * (1.0 + x) * np.exp(-x), x * x * np.exp(-x)  # the b = 1 seed
+    a = -3.3
+    for _ in range(100):
+        scale = np.sign(weights @ u) / math.sqrt(weights @ (u * u + v * v))
+        u, v = scale * u, scale * v
+        A, B = _pencil(theta, _shape(u * u + v * v, theta), a)
+        B = scipy_sparse.csc_matrix(B)
+        lu = scipy_splu(scipy_sparse.csc_matrix(A) + a * B)
+        w = np.column_stack((u, v)).ravel()  # (u_0, v_0, u_1, v_1, ...)
+        for _ in range(3):  # (A + sigma B)^-1 B w = nu w at a = sigma - 1/nu
+            w = w / np.linalg.norm(w)
+            y = lu.solve(B @ w)
+            nu, w = w @ y, y
+        a, previous = a - 1.0 / nu, a
+        u, v = w[0::2], w[1::2]
+        if abs(a - previous) < 1e-12:
+            break
+    else:
+        pytest.fail(f"no self-consistent fixed point; a = {a!r}")
+    assert not _has_node(u), "the eigenvector has a node"
+    assert abs(a - result.a0) <= 1e-10
+    scale = np.sign(weights @ u) / math.sqrt(weights @ (u * u + v * v))
+    solved = result.solution.pair
+    assert np.max(np.abs(scale * u - solved.u)) <= 1e-10
+    assert np.max(np.abs(scale * v - solved.v)) <= 1e-10

@@ -172,6 +172,13 @@ def test_import_cli_loads_every_layer():
     assert proc.stdout.strip() == "True", proc.stderr
 
 
+def test_cli_exports_only_main():
+    # the exit codes and entry points are front's, which defines them
+    from solitonscf import cli
+
+    assert cli.__all__ == ["main"]
+
+
 def test_every_export_resolves_to_its_submodule():
     for name in solitonscf.__all__:
         value = getattr(solitonscf, name)
@@ -257,8 +264,11 @@ def test_stdlib_grid_is_grid_x_and_weights_bit_for_bit(n_nodes):
 
 
 def test_building_a_grid_imports_no_numpy():
+    # and neither does importing model and functional, whose report the
+    # certified solve builds
     code = (
-        "import sys; from solitonscf.grid import Grid; "
+        "import sys, solitonscf.model, solitonscf.functional; "
+        "from solitonscf.grid import Grid; "
         "from solitonscf.io import RunConfig; c = RunConfig(); "
         "g = Grid(c.theta_min, c.theta_max, c.n_nodes); "
         "print('numpy' in sys.modules, len(g.xs))"

@@ -19,21 +19,21 @@ from solitonscf import front
 from solitonscf import grid as grid_mod
 from solitonscf import io as io_mod
 from solitonscf import model, solver
-from solitonscf.cli import (
-    EXIT_IO,
-    EXIT_NO_CONVERGENCE,
-    EXIT_OK,
-    EXIT_SCAN_FAILURE,
-    EXIT_USAGE,
-    OUTPUT_DIR_ENV,
-    main,
-)
+from solitonscf.cli import main
 from solitonscf.errors import (
     ConfigurationError,
     CorruptSnapshotError,
     NumericError,
     ShapeError,
     UnsupportedSnapshotError,
+)
+from solitonscf.front import (
+    EXIT_IO,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    EXIT_SCAN_FAILURE,
+    EXIT_USAGE,
+    OUTPUT_DIR_ENV,
 )
 from solitonscf.grid import build_grid
 from solitonscf.scan import ScanConfig, find_a0

@@ -9,10 +9,11 @@ the same trial_summary.json bytes and the same refusals.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonscf import front
 from solitonscf import io as io_mod
-from solitonscf.cli import EXIT_USAGE, main
+from solitonscf.cli import main
 from solitonscf.errors import SolitonError
-from solitonscf.front import _trial_summary
+from solitonscf.front import EXIT_USAGE, _trial_summary
 from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.grid import build_grid, integrate
 from solitonscf.model import density, trial_functions
@@ -106,5 +107,31 @@ def test_trial_eval_refuses_a_seed_whose_integrands_overflow(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: trial scale b = 1e+155 gives a seed whose energy integrands are "
         "not finite on this grid (integrate: input contains non-finite values)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "b, theta_min, theta_max, n_nodes",
+    [
+        (2.1461141453194385e-173, -132.21464494668453, 369.8720354104277, 2),
+        (1.1547754679733622e-206, -0.7439409998664601, 407.38317003134534, 3),
+    ],
+)
+def test_trial_eval_refuses_a_seed_whose_pi_underflows(
+    tmp_path, capsys, b, theta_min, theta_max, n_nodes
+):
+    # a finite, unit-norm seed whose self-interaction Pi rounds to 0, so
+    # -T / Pi has no value: a refused seed (2), not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"theta_min = {theta_min!r}\ntheta_max = {theta_max!r}\nn_nodes = {n_nodes}\n"
+    )
+    out = tmp_path / "run"
+    argv = ["trial-eval", "--b", repr(b), "--config", str(cfg), "--output-dir", str(out)]
+    assert front.main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: trial scale b = {b!r} gives a seed whose self-interaction Pi "
+        "underflows to 0 on this grid\n"
     )
     assert not out.exists()

@@ -10,16 +10,20 @@ message, same files. The snapshot is read once either way.
 
 import contextlib
 import io
+import json
 import math
 import os
+import shutil
 import tempfile
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonscf import front
+from solitonscf import front, solver
 from solitonscf import io as io_mod
 from solitonscf.front import EXIT_IO, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE
+from solitonscf.functional import EnergyReport
 from solitonscf.model import trial_functions
 
 A_STARTS = (-2.8, -3.3, -3.8)  # scan starts that converge (perfbench/README.md)
@@ -123,16 +127,57 @@ def test_warm_solves_match_the_numpy_path_byte_for_byte(scan_snapshots, certifie
     assert sum(certified) >= 0.9 * len(certified), certified
 
 
+def test_solve_summary_is_the_energy_report_and_the_run(
+    scan_snapshots, certified, tmp_path
+):
+    # both paths write functional.EnergyReport's fields and k, iterations
+    # and residual, and nothing else
+    argv = ["solve", "--warm-start", scan_snapshots[1], "--a", "-4.1"]
+    keys = {f.name for f in fields(EnergyReport)} | {"k", "iterations", "residual"}
+    for code, _, _, files in _both_paths(argv, str(tmp_path)):
+        assert code == EXIT_OK
+        assert json.loads(files["solve_summary.json"]).keys() == keys
+    assert certified == [True]
+
+
+def _save(path, a, k, u, v):
+    """A snapshot of the pair (u, v) at (a, k) on the default grid."""
+    grid = io_mod.RunConfig().build_grid()
+    bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
+    io_mod.save_snapshot(path, io_mod.Snapshot(*bounds, a, k, u, v))
+
+
 def _seed_snapshot(path):
     """The normalized seed pair at b = 1 on the default grid, as a snapshot."""
     grid = io_mod.RunConfig().build_grid()
     pair = trial_functions(1.0, grid).normalized(grid)
-    io_mod.save_snapshot(
-        path,
-        io_mod.Snapshot(
-            grid.theta_min, grid.theta_max, grid.n_nodes, -3.3, 1.0, pair.u, pair.v
-        ),
-    )
+    _save(path, -3.3, 1.0, pair.u, pair.v)
+
+
+def _one_node_snapshot(path):
+    """The converged state whose u has one interior node: a cold solve at
+    -4.3 with the node check off, as in test_solver's one-node regression."""
+    grid = io_mod.RunConfig().build_grid()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "count_nodes", lambda values: 0)
+        state = solver.solve_fixed_a(-4.3, grid, k0=1.0)
+    _save(path, -4.3, state.k, state.pair.u, state.pair.v)
+
+
+def _overflow_snapshot(path):
+    """u = v = 3e153 on the last 20 nodes, 0 elsewhere: each density term
+    is finite, but their fsum overflows."""
+    n = io_mod.RunConfig().n_nodes
+    u = [0.0] * (n - 20) + [3e153] * 20
+    _save(path, -3.3, 1.0, u, list(u))
+
+
+def _rescaled(src, path, pair_scale=1.0, k_scale=1.0):
+    """The snapshot at src with its pair times pair_scale and its k times
+    k_scale."""
+    snap = io_mod._read_snapshot(src)
+    u, v = ([pair_scale * z for z in f] for f in (snap.u, snap.v))
+    io_mod.save_snapshot(path, replace(snap, k=k_scale * snap.k, u=u, v=v))
 
 
 def _corrupt(path):
@@ -153,17 +198,31 @@ _UNCERTIFIED = {
     "unconverged": (["--config", "{cfg}"], EXIT_NO_CONVERGENCE, "no convergence"),
     "tight-tol": (["--a", "-3.1", "--tol", "1e-12"], EXIT_OK, ""),
     "seed": (["--trace"], EXIT_OK, ""),
+    # the certificate's own refusals: the norm (off by 2e-9, or an fsum that
+    # overflows), |mu| and the node check
+    "off-norm": ([], EXIT_OK, ""),
+    "norm-overflow": ([], EXIT_NO_CONVERGENCE, "carries no k-motion"),
+    "half-k": (["--tol", "1"], EXIT_OK, ""),
+    "one-node": ([], EXIT_NO_CONVERGENCE, "1 interior node(s)"),
 }
 
 
 def _warm_start(case, scan_snapshots, tmp_path):
     """The path of the warm-start snapshot of an _UNCERTIFIED case."""
     warm = str(tmp_path / "warm.json")
+    a0_state = scan_snapshots[1]
     if case in ("unconverged", "seed"):
         _seed_snapshot(warm)
+    elif case == "one-node":
+        _one_node_snapshot(warm)
+    elif case == "norm-overflow":
+        _overflow_snapshot(warm)
+    elif case == "off-norm":  # its norm is 1 + 2e-9, not within 2 eps of 1
+        _rescaled(a0_state, warm, pair_scale=1.0 + 1e-9)
+    elif case == "half-k":  # its residual is below 1, |mu| above tol k / 2
+        _rescaled(a0_state, warm, k_scale=0.5)
     else:
-        with open(scan_snapshots[1], "rb") as src, open(warm, "wb") as dst:
-            dst.write(src.read())
+        shutil.copyfile(a0_state, warm)
     if case == "corrupt":
         _corrupt(warm)
     return warm

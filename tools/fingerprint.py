@@ -15,11 +15,11 @@ k_history and energy report, and the exception class, text and history of
 every failure.
 
 A second line is a digest over the standard-library warm-start certificate,
-front._certify: its record (the solved state and its energy integrals) or
-None, for the a0 pair of the scan from -3.3 at WARM_COUPLINGS x
-WARM_TOLERANCES with the frequency k_s sqrt(a_s / a) that solve passes it,
-and for two pairs it does not certify (the a0 pair at a frequency 1e-6
-off, and the normalized seed at b = 1).
+front._certify: its record (the solved state, then its report's T, Pi and
+localization radius) or None, for the a0 pair of the scan from -3.3 at
+WARM_COUPLINGS x WARM_TOLERANCES with the frequency k_s sqrt(a_s / a) that
+solve passes it, and for two pairs it does not certify (the a0 pair at a
+frequency 1e-6 off, and the normalized seed at b = 1).
 
 Run it against a tree's sources:
 
@@ -155,9 +155,13 @@ def certificates(grid) -> list:
 
 
 def certificate_digest(grid) -> str:
-    """The sha256 hex digest of every certificate above on grid."""
+    """The sha256 hex digest of every certificate above on grid: the state
+    fields of each record, then its report's T, Pi and localization radius."""
     h = hashlib.sha256()
     for case, record in certificates(grid):
+        if record is not None:
+            report = record.report
+            record = (*record[:-1], report.T, report.Pi, report.localization_radius)
         _update(h, ("certify", case, record))
     return h.hexdigest()
 
