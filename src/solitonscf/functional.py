@@ -25,7 +25,13 @@ is called.
 import math
 from dataclasses import dataclass
 
-from .errors import NORM_TOL, UnnormalizedStateError, check_coupling, check_value
+from .errors import (
+    NORM_TOL,
+    NumericError,
+    UnnormalizedStateError,
+    check_coupling,
+    check_value,
+)
 from .grid import Grid, differentiate, integrate
 from .model import SpinorPair, density, potential
 
@@ -129,8 +135,13 @@ def energy_report(
 
 def _report(a, T, Pi, radius, alpha0) -> EnergyReport:
     """The report of a state at coupling a, from its integrals T and Pi and
-    its localization radius; refuses what charge_relation refuses."""
+    its localization radius; refuses what charge_relation refuses, and a Pi
+    of 0 (NumericError), where the extremum coupling -T/Pi is undefined."""
     charges = charge_relation(a, alpha0=alpha0)
+    if Pi == 0.0:
+        raise NumericError(
+            f"self-interaction Pi = {Pi!r}: the extremum coupling -T/Pi is undefined"
+        )
     return EnergyReport(
         a=float(a),
         T=T,

@@ -20,19 +20,22 @@ save_snapshot refuses a non-finite value before it writes anything.
 
 Each field array is formatted once across artifacts. The module keeps the
 comma-joined reprs of the last x, u, v, phi0 and rho arrays it wrote, one
-slot per field name, with the bytes of the array they came from. A write
-whose array has the same bytes reuses the text; any other array is
-formatted and replaces its slot. So the memo never holds more than five
-arrays' text, and a snapshot followed by the profile table of the same
-state, or the reverse, formats u and v once; an unchanged grid is
-formatted once, and a state written again (a warm solve that returned its
-input fields) has every column served from the memo.
+slot per field name, keyed by the sha256 digest of the array's bytes. The
+digest is taken on the array's own buffer, so the memo holds five texts and
+five 32-byte digests, and no copy of any array. A write whose array has the
+same digest reuses the text; any other array is formatted, _CHUNK_ROWS
+values at a time, and replaces its slot. So a snapshot followed by the
+profile table of the same state, or the reverse, formats u and v once; an
+unchanged grid is formatted once, and a state written again (a warm solve
+that returned its input fields) has every column served from the memo.
 
 All writers are deterministic: no timestamps, sorted JSON keys, repr
 formatting for full-precision tables and 6 significant digits for the
 human-facing summaries. Files are written to a temporary name in the
-target directory and atomically renamed into place; tables are streamed
-into the temporary file in chunks of rows, never built whole.
+target directory and atomically renamed into place; tables and snapshots
+are streamed into the temporary file in pieces, never built whole, and a
+snapshot's checksum is fed in pieces too, when it is written and when it
+is read.
 
 Importing the module loads no numpy: the configuration, the JSON summary
 and the row tables (history, trace, dispersion) need only the standard
@@ -226,10 +229,20 @@ class Snapshot:
 _CANON_SCALARS = ("format_version", "theta_min", "theta_max", "n_nodes", "a", "k")
 
 
-def _digest(tokens: Sequence[bytes]) -> str:
+def _checksum(scalars: Sequence[bytes], fields) -> str:
     """sha256 of the canon: the number tokens of the values in _CANON_SCALARS
-    order, then the comma-joined tokens of u and of v, joined by '|'."""
-    return hashlib.sha256(b"|".join(tokens)).hexdigest()
+    order, then the comma-joined tokens of u and of v, joined by '|'.
+
+    scalars holds the six scalar tokens. fields holds, for u and then v,
+    an iterable of byte pieces whose concatenation is the field's
+    comma-joined tokens, so no field is ever joined whole.
+    """
+    digest = hashlib.sha256(b"|".join(scalars))
+    for pieces in fields:
+        digest.update(b"|")
+        for piece in pieces:
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
@@ -273,31 +286,55 @@ def _create_temporary(directory: str) -> Tuple[int, str]:
     raise FileExistsError(f"no free temporary name in {directory}")
 
 
-# field name -> (bytes of the array, comma-joined reprs of its values) for
-# the last x, u, v, phi0 and rho arrays written; see the module docstring
+# rows per piece of a streamed table, values per piece of a field's cold
+# text and tokens per piece of a snapshot's checksum as it is read
+_CHUNK_ROWS = 1024
+# characters split per piece: no double's repr is longer than 24, so with
+# its comma each value takes at most 25, and a window that ends before the
+# text does holds _CHUNK_ROWS whole values
+_CHUNK_CHARS = 25 * _CHUNK_ROWS
+
+# field name -> (sha256 digest of the array's bytes, comma-joined reprs of
+# its values) for the last x, u, v, phi0 and rho arrays written; see the
+# module docstring
 _FIELD_TEXTS = {}
 
 
 def _field_text(name: str, values) -> str:
     """The comma-joined reprs of a 1-D field array, formatted once per content.
 
-    The slot of name is reused while values has the bytes it was formatted
-    from. The compare is exact, so 0.0 and -0.0 never share a text; a
-    mismatch replaces the slot in one assignment.
+    The slot of name is reused while the sha256 of values' bytes is the
+    digest it was formatted under. The bytes are hashed in place, through
+    the array's buffer; only a strided array is copied to a contiguous one
+    first. 0.0 and -0.0 differ in their bytes, so they never share a text.
+    A cold slot is formatted _CHUNK_ROWS values at a time, so no list of
+    every repr is built, and a mismatch replaces the slot in one assignment.
     """
-    data = values.tobytes()
+    view = memoryview(values)
+    key = hashlib.sha256(view if view.c_contiguous else view.tobytes()).digest()
     slot = _FIELD_TEXTS.get(name)
-    if slot is None or slot[0] != data:
-        slot = _FIELD_TEXTS[name] = (data, ",".join(map(repr, values.tolist())))
+    if slot is None or slot[0] != key:
+        chunks = (
+            values[start : start + _CHUNK_ROWS].tolist()
+            for start in range(0, len(values), _CHUNK_ROWS)
+        )
+        text = ",".join(",".join(map(repr, chunk)) for chunk in chunks)
+        slot = _FIELD_TEXTS[name] = (key, text)
     return slot[1]
+
+
+def _windows(text: str):
+    """text in consecutive windows of _CHUNK_CHARS characters."""
+    return (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
 
 
 def _field(path: str, name: str, values):
     """A field array as doubles; ShapeError unless it is one-dimensional.
 
     An array('d') is returned as it is, and a flat list or other array of
-    numbers becomes an array('d'), without numpy: its tobytes and tolist
-    serve the memo as an ndarray's do. Any other value becomes an ndarray.
+    numbers becomes an array('d'), without numpy: its buffer, slices and
+    tolist serve the memo as an ndarray's do. Any other value becomes an
+    ndarray.
     """
     if isinstance(values, array) and values.typecode == "d":
         return values
@@ -314,9 +351,16 @@ def _field(path: str, name: str, values):
     return values
 
 
-def _json_array(text: str) -> str:
-    """A field's repr text laid out as json.dumps(..., indent=1) nests a list."""
-    return "[\n  " + text.replace(",", ",\n  ") + "\n ]" if text else "[]"
+def _json_array(text: str):
+    """A field's repr text laid out as json.dumps(..., indent=1) nests a list,
+    in pieces: the brackets and one piece per window of the text."""
+    if not text:
+        yield "[]"
+        return
+    yield "[\n  "
+    for window in _windows(text):
+        yield window.replace(",", ",\n  ")
+    yield "\n ]"
 
 
 def save_snapshot(path: str, snapshot: Snapshot) -> None:
@@ -327,6 +371,9 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     field memo (the module docstring), so a state whose profile table was
     just written is not formatted again; the same text feeds the checksum
     and the body, and the checksum covers those reprs, the file's tokens.
+    Both take the text in windows of _CHUNK_CHARS characters: the body is
+    streamed to the file, and neither the whole body nor an encoded copy
+    of a field is built.
 
     Raises ShapeError unless u and v are one-dimensional with n_nodes
     values each, and NumericError if a value is not finite: no JSON number
@@ -342,12 +389,15 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     if len(u) != n_nodes or len(v) != n_nodes:
         raise ShapeError(f"{path}: u and v must hold n_nodes = {n_nodes} values each")
     u_text, v_text = _field_text("u", u), _field_text("v", v)
-    texts = [str(version), t_min, t_max, str(n_nodes), a, k, u_text, v_text]
-    if any("n" in text for text in texts):  # nan, inf, -inf: no finite repr has an n
+    tokens = [str(version), t_min, t_max, str(n_nodes), a, k]
+    if any("n" in text for text in tokens + [u_text, v_text]):
+        # nan, inf, -inf: no finite repr has an n
         raise NumericError(f"{path}: snapshot values must be finite")
-    checksum = _digest([text.encode("ascii") for text in texts])
-    atomic_write_text(
-        path,
+    checksum = _checksum(
+        [token.encode("ascii") for token in tokens],
+        [(w.encode("ascii") for w in _windows(text)) for text in (u_text, v_text)],
+    )
+    head = (
         "{\n"
         f' "a": {a},\n'
         f' "checksum": "{checksum}",\n'
@@ -356,9 +406,13 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
         f' "n_nodes": {n_nodes},\n'
         f' "theta_max": {t_max},\n'
         f' "theta_min": {t_min},\n'
-        f' "u": {_json_array(u_text)},\n'
-        f' "v": {_json_array(v_text)}\n'
-        "}\n",
+        ' "u": '
+    )
+    atomic_write_text(
+        path,
+        chain(
+            [head], _json_array(u_text), [',\n "v": '], _json_array(v_text), ["\n}\n"]
+        ),
     )
 
 
@@ -372,6 +426,12 @@ def _finite(values: list) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def _float_list(tokens: list):
+    """The floats of a field's tokens as a list, or None unless all are finite."""
+    values = list(map(float, tokens))
+    return values if _finite(values) else None
+
+
 def load_snapshot(path: str) -> Snapshot:
     """Load and verify a snapshot.
 
@@ -383,16 +443,26 @@ def load_snapshot(path: str) -> Snapshot:
     be the sha256 of the number tokens as written, so every file
     save_snapshot wrote loads, and one whose numbers were re-spelled
     without a new checksum does not. The checks are _read_snapshot's; this
-    adds only the numpy arrays of u and v.
+    converts the tokens of u and v straight into numpy arrays, with no list
+    of floats in between.
     """
     import numpy as np
 
-    snap = _read_snapshot(path)
-    return replace(snap, u=np.array(snap.u, float), v=np.array(snap.v, float))
+    def floats(tokens):
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+        return values if np.isfinite(values).all() else None
+
+    return _read_snapshot(path, floats)
 
 
-def _read_snapshot(path: str) -> Snapshot:
-    """load_snapshot on the standard library: u and v are lists of floats."""
+def _read_snapshot(path: str, floats=_float_list) -> Snapshot:
+    """load_snapshot on the standard library: u and v are lists of floats.
+
+    floats turns the tokens of a field into its values, or None unless all
+    are finite. The token lists of u and v are taken out of the parsed
+    payload, and each is freed once converted; the checksum reads them in
+    pieces of _CHUNK_ROWS tokens, so no field is joined whole.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_float=str.encode)
@@ -414,11 +484,11 @@ def _read_snapshot(path: str) -> Snapshot:
     if missing:
         raise CorruptSnapshotError(f"{path}: missing keys {missing}")
     scalars = [payload[key] for key in ("theta_min", "theta_max", "a", "k")]
-    u, v = payload["u"], payload["v"]
+    u, v = payload.pop("u"), payload.pop("v")
     # A JSON number with a fraction or an exponent parses to the bytes of
     # its token, which no other JSON value parses to; a JSON integer to an
     # int (bool is an int subclass, not a JSON integer). The values of u
-    # and v are checked by the checksum's join, which takes only bytes.
+    # and v are checked by the checksum's joins, which take only bytes.
     mistyped = f"{path}: snapshot values must be JSON numbers"
     if not (
         type(payload["n_nodes"]) is int
@@ -426,17 +496,20 @@ def _read_snapshot(path: str) -> Snapshot:
         and all(isinstance(x, list) for x in (u, v))
     ):
         raise CorruptSnapshotError(mistyped)
-    try:
-        fields = [b",".join(u), b",".join(v)]
-    except TypeError:
-        raise CorruptSnapshotError(mistyped) from None
     tokens = [payload[key] for key in _CANON_SCALARS]
     tokens = [t if type(t) is bytes else str(t).encode() for t in tokens]
-    if _digest(tokens + fields) != payload["checksum"]:
+    try:
+        checksum = _checksum(tokens, [_joined(u), _joined(v)])
+    except TypeError:
+        raise CorruptSnapshotError(mistyped) from None
+    if checksum != payload["checksum"]:
         raise CorruptSnapshotError(f"{path}: checksum mismatch")
     theta_min, theta_max, a, k = map(float, scalars)
-    u, v = list(map(float, u)), list(map(float, v))
-    if not (_finite([theta_min, theta_max, a, k]) and _finite(u) and _finite(v)):
+    # each token list is freed once converted; None stops at the first
+    # non-finite value
+    u = floats(u) if _finite([theta_min, theta_max, a, k]) else None
+    v = None if u is None else floats(v)
+    if v is None:
         raise CorruptSnapshotError(f"{path}: snapshot values must be finite")
     n_nodes = payload["n_nodes"]
     if len(u) != n_nodes or len(v) != n_nodes:
@@ -454,16 +527,17 @@ def _read_snapshot(path: str) -> Snapshot:
     )
 
 
+def _joined(tokens: list):
+    """The comma-joined tokens in pieces of _CHUNK_ROWS tokens; TypeError if
+    a token is not bytes."""
+    for start in range(0, len(tokens), _CHUNK_ROWS):
+        if start:
+            yield b","
+        yield b",".join(tokens[start : start + _CHUNK_ROWS])
+
+
 # ---------------------------------------------------------------------------
 # tables and summaries
-
-
-# rows per piece of a streamed table
-_CHUNK_ROWS = 1024
-# characters split per piece: no double's repr is longer than 24, so with
-# its comma each value takes at most 25, and a window that ends before the
-# text does holds _CHUNK_ROWS whole values
-_CHUNK_CHARS = 25 * _CHUNK_ROWS
 
 
 def _text_chunks(text: str):

@@ -6,6 +6,7 @@ import pytest
 from solitonscf import functional
 from solitonscf.errors import (
     ConfigurationError,
+    NumericError,
     UnnormalizedStateError,
     UnphysicalMixingError,
 )
@@ -15,7 +16,7 @@ from solitonscf.functional import (
     kinetic_T,
     potential_Pi,
 )
-from solitonscf.grid import integrate
+from solitonscf.grid import Grid, integrate
 from solitonscf.model import SpinorPair, trial_functions
 
 # Symbolic values for the b = 1 seed family, computed before the build:
@@ -120,6 +121,17 @@ def test_energy_report_builds_density_and_potential_once(grid, monkeypatch):
     assert (rep.T, rep.Pi) == expected
     with pytest.raises(UnnormalizedStateError):  # the unit-norm check stays
         energy_report(trial_functions(0.5, grid), grid, a=-3.3)
+
+
+def test_energy_report_refuses_a_state_whose_pi_is_zero():
+    # on two nodes this seed's density underflows, so Pi = 0 and -T/Pi has
+    # no value
+    g = Grid(-132.21464494668453, 369.8720354104277, 2)
+    pair = trial_functions(2.1461141453194385e-173, g).normalized(g)
+    with pytest.raises(NumericError, match="Pi = 0.0"):
+        energy_report(pair, g, -3.3)
+    with pytest.raises(NumericError, match="Pi = -0.0"):
+        functional._report(-3.3, 1.0, -0.0, 1.0, 10.0)
 
 
 def test_kinetic_sign_flip_under_v_conjugation(grid):

@@ -42,7 +42,10 @@ def test_lists_each_statement_line_that_no_test_runs(tmp_path):
     (package / "mod.py").write_text(MODULE)
     (tmp_path / "test_tiny.py").write_text(TEST)
     argv = [sys.executable, _TOOL, "--package", str(package)]
-    argv += ["-q", "-p", "no:cacheprovider", "test_tiny.py"]
+    # the tiny test needs neither plugin, and each costs about a second of
+    # imports under the tracer
+    argv += ["-q", "-p", "no:cacheprovider", "-p", "no:benchmark"]
+    argv += ["-p", "no:hypothesispytest", "test_tiny.py"]
     proc = subprocess.run(
         argv, cwd=tmp_path, capture_output=True, text=True, timeout=120
     )
