@@ -355,11 +355,11 @@ def _cmd_trial_eval(args) -> int:
 
 
 def _fsum(terms) -> float:
-    """math.fsum, or nan where it raises: on finite terms whose sum
-    overflows, and on inf and -inf together."""
+    """math.fsum, or nan where finite terms sum past the double range and it
+    raises OverflowError."""
     try:
         return math.fsum(terms)
-    except (OverflowError, ValueError):
+    except OverflowError:
         return math.nan
 
 

@@ -19,9 +19,11 @@ meets are the ones that matter.
 Grid is the one grid of the package, for the numpy layers and the
 standard-library commands alike. It checks its bounds and node count on
 construction (errors.check_grid) and builds its nodes and weights there,
-each held once, as an array('d') of 8 bytes a value; the numpy arrays
-theta, x and quad_weights are read-only views of those buffers, made on
-first use without a copy. So building a grid, and _linspace, which also
+each held once, as a read-only memoryview of an array('d') of 8 bytes a
+value; the numpy arrays theta, x and quad_weights are read-only views of
+those buffers, made on first use without a copy. A Grid is frozen, and no
+buffer or view of it can be written, so a checked grid stays the grid that
+was checked. So building a grid, and _linspace, which also
 spaces the dispersion command's momenta, import no numpy; integrate and
 differentiate import it when called.
 
@@ -65,7 +67,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 _ARRAY_SOURCES = {"theta": "thetas", "x": "xs", "quad_weights": "ws"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """Uniform grid in theta = ln x.
 
@@ -82,10 +84,11 @@ class Grid:
         Number of nodes, endpoints included.
     h : float
         Uniform theta spacing.
-    thetas, xs, ws : array('d')
-        Node coordinates in theta (np.linspace's doubles), in x (math.exp
-        of each theta node) and the trapezoid weights in theta with the
-        Jacobian e^theta absorbed.
+    thetas, xs, ws : memoryview
+        Read-only memoryviews (format 'd') of the node coordinates in theta
+        (np.linspace's doubles), in x (math.exp of each theta node) and the
+        trapezoid weights in theta with the Jacobian e^theta absorbed. They
+        take no part in == and hash, which the bounds and n_nodes decide.
     theta, x, quad_weights : np.ndarray
         Read-only views of thetas, xs and ws, made on first use without a
         copy; integrate(f) is quad_weights @ f.
@@ -95,29 +98,34 @@ class Grid:
     theta_max: float
     n_nodes: int
     h: float = field(init=False)
-    thetas: array = field(init=False, repr=False)
-    xs: array = field(init=False, repr=False)
-    ws: array = field(init=False, repr=False)
+    thetas: memoryview = field(init=False, repr=False, compare=False)
+    xs: memoryview = field(init=False, repr=False, compare=False)
+    ws: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t0, t1, n = check_grid(self.theta_min, self.theta_max, self.n_nodes)
-        self.theta_min, self.theta_max, self.n_nodes = t0, t1, n
-        h = self.h = (t1 - t0) / (n - 1)
+        h = (t1 - t0) / (n - 1)
         # each list is freed once its doubles are in the buffer
-        self.thetas = array("d", _linspace(t0, t1, n))
-        xs = self.xs = array("d", [math.exp(theta) for theta in self.thetas])
-        ws = self.ws = array("d", [h * x for x in xs])
+        thetas = array("d", _linspace(t0, t1, n))
+        xs = array("d", [math.exp(theta) for theta in thetas])
+        ws = array("d", [h * x for x in xs])
         ws[0], ws[-1] = 0.5 * h * xs[0], 0.5 * h * xs[-1]
+        # the class is frozen: its checked values go in past __setattr__
+        self.__dict__.update(
+            theta_min=t0, theta_max=t1, n_nodes=n, h=h,
+            thetas=memoryview(thetas).toreadonly(),
+            xs=memoryview(xs).toreadonly(),
+            ws=memoryview(ws).toreadonly(),
+        )
 
     def __getattr__(self, name):
-        # only attributes not yet set get here: an array, made once
+        # only attributes not yet set get here: a read-only array, made once
         source = _ARRAY_SOURCES.get(name)
         if source is None:
             raise AttributeError(f"'Grid' object has no attribute {name!r}")
         import numpy as np
 
         view = self.__dict__[name] = np.frombuffer(getattr(self, source))
-        view.flags.writeable = False
         return view
 
     @property

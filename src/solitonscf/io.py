@@ -19,13 +19,17 @@ without a new checksum is refused. No JSON number is NaN or infinite, so
 save_snapshot refuses a non-finite value before it writes anything.
 
 Each field array is formatted once across artifacts. The module keeps the
-comma-joined reprs of the last x, u, v, phi0 and rho arrays it wrote, one
-slot per field name, keyed by the sha256 digest of the array's bytes. The
-digest is taken on the array's own buffer, so the memo holds five texts and
-five 32-byte digests, and no copy of any array. A write whose array has the
-same digest reuses the text; any other array is formatted, _CHUNK_ROWS
-values at a time, and replaces its slot. So a snapshot followed by the
-profile table of the same state, or the reverse, formats u and v once; an
+text of the last x, u, v, phi0 and rho arrays it wrote, one slot per field
+name, keyed by the sha256 digest of the array's bytes. A field's text is a
+tuple of chunks, each the comma-joined reprs of _CHUNK_ROWS values (the
+last chunk, of the values left), and every writer takes the chunks as they
+are: the snapshot's body and checksum one chunk at a time, the profile
+table one chunk of rows at a time, as every column has the same length and
+is chunked alike. The digest is taken on the array's own buffer, so the
+memo holds five texts and five 32-byte digests, and no copy of any array.
+A write whose array has the same digest reuses the text; any other array
+is formatted and replaces its slot. So a snapshot followed by the profile
+table of the same state, or the reverse, formats u and v once; an
 unchanged grid is formatted once, and a state written again (a warm solve
 that returned its input fields) has every column served from the memo.
 
@@ -34,8 +38,8 @@ formatting for full-precision tables and 6 significant digits for the
 human-facing summaries. Files are written to a temporary name in the
 target directory and atomically renamed into place; tables and snapshots
 are streamed into the temporary file in pieces, never built whole, and a
-snapshot's checksum is fed in pieces too, when it is written and when it
-is read.
+snapshot's checksum is fed in the same chunks, when it is written and
+when it is read.
 
 Importing the module loads no numpy: the configuration, the JSON summary
 and the row tables (history, trace, dispersion) need only the standard
@@ -234,14 +238,17 @@ def _checksum(scalars: Sequence[bytes], fields) -> str:
     order, then the comma-joined tokens of u and of v, joined by '|'.
 
     scalars holds the six scalar tokens. fields holds, for u and then v,
-    an iterable of byte pieces whose concatenation is the field's
-    comma-joined tokens, so no field is ever joined whole.
+    an iterable of byte chunks, each the comma-joined tokens of a run of
+    the field's values; the commas between chunks are put in here, so no
+    field is ever joined whole.
     """
     digest = hashlib.sha256(b"|".join(scalars))
-    for pieces in fields:
+    for chunks in fields:
         digest.update(b"|")
-        for piece in pieces:
-            digest.update(piece)
+        for i, chunk in enumerate(chunks):
+            if i:
+                digest.update(b",")
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -286,58 +293,51 @@ def _create_temporary(directory: str) -> Tuple[int, str]:
     raise FileExistsError(f"no free temporary name in {directory}")
 
 
-# rows per piece of a streamed table, values per piece of a field's cold
-# text and tokens per piece of a snapshot's checksum as it is read
+# values per chunk of a field's text, and so rows per piece of a profile
+# table, and tokens per piece of a snapshot's checksum as it is read
 _CHUNK_ROWS = 1024
-# characters split per piece: no double's repr is longer than 24, so with
-# its comma each value takes at most 25, and a window that ends before the
-# text does holds _CHUNK_ROWS whole values
-_CHUNK_CHARS = 25 * _CHUNK_ROWS
 
-# field name -> (sha256 digest of the array's bytes, comma-joined reprs of
-# its values) for the last x, u, v, phi0 and rho arrays written; see the
-# module docstring
+# field name -> (sha256 digest of the array's bytes, its text in chunks of
+# _CHUNK_ROWS comma-joined reprs) for the last x, u, v, phi0 and rho arrays
+# written; see the module docstring
 _FIELD_TEXTS = {}
 
 
-def _field_text(name: str, values) -> str:
-    """The comma-joined reprs of a 1-D field array, formatted once per content.
+def _field_text(name: str, values) -> Tuple[str, ...]:
+    """The reprs of a 1-D field array in chunks, formatted once per content.
 
-    The slot of name is reused while the sha256 of values' bytes is the
-    digest it was formatted under. The bytes are hashed in place, through
-    the array's buffer; only a strided array is copied to a contiguous one
-    first. 0.0 and -0.0 differ in their bytes, so they never share a text.
-    A cold slot is formatted _CHUNK_ROWS values at a time, so no list of
-    every repr is built, and a mismatch replaces the slot in one assignment.
+    Each chunk is the comma-joined reprs of _CHUNK_ROWS values, the last
+    one of the values left. The slot of name is reused while the sha256 of values'
+    bytes is the digest it was formatted under. The bytes are hashed in
+    place, through the array's buffer; only a strided array is copied to a
+    contiguous one first. 0.0 and -0.0 differ in their bytes, so they never
+    share a text. No list of every repr is built, and a mismatch replaces
+    the slot in one assignment.
     """
     view = memoryview(values)
     key = hashlib.sha256(view if view.c_contiguous else view.tobytes()).digest()
     slot = _FIELD_TEXTS.get(name)
     if slot is None or slot[0] != key:
-        chunks = (
-            values[start : start + _CHUNK_ROWS].tolist()
+        chunks = tuple(
+            ",".join(map(repr, values[start : start + _CHUNK_ROWS].tolist()))
             for start in range(0, len(values), _CHUNK_ROWS)
         )
-        text = ",".join(",".join(map(repr, chunk)) for chunk in chunks)
-        slot = _FIELD_TEXTS[name] = (key, text)
+        slot = _FIELD_TEXTS[name] = (key, chunks)
     return slot[1]
-
-
-def _windows(text: str):
-    """text in consecutive windows of _CHUNK_CHARS characters."""
-    return (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
 
 
 def _field(path: str, name: str, values):
     """A field array as doubles; ShapeError unless it is one-dimensional.
 
-    An array('d') is returned as it is, and a flat list or other array of
-    numbers becomes an array('d'), without numpy: its buffer, slices and
-    tolist serve the memo as an ndarray's do. Any other value becomes an
-    ndarray.
+    An array('d') or a 1-D memoryview of doubles (a Grid's buffers) is
+    returned as it is, and a flat list or other array of numbers becomes an
+    array('d'), without numpy: its buffer, slices and tolist serve the memo
+    as an ndarray's do. Any other value becomes an ndarray.
     """
-    if isinstance(values, array) and values.typecode == "d":
-        return values
+    if isinstance(values, (array, memoryview)):
+        view = memoryview(values)
+        if view.format == "d" and view.ndim == 1:
+            return values
     if isinstance(values, (list, array)):
         try:
             return array("d", values)
@@ -351,15 +351,15 @@ def _field(path: str, name: str, values):
     return values
 
 
-def _json_array(text: str):
-    """A field's repr text laid out as json.dumps(..., indent=1) nests a list,
-    in pieces: the brackets and one piece per window of the text."""
-    if not text:
+def _json_array(chunks: Tuple[str, ...]):
+    """A field's repr chunks laid out as json.dumps(..., indent=1) nests a
+    list, in pieces: the brackets and one piece per chunk."""
+    if not chunks:
         yield "[]"
         return
     yield "[\n  "
-    for window in _windows(text):
-        yield window.replace(",", ",\n  ")
+    for i, chunk in enumerate(chunks):
+        yield (",\n  " if i else "") + chunk.replace(",", ",\n  ")
     yield "\n ]"
 
 
@@ -367,13 +367,12 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
     """Serialize a snapshot as checksummed JSON (full double precision).
 
     The file is json.dumps(payload, sort_keys=True, indent=1) plus a
-    newline, laid out directly. The repr text of u and v comes from the
+    newline, laid out directly. The repr chunks of u and v come from the
     field memo (the module docstring), so a state whose profile table was
-    just written is not formatted again; the same text feeds the checksum
+    just written is not formatted again; the same chunks feed the checksum
     and the body, and the checksum covers those reprs, the file's tokens.
-    Both take the text in windows of _CHUNK_CHARS characters: the body is
-    streamed to the file, and neither the whole body nor an encoded copy
-    of a field is built.
+    Both take one chunk at a time: the body is streamed to the file, and
+    neither the whole body nor an encoded copy of a field is built.
 
     Raises ShapeError unless u and v are one-dimensional with n_nodes
     values each, and NumericError if a value is not finite: no JSON number
@@ -390,12 +389,12 @@ def save_snapshot(path: str, snapshot: Snapshot) -> None:
         raise ShapeError(f"{path}: u and v must hold n_nodes = {n_nodes} values each")
     u_text, v_text = _field_text("u", u), _field_text("v", v)
     tokens = [str(version), t_min, t_max, str(n_nodes), a, k]
-    if any("n" in text for text in tokens + [u_text, v_text]):
+    if any("n" in text for text in chain(tokens, u_text, v_text)):
         # nan, inf, -inf: no finite repr has an n
         raise NumericError(f"{path}: snapshot values must be finite")
     checksum = _checksum(
         [token.encode("ascii") for token in tokens],
-        [(w.encode("ascii") for w in _windows(text)) for text in (u_text, v_text)],
+        [(chunk.encode("ascii") for chunk in text) for text in (u_text, v_text)],
     )
     head = (
         "{\n"
@@ -461,7 +460,8 @@ def _read_snapshot(path: str, floats=_float_list) -> Snapshot:
     floats turns the tokens of a field into its values, or None unless all
     are finite. The token lists of u and v are taken out of the parsed
     payload, and each is freed once converted; the checksum reads them in
-    pieces of _CHUNK_ROWS tokens, so no field is joined whole.
+    chunks of _CHUNK_ROWS tokens, as save_snapshot feeds it, so no field is
+    joined whole.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -528,11 +528,9 @@ def _read_snapshot(path: str, floats=_float_list) -> Snapshot:
 
 
 def _joined(tokens: list):
-    """The comma-joined tokens in pieces of _CHUNK_ROWS tokens; TypeError if
+    """The comma-joined tokens in chunks of _CHUNK_ROWS tokens; TypeError if
     a token is not bytes."""
     for start in range(0, len(tokens), _CHUNK_ROWS):
-        if start:
-            yield b","
         yield b",".join(tokens[start : start + _CHUNK_ROWS])
 
 
@@ -540,39 +538,24 @@ def _joined(tokens: list):
 # tables and summaries
 
 
-def _text_chunks(text: str):
-    """Lists of up to _CHUNK_ROWS texts from a comma-joined text, split lazily.
-
-    Each piece is split from a window of _CHUNK_CHARS characters at the
-    current offset, so the rest of the text is never copied and a column
-    costs time linear in its length.
-    """
-    start = 0
-    while start < len(text):
-        window = text[start : start + _CHUNK_CHARS]
-        chunk = window.split(",", _CHUNK_ROWS)
-        rest = chunk.pop() if len(chunk) > _CHUNK_ROWS else ""
-        start += len(window) - len(rest)
-        yield chunk
-
-
 def _csv(path: str, header: Sequence[str], columns) -> None:
     """Write 1-D field columns of doubles as repr text, one row per line.
 
-    Each column takes its text from the field memo (the module docstring),
-    under its header name. The file is streamed in chunks of _CHUNK_ROWS
-    rows, so the whole text is never built. Raises ShapeError, and writes
-    nothing, when a column is not 1-D or the lengths differ.
+    Each column takes its repr chunks from the field memo (the module
+    docstring), under its header name. Every column has the same length
+    and is chunked alike, so the i-th chunks of the columns hold the same
+    rows: the file is streamed one chunk of rows at a time, and the whole
+    text is never built. Raises ShapeError, and writes nothing, when a
+    column is not 1-D or the lengths differ.
     """
     columns = [_field(path, name, col) for name, col in zip(header, columns)]
     if len({len(col) for col in columns}) > 1:
         raise ShapeError(
             f"{path}: columns of unequal length {[len(col) for col in columns]}"
         )
-    chunks = [
-        _text_chunks(_field_text(name, col)) for name, col in zip(header, columns)
-    ]
-    rows = ("\n".join(map(",".join, zip(*parts))) + "\n" for parts in zip(*chunks))
+    texts = [_field_text(name, col) for name, col in zip(header, columns)]
+    cells = (zip(*[chunk.split(",") for chunk in chunks]) for chunks in zip(*texts))
+    rows = ("\n".join(map(",".join, part)) + "\n" for part in cells)
     atomic_write_text(path, chain([",".join(header) + "\n"], rows))
 
 
@@ -604,7 +587,8 @@ def write_profiles_csv(path: str, grid: "Grid", u, v, phi0) -> None:
     without numpy.
     """
     u, v = _field(path, "u", u), _field(path, "v", v)
-    if array in (type(u), type(v)):  # rho element by element, as numpy forms it
+    # rho element by element, as numpy forms it, unless both are ndarrays
+    if {type(u), type(v)} & {array, memoryview}:
         rho = array("d", [p * p + q * q for p, q in zip(u, v)])
     else:
         rho = u * u + v * v

@@ -59,7 +59,9 @@ and a pair whose residual at sqrt(lam / a) is within tol_residual starts
 there: a state converged at any coupling is then returned at its first
 check, fields untouched, whatever frequency its caller passed. A warm pair
 already at unit norm (within 4 eps) is not rescaled, so it stays bit for
-bit what the caller gave. find_a0's trial seed comes as a _Seed, which is
+bit what the caller gave; one whose u^2 + v^2 under- or overflows is
+rescaled from its norm over max(|u|, |v|), and one that is all zero or not
+finite is refused. find_a0's trial seed comes as a _Seed, which is
 rescaled the same way but never fitted.
 
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
@@ -84,6 +86,7 @@ import numpy as np
 from .errors import (
     MU_DENOM_TOL,
     NODE_TOL,
+    ConfigurationError,
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
@@ -91,9 +94,10 @@ from .errors import (
     WrongBranchError,
     check_value,
 )
-from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
+from .grid import Grid, _check_values, _coefficients, _origin_row, _tail_row, integrate
 from .io import SolverConfig
 from .model import (
+    Density,
     SelfField,
     SpinorPair,
     density,
@@ -598,23 +602,42 @@ class _Seed(SpinorPair):
     no frequency, since its residual is nowhere near tol_residual."""
 
 
+def _warm_pair(init, grid: Grid) -> Tuple[SpinorPair, Density]:
+    """A copy of init's fields at unit norm, and its density.
+
+    ConfigurationError for a pair with a non-finite value or no non-zero
+    one, which no scale brings to unit norm. A pair already within
+    _NORM_KEEP of unit norm is kept bit for bit, with the density of its
+    norm check: rescaling it by 1/sqrt(norm) would only move its last bits.
+    Any other pair gets the scale SpinorPair.normalized would give, from
+    that norm; only where the norm under- or overflows is it taken on the
+    pair divided by max(|u|, |v|) first, which leaves it finite and
+    positive.
+    """
+    u, v = np.array(init.u, dtype=float), np.array(init.v, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and (u.any() or v.any())):
+        raise ConfigurationError("warm-start pair must be finite with a non-zero value")
+    u, v = _check_values(u, grid, "warm start"), _check_values(v, grid, "warm start")
+    with np.errstate(over="ignore"):  # an overflow leaves the norm inf
+        rho = u * u + v * v
+        norm = float(grid.quad_weights @ rho)
+    if abs(norm - 1.0) <= _NORM_KEEP:
+        return SpinorPair(u, v), Density(rho, norm)
+    if not 0.0 < norm < np.inf:
+        scale = max(np.abs(u).max(), np.abs(v).max())
+        u, v = u / scale, v / scale
+        norm = integrate(u * u + v * v, grid)
+    s = 1.0 / np.sqrt(norm)
+    pair = SpinorPair(u * s, v * s)
+    return pair, density(pair, grid)
+
+
 def _initial_state(a, grid, init, k0, tol) -> IterationState:
     if init is None:
         pair = trial_functions(1.0, grid).normalized(grid)
         dens = density(pair, grid)
     else:
-        pair = SpinorPair(
-            np.asarray(init.u, dtype=float).copy(),
-            np.asarray(init.v, dtype=float).copy(),
-        )
-        dens = density(pair, grid)
-        # a pair already at unit norm is kept bit for bit: rescaling it by
-        # 1/sqrt(norm) would only move its last bits. Any other pair gets
-        # the scale SpinorPair.normalized would give, from the norm at hand.
-        if not abs(dens.norm - 1.0) <= _NORM_KEEP:
-            s = 1.0 / np.sqrt(dens.norm)
-            pair = SpinorPair(pair.u * s, pair.v * s)
-            dens = density(pair, grid)
+        pair, dens = _warm_pair(init, grid)
     state = IterationState(
         pair=pair,
         k=float(k0),
@@ -649,8 +672,9 @@ def solve_fixed_a(
         takes the defaults.
     init : SpinorPair, optional
         Warm-start fields, renormalized on entry unless their norm is
-        already within 4 eps of one (they are then kept bit for bit); the
-        variational seed at unit scale is used when absent.
+        already within 4 eps of one (they are then kept bit for bit), also
+        where their norm under- or overflows; the variational seed at unit
+        scale is used when absent.
     k0 : float
         Starting frequency, unless the warm pair already solves the
         equations at its fitted k^2 a. Only k^2 a enters the equations, so
@@ -664,8 +688,9 @@ def solve_fixed_a(
     Raises
     ------
     ConfigurationError
-        Before iterating, for a coupling that is not finite and negative or
-        a starting frequency that is not finite and positive.
+        Before iterating, for a coupling that is not finite and negative, a
+        starting frequency that is not finite and positive, or a warm pair
+        with a non-finite value or no non-zero one.
     NonConvergenceError
         Iteration cap reached; carries the trace history.
     WrongBranchError

@@ -1,14 +1,18 @@
 """Property tests of the command line over arbitrary dispersion, trial-eval,
 solve and scan inputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from solitonscf import front
 from solitonscf import io as io_mod
 from solitonscf.cli import main
 from solitonscf.front import (
@@ -19,6 +23,10 @@ from solitonscf.front import (
     EXIT_USAGE,
 )
 from solitonscf.model import trial_functions
+
+# every command runs with warnings as errors: a numpy warning on the way to
+# an exit code is a defect the exit code hides
+pytestmark = pytest.mark.filterwarnings("error")
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 _JSON_VALUES = st.one_of(
@@ -286,3 +294,85 @@ def test_scan_exits_cleanly_on_any_input(data):
         with open(os.path.join(out, "scan_summary.json"), encoding="utf-8") as fh:
             assert json.load(fh)["warnings"] == []
         _assert_clean_artifacts(out)
+
+
+# a change of the converged warm pair: (kind, exponent s, slice start, slice
+# length, noise seed); scale multiplies both fields by 10^s, set puts 10^s in
+# a slice of both, zero clears a slice of both, noise adds 10^s times a
+# standard normal draw to each value
+_PERTURBATIONS = st.tuples(
+    st.sampled_from(["scale", "set", "zero", "flip-v", "swap", "noise"]),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=0, max_value=_NODES_SOLVE - 1),
+    st.integers(min_value=1, max_value=_NODES_SOLVE),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def _perturbed(snap, change):
+    """The fields of snap after change, a draw of _PERTURBATIONS."""
+    kind, s, start, length, seed = change
+    u, v = snap.u.copy(), snap.v.copy()
+    part = slice(start, start + length)
+    if kind == "scale":
+        u, v = u * 10.0**s, v * 10.0**s
+    elif kind == "set":
+        u[part] = v[part] = 10.0**s
+    elif kind == "zero":
+        u[part] = v[part] = 0.0
+    elif kind == "flip-v":
+        v = -v
+    elif kind == "swap":
+        u, v = v, u
+    else:
+        noise = np.random.default_rng(seed).standard_normal((2, u.size))
+        u, v = u + 10.0**s * noise[0], v + 10.0**s * noise[1]
+    return u, v
+
+
+def _solve_outcome(argv, out, certify):
+    """Exit code, stdout, stderr and files of main(argv) writing to out;
+    certify=False declines every warm pair, so the numpy solver runs."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if not certify:
+            patch.setattr(front, "_certify", lambda *args: None)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--output-dir", out])
+    files = {}
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(
+    change=_PERTURBATIONS,
+    a=st.sampled_from([None, -4.1, -3.3, -1e-3, -9.0]),
+)
+# u^2 + v^2 underflows to 0 or overflows, the pair is all zero, and a
+# 20-node spike whose density is finite but whose integral overflows
+@example(change=("scale", -250, 0, 1, 0), a=None)
+@example(change=("scale", 160, 0, 1, 0), a=-3.3)
+@example(change=("zero", 0, 0, _NODES_SOLVE, 0), a=None)
+@example(change=("set", 153, _NODES_SOLVE - 20, 20, 0), a=None)
+def test_solve_from_a_drawn_warm_pair_ends_cleanly(warm_starts, change, a):
+    snap = io_mod.load_snapshot(warm_starts["converged"])
+    u, v = _perturbed(snap, change)
+    with tempfile.TemporaryDirectory() as tmp:
+        warm = os.path.join(tmp, "warm.json")
+        io_mod.save_snapshot(warm, io_mod.Snapshot(
+            snap.theta_min, snap.theta_max, snap.n_nodes, snap.a, snap.k, u, v
+        ))
+        argv = ["solve", f"--grid-nodes={_NODES_SOLVE}", "--warm-start", warm]
+        argv += [] if a is None else [f"--a={a!r}"]
+        outs = [os.path.join(tmp, name) for name in ("front", "numpy")]
+        via_front = _solve_outcome(argv, outs[0], certify=True)
+        via_numpy = _solve_outcome(argv, outs[1], certify=False)
+        assert via_front == via_numpy
+        assert via_front[0] in _SOLVE_EXITS
+        if via_front[0] == EXIT_OK:
+            _assert_clean_artifacts(outs[0])
+        else:
+            assert via_front[3] == {}

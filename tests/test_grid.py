@@ -1,5 +1,6 @@
 """Grid construction, quadrature and differentiation."""
 
+import dataclasses
 import math
 import tracemalloc
 from array import array
@@ -97,7 +98,8 @@ _DEFAULT = RunConfig()
 def test_grid_buffers_hold_the_list_construction_bit_for_bit(bounds):
     grid = Grid(*bounds)
     for buffer, reference in zip((grid.thetas, grid.xs, grid.ws), _list_grid(*bounds)):
-        assert type(buffer) is array and buffer.typecode == "d"
+        assert type(buffer) is memoryview and buffer.format == "d"
+        assert buffer.readonly and buffer.ndim == 1
         assert buffer.tobytes() == array("d", reference).tobytes()
 
 
@@ -110,6 +112,26 @@ def test_grid_arrays_are_read_only_views_of_the_buffers():
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 1.0
+
+
+def test_a_checked_grid_cannot_be_written():
+    # every write raises and leaves the grid as it was checked: a buffer, a
+    # numpy view's flag and a field
+    grid = Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, 50)
+    before = grid.ws.tobytes()
+    with pytest.raises(TypeError):
+        grid.ws[5] = 1e6
+    with pytest.raises(ValueError):
+        grid.x.flags.writeable = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.n_nodes = 7
+    assert grid.ws.tobytes() == before and grid.n_nodes == len(grid.x) == 50
+
+
+def test_grids_are_equal_and_hash_alike_by_their_bounds():
+    grids = [Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, 50) for _ in range(2)]
+    assert grids[0] == grids[1] and hash(grids[0]) == hash(grids[1])
+    assert grids[0] != Grid(_DEFAULT.theta_min, _DEFAULT.theta_max, 51)
 
 
 def test_a_built_grid_holds_each_value_once():

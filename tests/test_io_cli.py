@@ -859,19 +859,39 @@ def test_field_memo_keys_a_strided_array_by_its_values(tmp_path, memo):
 _LONGEST = -2.2250738585072014e-308  # 24 characters, no repr is longer
 
 
-@pytest.mark.parametrize(
-    "n", [2, io_mod._CHUNK_ROWS - 1, io_mod._CHUNK_ROWS, io_mod._CHUNK_ROWS + 1]
-)
-@pytest.mark.parametrize("kind", ["finite", "longest"])
-def test_streamed_files_match_the_recipe_at_the_chunk_edges(tmp_path, memo, n, kind):
-    # the cold text is formatted in chunks of _CHUNK_ROWS values, and the
-    # snapshot's body and checksum take it in windows of _CHUNK_CHARS
-    # characters; "longest" makes the text of 1025 values just longer than
-    # one window, split inside a token
+def _chunk_edge_fields(n, kind):
+    """x, u and v of n rows for the chunk-edge test. x is a column of the
+    profile table only, so it alone carries -inf, nan and the other
+    non-finite bit patterns; u and v, shared with the snapshot, are finite,
+    with squares that neither the writer nor the recipe overflows."""
     x, u, v = _memo_fields(n, "finite")
+    rng = np.random.default_rng(n)
     if kind == "longest":
         u, v = np.full(n, _LONGEST), np.full(n, _LONGEST)
-        u[0] = 0.5
+        u[:1] = 0.5
+    elif kind == "any-bits":
+        x, u, v = (np.frombuffer(rng.bytes(8 * n), dtype=np.float64) for _ in "xuv")
+        with np.errstate(invalid="ignore"):
+            u, v = (np.where(np.abs(f) < 1e150, f, 0.5) for f in (u, v))
+    elif kind == "mixed":
+        values = [0.0, 1.5, _LONGEST, 5e-324, -np.inf]
+        x = rng.choice(values, n)
+        u, v = rng.choice(values[:-1], n), rng.choice(values[:-1], n)
+    return x, u, v
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, 2, io_mod._CHUNK_ROWS - 1, io_mod._CHUNK_ROWS, io_mod._CHUNK_ROWS + 1,
+     2 * io_mod._CHUNK_ROWS + 1],
+)
+@pytest.mark.parametrize("kind", ["finite", "longest", "any-bits", "mixed"])
+def test_streamed_files_match_the_recipe_at_the_chunk_edges(tmp_path, memo, n, kind):
+    # each field's text is kept in chunks of _CHUNK_ROWS values, which the
+    # snapshot's body and checksum take one at a time and the profile table
+    # one chunk of rows at a time; both orders of the writers, so that each
+    # writer meets the other's chunks in the memo
+    x, u, v = _chunk_edge_fields(n, kind)
     writers = _memo_writers(tmp_path, x, u, v)
     for order in (("snapshot", "csv"), ("csv", "snapshot")):
         memo.clear()
@@ -1025,7 +1045,10 @@ def test_continuation_steps_reuse_every_field_text(tmp_path, memo, grid):
         assert all(texts[name] is first[3][name] for name in ("phi0", "rho"))
 
 
-def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
+def test_streamed_write_that_raises_keeps_the_target(tmp_path, memo, monkeypatch):
+    # four values a chunk from the first write on, so every text in the
+    # memo, which this test alone holds, is chunked alike
+    monkeypatch.setattr(io_mod, "_CHUNK_ROWS", 4)
     target = tmp_path / "profiles.csv"
     x, u, v = _memo_fields(10, "finite")
     old = os.umask(0o022)
@@ -1042,56 +1065,32 @@ def test_streamed_write_that_raises_keeps_the_target(tmp_path, monkeypatch):
             io_mod.atomic_write_text(str(target), pieces())
         assert target.read_bytes() == before
 
-        # the same inside the CSV writer: one chunk of rows goes out, then
-        # splitting a column's text fails
-        real = io_mod._text_chunks
+        # the same inside the CSV writer: one chunk of rows goes out, then a
+        # column's chunks raise
+        real = io_mod._field_text
         served = []
 
-        def failing(text):
-            chunks = real(text)
-            served.append(next(chunks))
-            yield served[-1]
+        def failing(name, values):
+            chunks = real(name, values)
+            served.append(chunks[0])
+            yield chunks[0]
             raise RuntimeError("formatting failed")
 
-        monkeypatch.setattr(io_mod, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(io_mod, "_text_chunks", failing)
+        monkeypatch.setattr(io_mod, "_field_text", failing)
         with pytest.raises(RuntimeError):
             io_mod.write_profiles_csv(str(target), SimpleNamespace(xs=x), 2 * u, v, u)
         # each of the five columns gave its first chunk of rows before the raise
-        assert [len(chunk) for chunk in served] == [4] * 5
+        assert [len(chunk.split(",")) for chunk in served] == [4] * 5
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
 
-        monkeypatch.setattr(io_mod, "_text_chunks", real)
+        monkeypatch.setattr(io_mod, "_field_text", real)
         io_mod.write_profiles_csv(str(target), SimpleNamespace(xs=x), 2 * u, v, u)
     finally:
         os.umask(old)
     assert target.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
     assert target.stat().st_mode & 0o777 == 0o644
-
-
-def _split_rest_chunks(text):
-    """The chunker that split the whole rest of the text each time: the
-    reference the windowed one must match."""
-    while text:
-        chunk = text.split(",", io_mod._CHUNK_ROWS)
-        text = chunk.pop() if len(chunk) > io_mod._CHUNK_ROWS else ""
-        yield chunk
-
-
-@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
-@pytest.mark.parametrize("kind", ["any-bits", "longest", "mixed"])
-def test_text_chunks_match_the_split_of_the_rest(rows, kind):
-    rng = np.random.default_rng(rows)
-    longest = -2.2250738585072014e-308  # 24 characters, no repr is longer
-    values = {
-        "any-bits": np.frombuffer(rng.bytes(8 * rows), dtype=np.float64),
-        "longest": np.full(rows, longest),
-        "mixed": rng.choice([0.0, 1.5, longest, 5e-324, -np.inf], rows),
-    }[kind]
-    text = ",".join(map(repr, values.tolist()))
-    assert list(io_mod._text_chunks(text)) == list(_split_rest_chunks(text))
 
 
 def test_a_long_profile_table_reads_back_bit_exact(tmp_path, memo):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -772,22 +773,27 @@ def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
     assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
 
 
+def _counted_densities(monkeypatch):
+    """The pairs of each solver.density call from here on, in order."""
+    calls = []
+
+    def counted(pair, g):
+        calls.append(pair)
+        return density(pair, g)
+
+    monkeypatch.setattr(solver, "density", counted)
+    return calls
+
+
 def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
     # a warm pair off unit norm is rescaled by the norm its keep check
     # already integrated, so only the rescaled pair's density integrates
     # again; the pair is the one SpinorPair.normalized gives, bit for bit
     s = np.sqrt(1.0 + 1e-10)
     init = SpinorPair(state_m33.pair.u * s, state_m33.pair.v * s)
-    plain = model.integrate
-    calls = []
-
-    def counted(values, g):
-        calls.append(1)
-        return plain(values, g)
-
-    monkeypatch.setattr(model, "integrate", counted)
+    calls = _counted_densities(monkeypatch)
     state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
-    assert len(calls) == 2
+    assert len(calls) == 1 and calls[0] is state.pair
     monkeypatch.undo()
     expected = init.normalized(grid)
     assert state.pair.u.tobytes() == expected.u.tobytes()
@@ -796,18 +802,43 @@ def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
 
 def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
     # a warm pair kept at unit norm reuses the density of its norm check
-    calls = []
-
-    def counted(pair, g):
-        calls.append(pair)
-        return density(pair, g)
-
-    monkeypatch.setattr(solver, "density", counted)
+    calls = _counted_densities(monkeypatch)
     state = solver._initial_state(-3.3, grid, state_m33.pair, state_m33.k, 1e-8)
     assert np.array_equal(state.pair.u, state_m33.pair.u)
-    assert len(calls) == 1
+    assert calls == []
     dens = density(state_m33.pair, grid)
     assert np.array_equal(state.field.phi0, potential(dens.rho, grid))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-250, 1e-170, 1e160, 1e250, 1.0 + 1e-10])
+def test_warm_pair_at_any_scale_starts_warningless_at_unit_norm(
+    state_m33, grid, scale
+):
+    # u^2 + v^2 underflows to 0 at 1e-250 and 1e-170 and overflows at 1e160
+    # and 1e250: the norm is then taken on the pair over its largest value.
+    # The all-zero pair has no scale to find and is refused.
+    init = SpinorPair(state_m33.pair.u * scale, state_m33.pair.v * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale == 0.0:
+            with pytest.raises(ConfigurationError, match="non-zero value"):
+                solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+            return
+        state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+    assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(state.pair.u, state_m33.pair.u, rtol=1e-14, atol=1e-300)
+    assert state.residual_norm < 1e-8
+    if scale == 1.0 + 1e-10:  # a norm at hand: the scale normalized gives
+        expected = init.normalized(grid)
+        assert state.pair.u.tobytes() == expected.u.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_warm_pair_with_a_non_finite_value_is_refused(state_m33, grid, bad):
+    u = state_m33.pair.u.copy()
+    u[7] = bad
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        solve_fixed_a(-3.3, grid, init=SpinorPair(u, state_m33.pair.v))
 
 
 @pytest.mark.parametrize("a", [-1e-12, -1e-20, -1e-100, -1e-300])
