@@ -102,10 +102,13 @@ class RunConfig:
     Convergence requires the residual norm below tol_residual and |mu|
     below tol_residual times k; max_iterations caps each solve.
 
+    trial_b > 0 sets the scale of the variational seed that starts every
+    cold solve: the scan's first solve, and a solve_fixed_a or solve given
+    no warm pair.
+
     The scan's: a_start is the cold solve's coupling (the attractive branch
-    needs a_start < 0); tol_k bounds |k^2 - 1| at acceptance; trial_b > 0
-    sets the scale of the cold solve's seed. The scan always makes two
-    solves, so no setting caps their number.
+    needs a_start < 0); tol_k bounds |k^2 - 1| at acceptance. The scan
+    always makes two solves, so no setting caps their number.
 
     Then the grid (theta_min, theta_max, n_nodes), the mixing scale alpha0
     of the energy report, and the output directory and formats.

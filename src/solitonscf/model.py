@@ -18,7 +18,9 @@ Importing the module loads no numpy: the functions that build arrays,
 SpinorPair.normalized, potential and trial_functions, import it when called.
 """
 
+import sys
 from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import ConfigurationError, check_value
 from .grid import Grid, _check_values, integrate
@@ -41,12 +43,15 @@ class SpinorPair:
     v: "np.ndarray"
 
     def normalized(self, grid: Grid) -> "SpinorPair":
-        """Scaled copy with unit density integral."""
-        import numpy as np
+        """Copy with unit density integral.
 
-        n = integrate(self.u**2 + self.v**2, grid)
-        s = 1.0 / np.sqrt(n)
-        return SpinorPair(self.u * s, self.v * s)
+        A pair already within 4 eps of unit norm is copied unchanged; any
+        other is scaled by 1/sqrt(norm), with the norm taken on the pair
+        over max(|u|, |v|) where u^2 + v^2 under- or overflows. A pair with
+        a non-finite value, or no non-zero one, raises ConfigurationError:
+        no scale brings it to unit norm.
+        """
+        return _unit(self, grid)[0]
 
 
 @dataclass
@@ -73,6 +78,41 @@ def density(pair: SpinorPair, grid: Grid) -> Density:
     v = _check_values(pair.v, grid, "density")
     rho = u * u + v * v
     return Density(rho=rho, norm=integrate(rho, grid))
+
+
+_NORM_KEEP = 4 * sys.float_info.epsilon   # a pair this close to unit norm is kept
+
+
+def _unit(pair: SpinorPair, grid: Grid) -> Tuple[SpinorPair, Density]:
+    """A copy of pair's fields at unit norm, and its density: the one
+    rescale of SpinorPair.normalized and of every solver start.
+
+    ConfigurationError for a pair with a non-finite value or no non-zero
+    one, which no scale brings to unit norm. A pair already within
+    _NORM_KEEP of unit norm is kept bit for bit, with the density of its
+    norm check: rescaling it by 1/sqrt(norm) would only move its last bits.
+    Any other pair is scaled by 1/sqrt(norm), from that norm; only where
+    the norm under- or overflows is it taken on the pair divided by
+    max(|u|, |v|) first, which leaves it finite and positive.
+    """
+    import numpy as np
+
+    u, v = np.array(pair.u, dtype=float), np.array(pair.v, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and (u.any() or v.any())):
+        raise ConfigurationError("spinor pair must be finite with a non-zero value")
+    u, v = _check_values(u, grid, "unit norm"), _check_values(v, grid, "unit norm")
+    with np.errstate(over="ignore"):  # an overflow leaves the norm inf
+        rho = u * u + v * v
+        norm = float(grid.quad_weights @ rho)
+    if abs(norm - 1.0) <= _NORM_KEEP:
+        return SpinorPair(u, v), Density(rho, norm)
+    if not 0.0 < norm < np.inf:
+        scale = max(np.abs(u).max(), np.abs(v).max())
+        u, v = u / scale, v / scale
+        norm = integrate(u * u + v * v, grid)
+    s = 1.0 / np.sqrt(norm)
+    unit = SpinorPair(u * s, v * s)
+    return unit, density(unit, grid)
 
 
 def potential(rho: "np.ndarray", grid: Grid) -> "np.ndarray":

@@ -27,8 +27,7 @@ from .errors import ConfigurationError, ScanFailureError, SolitonError
 from .functional import EnergyReport, energy_report
 from .grid import Grid
 from .io import ScanConfig
-from .model import trial_functions
-from .solver import IterationState, _Seed, solve_fixed_a
+from .solver import IterationState, solve_fixed_a
 
 __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 
@@ -36,6 +35,10 @@ __all__ = ["ScanConfig", "ScanResult", "find_a0", "verify_extremum"]
 @dataclass
 class ScanResult:
     """Converged scan: the coupling, the state there, and the path taken.
+
+    k_history holds the (a, k, iterations, residual) rows of the two solves:
+    the cold one at a_start, from the trial_b seed that starts every cold
+    solve, and the confirming one at a0.
 
     report, the energy report at a0, is required and keyword-only: find_a0
     always attaches one, and verify_extremum reads T and Pi from it.
@@ -56,19 +59,24 @@ def find_a0(
 ) -> ScanResult:
     """Locate the self-consistent coupling a0 with k(a0) = 1.
 
-    Two solves: a cold one at a_start from the trial_b seed (a
-    solver._Seed, to which no frequency is fitted) gives
-    a0 = k^2 a_start, and a warm one at a0, seeded with the cold pair at
-    k0 = 1, confirms it when the measured frequency k + mu gives
-    |k^2 - 1| <= tol_k. Returns the ScanResult with both (a, k, iterations,
-    residual) rows and an energy report at a0.
+    Two solves: a cold one at a_start, which solve_fixed_a seeds from the
+    trial_b seed as it seeds every cold solve, gives a0 = k^2 a_start, and
+    a warm one at a0, seeded with the cold pair at k0 = 1, confirms it when
+    the measured frequency k + mu gives |k^2 - 1| <= tol_k. Returns the
+    ScanResult with both (a, k, iterations, residual) rows and an energy
+    report at a0.
 
     config is read whole: ScanConfig, SolverConfig and RunConfig are one
-    type, so its tau, tol_residual and max_iterations set both solves and
-    its alpha0 goes to the energy report. None takes the defaults.
+    type, so its tau, tol_residual, max_iterations and trial_b set the
+    solves and its alpha0 goes to the energy report. None takes the
+    defaults.
 
     Raises
     ------
+    ConfigurationError
+        Unwrapped, for a config or seed that a solve refuses before it
+        iterates, such as a trial_b whose seed has no finite positive norm
+        on the grid; no row is recorded.
     ScanFailureError
         When an inner solve fails, or when the confirming solve leaves
         |k^2 - 1| above tol_k (the scan stalled: a smaller solver tolerance
@@ -84,6 +92,8 @@ def find_a0(
         try:
             # k0 = 1: the cold seed, and the invariant frequency at a0
             state = solve_fixed_a(a, grid, config=config, init=pair, k0=1.0)
+        except ValueError:
+            raise  # a refused setting (ConfigurationError), not a failed solve
         except SolitonError as exc:
             raise ScanFailureError(
                 f"inner solve failed at a={a!r}: {exc}", k_history=k_history
@@ -91,8 +101,7 @@ def find_a0(
         k_history.append((a, state.k, state.iteration, state.residual_norm))
         return state
 
-    seed = trial_functions(config.trial_b, grid).normalized(grid)
-    cold = solve(config.a_start, _Seed(seed.u, seed.v))
+    cold = solve(config.a_start, None)
     a0 = cold.k**2 * config.a_start
     state = solve(a0, cold.pair)
     # Measured, not read back: a warm solve that converges at its first

@@ -57,12 +57,13 @@ frozen-potential equations at some frequency. The box rows are affine in
 lam = k^2 a, so the least-squares lam of the pair is one O(n) projection,
 and a pair whose residual at sqrt(lam / a) is within tol_residual starts
 there: a state converged at any coupling is then returned at its first
-check, fields untouched, whatever frequency its caller passed. A warm pair
-already at unit norm (within 4 eps) is not rescaled, so it stays bit for
-bit what the caller gave; one whose u^2 + v^2 under- or overflows is
-rescaled from its norm over max(|u|, |v|), and one that is all zero or not
-finite is refused. find_a0's trial seed comes as a _Seed, which is
-rescaled the same way but never fitted.
+check, fields untouched, whatever frequency its caller passed. A cold
+solve starts from the trial seed at the config's trial_b, which is fitted
+no frequency. Both starts are brought to unit norm by one rule,
+model._unit: a pair already at unit norm (within 4 eps) is not rescaled,
+so a warm pair stays bit for bit what the caller gave; one whose
+u^2 + v^2 under- or overflows is rescaled from its norm over
+max(|u|, |v|), and one that is all zero or not finite is refused.
 
 Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
@@ -86,7 +87,6 @@ import numpy as np
 from .errors import (
     MU_DENOM_TOL,
     NODE_TOL,
-    ConfigurationError,
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
@@ -94,16 +94,9 @@ from .errors import (
     WrongBranchError,
     check_value,
 )
-from .grid import Grid, _check_values, _coefficients, _origin_row, _tail_row, integrate
+from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
 from .io import SolverConfig
-from .model import (
-    Density,
-    SelfField,
-    SpinorPair,
-    density,
-    potential,
-    trial_functions,
-)
+from .model import SelfField, SpinorPair, _unit, density, potential, trial_functions
 
 __all__ = [
     "SolverConfig",
@@ -122,7 +115,6 @@ _MIX_DEPTH = 5          # Anderson history: differences kept
 _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 _PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
 _DENSE_BLOCKS = 32      # cyclic reduction leaves at most this many blocks
-_NORM_KEEP = 4 * np.finfo(float).eps   # a warm pair this close to unit norm is kept
 
 
 @dataclass
@@ -596,48 +588,9 @@ def _fitted_start(state: IterationState, grid: Grid, tol: float) -> IterationSta
     return fitted if fitted.residual_norm <= tol else state
 
 
-class _Seed(SpinorPair):
-    """A starting pair that is no solved state, such as find_a0's trial seed:
-    solve_fixed_a takes it as init, rescaled as any warm pair, but fits it
-    no frequency, since its residual is nowhere near tol_residual."""
-
-
-def _warm_pair(init, grid: Grid) -> Tuple[SpinorPair, Density]:
-    """A copy of init's fields at unit norm, and its density.
-
-    ConfigurationError for a pair with a non-finite value or no non-zero
-    one, which no scale brings to unit norm. A pair already within
-    _NORM_KEEP of unit norm is kept bit for bit, with the density of its
-    norm check: rescaling it by 1/sqrt(norm) would only move its last bits.
-    Any other pair gets the scale SpinorPair.normalized would give, from
-    that norm; only where the norm under- or overflows is it taken on the
-    pair divided by max(|u|, |v|) first, which leaves it finite and
-    positive.
-    """
-    u, v = np.array(init.u, dtype=float), np.array(init.v, dtype=float)
-    if not (np.isfinite(u).all() and np.isfinite(v).all() and (u.any() or v.any())):
-        raise ConfigurationError("warm-start pair must be finite with a non-zero value")
-    u, v = _check_values(u, grid, "warm start"), _check_values(v, grid, "warm start")
-    with np.errstate(over="ignore"):  # an overflow leaves the norm inf
-        rho = u * u + v * v
-        norm = float(grid.quad_weights @ rho)
-    if abs(norm - 1.0) <= _NORM_KEEP:
-        return SpinorPair(u, v), Density(rho, norm)
-    if not 0.0 < norm < np.inf:
-        scale = max(np.abs(u).max(), np.abs(v).max())
-        u, v = u / scale, v / scale
-        norm = integrate(u * u + v * v, grid)
-    s = 1.0 / np.sqrt(norm)
-    pair = SpinorPair(u * s, v * s)
-    return pair, density(pair, grid)
-
-
-def _initial_state(a, grid, init, k0, tol) -> IterationState:
-    if init is None:
-        pair = trial_functions(1.0, grid).normalized(grid)
-        dens = density(pair, grid)
-    else:
-        pair, dens = _warm_pair(init, grid)
+def _initial_state(a, grid, pair, k0) -> IterationState:
+    """The state at (a, k0) from pair brought to unit norm (model._unit)."""
+    pair, dens = _unit(pair, grid)
     state = IterationState(
         pair=pair,
         k=float(k0),
@@ -646,9 +599,7 @@ def _initial_state(a, grid, init, k0, tol) -> IterationState:
         residual_norm=float("nan"),
     )
     state.residual_norm = residual_norm(state, grid)
-    if init is None or isinstance(init, _Seed):
-        return state
-    return _fitted_start(state, grid, tol)
+    return state
 
 
 def solve_fixed_a(
@@ -668,13 +619,13 @@ def solve_fixed_a(
     grid : Grid
     config : SolverConfig, optional
         The run's config: SolverConfig, ScanConfig and RunConfig are one
-        type, and its tau, tol_residual and max_iterations are read. None
-        takes the defaults.
+        type, and its tau, tol_residual, max_iterations and trial_b are
+        read. None takes the defaults.
     init : SpinorPair, optional
         Warm-start fields, renormalized on entry unless their norm is
         already within 4 eps of one (they are then kept bit for bit), also
-        where their norm under- or overflows; the variational seed at unit
-        scale is used when absent.
+        where their norm under- or overflows. When absent, the solve starts
+        from the variational seed at scale config.trial_b, renormalized.
     k0 : float
         Starting frequency, unless the warm pair already solves the
         equations at its fitted k^2 a. Only k^2 a enters the equations, so
@@ -689,8 +640,9 @@ def solve_fixed_a(
     ------
     ConfigurationError
         Before iterating, for a coupling that is not finite and negative, a
-        starting frequency that is not finite and positive, or a warm pair
-        with a non-finite value or no non-zero one.
+        starting frequency that is not finite and positive, a warm pair
+        with a non-finite value or no non-zero one, or, without one, a
+        trial_b whose seed on the grid has no finite positive norm.
     NonConvergenceError
         Iteration cap reached; carries the trace history.
     WrongBranchError
@@ -707,7 +659,10 @@ def solve_fixed_a(
     check_value("starting frequency k0", k0, 0.0, open_low=True)
 
     tol = config.tol_residual
-    state = _initial_state(a, grid, init, k0, tol)
+    if init is None:  # the trial seed solves the equations at no frequency
+        state = _initial_state(a, grid, trial_functions(config.trial_b, grid), k0)
+    else:
+        state = _fitted_start(_initial_state(a, grid, init, k0), grid, tol)
     tau = config.tau
     tau_floor = config.tau / 64.0
     accepted_streak = 0

@@ -53,7 +53,7 @@ class _Started(Exception):
 
 def _solve_fixed_a(name):
     def call(value):
-        def start(a, grid, init, k0, tol):
+        def start(a, grid, pair, k0):
             raise _Started({"a": a, "k0": k0}[name])
 
         args = {"a": -1.0, "k0": 1.0, name: value}

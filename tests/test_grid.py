@@ -47,6 +47,7 @@ def test_build_grid_basic():
         (True, 2.0, 5),         # a bool is no bound
         (1.0, 0.0, 5),          # reversed, on few nodes
         (0.0, 1.0, MAX_NODES + 1),
+        (0.0, 10**400, 5),      # an int beyond the double range is not finite
     ],
 )
 def test_build_grid_rejects_bad_input(args):

@@ -584,6 +584,59 @@ def test_atomic_write_never_changes_the_umask(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
+def test_streamed_write_whose_cleanup_fails_raises_the_writers_error(
+    tmp_path, monkeypatch
+):
+    # the temporary file cannot be removed either: the writer's exception,
+    # not the OSError of the cleanup, reaches the caller
+    target = tmp_path / "file.txt"
+    io_mod.atomic_write_text(str(target), "payload\n")
+
+    def no_unlink(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    def pieces():
+        yield "partial\n"
+        raise RuntimeError("row source failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "unlink", no_unlink)
+        with pytest.raises(RuntimeError, match="row source failed"):
+            io_mod.atomic_write_text(str(target), pieces())
+    assert target.read_text() == "payload\n"
+
+
+def test_a_taken_temporary_name_is_drawn_again(tmp_path, monkeypatch):
+    # the first name drawn is another file's: it is left as it is, and the
+    # write goes through a second name
+    taken = tmp_path / (".tmp-" + bytes(8).hex())
+    taken.write_text("another writer's\n")
+    draws = iter([bytes(8), bytes([1] * 8)])
+    target = tmp_path / "file.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "urandom", lambda n: next(draws))
+        io_mod.atomic_write_text(str(target), "payload\n")
+    assert next(draws, None) is None  # both names were drawn
+    assert target.read_text() == "payload\n"
+    assert taken.read_text() == "another writer's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "file.txt"]
+
+
+def test_no_free_temporary_name_refuses_the_write(tmp_path, monkeypatch):
+    # every name drawn is taken: after TMP_MAX draws the write gives up,
+    # and neither the target nor the other file is touched
+    taken = tmp_path / (".tmp-" + bytes(8).hex())
+    taken.write_text("another writer's\n")
+    target = tmp_path / "file.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "urandom", bytes)  # n zero bytes: the taken name
+        patch.setattr(io_mod.tempfile, "TMP_MAX", 4)
+        with pytest.raises(FileExistsError, match="no free temporary name"):
+            io_mod.atomic_write_text(str(target), "payload\n")
+    assert taken.read_text() == "another writer's\n"
+    assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+
+
 # ---------------------------------------------------------------------------
 # tables and summaries
 
@@ -1296,15 +1349,35 @@ def test_cli_trial_eval(tmp_path, capsys):
 
 def test_cli_refuses_a_trial_scale_without_a_finite_seed(tmp_path, capsys):
     # the seed overflows to non-finite values (1e300, 1e200) or underflows
-    # to zero norm (1e-300); refused before any solve or artifact
+    # to zero norm (1e-300); refused before any solve or artifact, by every
+    # command that starts from it: trial-eval, scan and a cold solve
     cfg = tmp_path / "run.cfg"
     for b in ("1e300", "1e200", "1e-300"):
         cfg.write_text(f"trial_b = {b}\n")
-        for command in (["trial-eval", "--b", b], ["scan", "--config", str(cfg)]):
+        for command in (
+            ["trial-eval", "--b", b],
+            ["scan", "--config", str(cfg)],
+            ["solve", "--config", str(cfg)],
+        ):
             code = main(command + ["--output-dir", str(tmp_path)] + FAST)
             assert code == EXIT_USAGE
             assert "trial scale" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cold_solve_command_starts_from_the_trial_b_seed(tmp_path, capsys):
+    # a cold solve starts where find_a0's cold solve does: from the seed at
+    # the configured trial_b, not at b = 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trial_b = 0.8\n")
+    out = tmp_path / "run"
+    code = main(["solve", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    config = io_mod.RunConfig(trial_b=0.8)
+    _, k, iterations, _ = find_a0(config, config.build_grid()).k_history[0]
+    summary = _read_json(out / "solve_summary.json")  # 6 significant digits
+    assert (summary["k"], summary["iterations"]) == (float(f"{k:.6g}"), iterations)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from solitonscf import solver
 from solitonscf.errors import ConfigurationError, DivergenceError, ScanFailureError
 from solitonscf.functional import kinetic_T, potential_Pi
 from solitonscf.io import RunConfig
+from solitonscf.model import trial_functions
 from solitonscf.scan import ScanConfig, ScanResult, find_a0, verify_extremum
 from solitonscf.solver import SolverConfig, solve_fixed_a
 
@@ -47,6 +48,16 @@ def test_cold_seed_is_not_refitted(coarse_grid, monkeypatch):
     monkeypatch.setattr(solver, "_fitted_start", record)
     result = find_a0(ScanConfig(), coarse_grid)
     assert fitted == [result.a0]
+
+
+@pytest.mark.parametrize("b", [0.8, 1.4])
+def test_cold_solve_starts_from_the_trial_b_seed(grid, b):
+    # one cold seed: solve_fixed_a without a warm pair starts where find_a0's
+    # cold solve does, so both take the same iterations to the same k
+    config = RunConfig(trial_b=b)
+    state = solve_fixed_a(config.a_start, grid, config)
+    _, k, iterations, _ = find_a0(config, grid).k_history[0]
+    assert (state.k, state.iteration) == (k, iterations)
 
 
 def test_scan_is_frugal(scan_result):
@@ -185,6 +196,8 @@ def test_scan_path_independence(coarse_grid):
 def _stub_solver(a0_true):
     def stub(a, grid, config=None, init=None, k0=1.0):
         k = float(np.sqrt(a0_true / a))
+        if init is None:  # a cold call: it returns the seed it would start on
+            init = trial_functions(config.trial_b, grid).normalized(grid)
         return SimpleNamespace(
             k=k, last_mu=0.0, iteration=1, residual_norm=0.0, pair=init
         )

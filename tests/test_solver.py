@@ -355,6 +355,22 @@ def test_cyclic_reduction_refuses_singular_pivots(coarse_grid):
         solver.solve_banded((2, 2), general, b)
 
 
+@pytest.mark.parametrize(
+    "l_and_u, shape, m_rhs",
+    [
+        ((2, 1), (5, 8), 8),  # not the box scheme's bandwidths
+        ((2, 2), (4, 8), 8),  # a band of four rows
+        ((2, 2), (5, 7), 7),  # an odd number of unknowns: no 2x2 blocks
+        ((2, 2), (5, 8), 6),  # a right-hand side of the wrong length
+    ],
+)
+def test_solve_banded_refuses_what_is_no_box_system(l_and_u, shape, m_rhs):
+    ab = np.zeros(shape)
+    ab[2] = 1.0
+    with pytest.raises(ValueError, match="solve_banded takes"):
+        solver.solve_banded(l_and_u, ab, np.ones(m_rhs))
+
+
 # ---------------------------------------------------------------------------
 # frequency update
 
@@ -768,20 +784,21 @@ def test_warm_pair_off_unit_norm_is_rescaled(state_m33, grid):
     s = np.sqrt(1.0 + 1e-10)
     init = SpinorPair(state_m33.pair.u * s, state_m33.pair.v * s)
     assert density(init, grid).norm == pytest.approx(1.0 + 1e-10, abs=1e-13)
-    state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+    state = solver._initial_state(-3.3, grid, init, state_m33.k)
     assert not np.array_equal(state.pair.u, init.u)
     assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
 
 
 def _counted_densities(monkeypatch):
-    """The pairs of each solver.density call from here on, in order."""
+    """The pairs of each model.density call from here on, in order: the
+    calls of model._unit, which brings every start to unit norm."""
     calls = []
 
     def counted(pair, g):
         calls.append(pair)
         return density(pair, g)
 
-    monkeypatch.setattr(solver, "density", counted)
+    monkeypatch.setattr(model, "density", counted)
     return calls
 
 
@@ -792,7 +809,7 @@ def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
     s = np.sqrt(1.0 + 1e-10)
     init = SpinorPair(state_m33.pair.u * s, state_m33.pair.v * s)
     calls = _counted_densities(monkeypatch)
-    state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+    state = solver._initial_state(-3.3, grid, init, state_m33.k)
     assert len(calls) == 1 and calls[0] is state.pair
     monkeypatch.undo()
     expected = init.normalized(grid)
@@ -803,7 +820,7 @@ def test_rescaled_warm_pair_takes_two_integrals(state_m33, grid, monkeypatch):
 def test_kept_warm_pair_takes_one_density(state_m33, grid, monkeypatch):
     # a warm pair kept at unit norm reuses the density of its norm check
     calls = _counted_densities(monkeypatch)
-    state = solver._initial_state(-3.3, grid, state_m33.pair, state_m33.k, 1e-8)
+    state = solver._initial_state(-3.3, grid, state_m33.pair, state_m33.k)
     assert np.array_equal(state.pair.u, state_m33.pair.u)
     assert calls == []
     dens = density(state_m33.pair, grid)
@@ -816,21 +833,25 @@ def test_warm_pair_at_any_scale_starts_warningless_at_unit_norm(
 ):
     # u^2 + v^2 underflows to 0 at 1e-250 and 1e-170 and overflows at 1e160
     # and 1e250: the norm is then taken on the pair over its largest value.
-    # The all-zero pair has no scale to find and is refused.
+    # The all-zero pair has no scale to find and is refused. The solver's
+    # start and SpinorPair.normalized take the one rule.
     init = SpinorPair(state_m33.pair.u * scale, state_m33.pair.v * scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if scale == 0.0:
             with pytest.raises(ConfigurationError, match="non-zero value"):
-                solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+                solver._initial_state(-3.3, grid, init, state_m33.k)
+            with pytest.raises(ConfigurationError, match="non-zero value"):
+                init.normalized(grid)
             return
-        state = solver._initial_state(-3.3, grid, init, state_m33.k, 1e-8)
+        state = solver._initial_state(-3.3, grid, init, state_m33.k)
+        normalized = init.normalized(grid)
+    assert density(normalized, grid).norm == pytest.approx(1.0, abs=1e-15)
+    assert normalized.u.tobytes() == state.pair.u.tobytes()
+    assert normalized.v.tobytes() == state.pair.v.tobytes()
     assert density(state.pair, grid).norm == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(state.pair.u, state_m33.pair.u, rtol=1e-14, atol=1e-300)
     assert state.residual_norm < 1e-8
-    if scale == 1.0 + 1e-10:  # a norm at hand: the scale normalized gives
-        expected = init.normalized(grid)
-        assert state.pair.u.tobytes() == expected.u.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -839,6 +860,8 @@ def test_warm_pair_with_a_non_finite_value_is_refused(state_m33, grid, bad):
     u[7] = bad
     with pytest.raises(ConfigurationError, match="must be finite"):
         solve_fixed_a(-3.3, grid, init=SpinorPair(u, state_m33.pair.v))
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        SpinorPair(u, state_m33.pair.v).normalized(grid)
 
 
 @pytest.mark.parametrize("a", [-1e-12, -1e-20, -1e-100, -1e-300])
@@ -904,6 +927,7 @@ def test_seed_scale_insensitivity(coarse_grid):
         {"tau": "0.5"},
         {"tau": True},
         {"tol_residual": True},
+        {"tau": 10**400},  # an int beyond the double range is not finite
     ],
 )
 def test_config_validation(kwargs):

@@ -3,7 +3,9 @@
 Two source trees that print the same digest compute the same iterates, bit
 for bit, on these inputs:
 
-- find_a0 from the 29 starts a_start = -4.4, -4.3, ..., -1.6;
+- find_a0 from the 29 starts a_start = -4.4, -4.3, ..., -1.6 at the
+  default seed scale trial_b = 1, and from a_start = -3.3 at the seed
+  scales trial_b = 0.8, 1.4 and 2.0;
 - cold solve_fixed_a solves, converging and failing (no valid step, the
   iteration cap, a refused coupling, a singular linearization);
 - warm solves from the a0 state, at a transported k0 = k_s sqrt(a_s / a)
@@ -46,6 +48,8 @@ from solitonscf.scan import ScanConfig, find_a0
 from solitonscf.solver import SolverConfig, solve_fixed_a
 
 SCAN_STARTS = [round(-4.4 + 0.1 * i, 1) for i in range(29)]
+# (a_start, trial_b) of every find_a0 run
+SCANS = [(a, 1.0) for a in SCAN_STARTS] + [(-3.3, b) for b in (0.8, 1.4, 2.0)]
 # (a, SolverConfig keywords, k0)
 COLD_SOLVES = [
     (-3.3, {}, 1.0),
@@ -95,18 +99,18 @@ def fingerprint(grid) -> str:
     """The sha256 hex digest of every result above on grid."""
     h = hashlib.sha256()
     a0_state = None
-    for a_start in SCAN_STARTS:
+    for a_start, b in SCANS:
         try:
-            result = find_a0(ScanConfig(a_start=a_start), grid)
+            result = find_a0(ScanConfig(a_start=a_start, trial_b=b), grid)
         except SolitonError as exc:
             _update(h, _failure(exc))
             continue
         _update(h, (
-            "scan", a_start, result.a0, _state(result.solution),
+            "scan", a_start, b, result.a0, _state(result.solution),
             result.k_history, dataclasses.astuple(result.report),
             result.warnings,
         ))
-        if a_start == -3.3:
+        if (a_start, b) == (-3.3, 1.0):
             a0_state = (result.a0, result.solution)
     for a, settings, k0 in COLD_SOLVES:
         try:
