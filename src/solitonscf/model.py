@@ -83,6 +83,20 @@ def density(pair: SpinorPair, grid: Grid) -> Density:
 _NORM_KEEP = 4 * sys.float_info.epsilon   # a pair this close to unit norm is kept
 
 
+def _squares(u, v, grid: Grid):
+    """rho = u^2 + v^2 and its integral over the grid, unchecked.
+
+    Where the squares overflow, rho and the norm are inf, with no warning;
+    a nan in u or v makes the norm nan. The callers refuse a norm that is
+    not finite and positive.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        rho = u * u + v * v
+        return rho, float(grid.quad_weights @ rho)
+
+
 def _unit(pair: SpinorPair, grid: Grid) -> Tuple[SpinorPair, Density]:
     """A copy of pair's fields at unit norm, and its density: the one
     rescale of SpinorPair.normalized and of every solver start.
@@ -101,15 +115,13 @@ def _unit(pair: SpinorPair, grid: Grid) -> Tuple[SpinorPair, Density]:
     if not (np.isfinite(u).all() and np.isfinite(v).all() and (u.any() or v.any())):
         raise ConfigurationError("spinor pair must be finite with a non-zero value")
     u, v = _check_values(u, grid, "unit norm"), _check_values(v, grid, "unit norm")
-    with np.errstate(over="ignore"):  # an overflow leaves the norm inf
-        rho = u * u + v * v
-        norm = float(grid.quad_weights @ rho)
+    rho, norm = _squares(u, v, grid)
     if abs(norm - 1.0) <= _NORM_KEEP:
         return SpinorPair(u, v), Density(rho, norm)
     if not 0.0 < norm < np.inf:
         scale = max(np.abs(u).max(), np.abs(v).max())
         u, v = u / scale, v / scale
-        norm = integrate(u * u + v * v, grid)
+        norm = _squares(u, v, grid)[1]
     s = 1.0 / np.sqrt(norm)
     unit = SpinorPair(u * s, v * s)
     return unit, density(unit, grid)
@@ -170,9 +182,9 @@ def trial_functions(b: float, grid: Grid) -> SpinorPair:
         decay = np.exp(-b * x)
         u = A * x * (1.0 + b * x) * decay
         v = B * x * x * decay
-        # the weights are positive, so a non-finite entry makes this non-finite
-        norm = float(grid.quad_weights @ (u * u + v * v))
-    if not (np.isfinite(norm) and norm > 0.0):
+    # the weights are positive, so a non-finite entry makes this non-finite
+    norm = _squares(u, v, grid)[1]
+    if not 0.0 < norm < np.inf:
         raise ConfigurationError(
             f"trial scale b = {b!r} gives no finite seed with a positive "
             f"norm on this grid (norm {norm!r})"

@@ -38,11 +38,15 @@ x = (u, v) and f = tau (-u + mu psi_mu, -v + mu psi1_mu) the damped step
 above, the last five differences dX, dF of iterates and steps give the
 proposal x + f - (dX + dF) gamma, gamma = lstsq(dF, f), renormalized as
 before; k still moves by the full mu. A cold solve at a = -3.3 then takes
-13 iterations instead of 45. A mixed proposal that yields no valid state or
-sends k to the floor is dropped together with the history, and that
-iteration takes the safeguarded damped step (tau halving, then the
-least-bad candidate, whose frequency step is damped by the same tau).
-Above the threshold every step is the damped step.
+13 iterations instead of 45. One verdict, _try_step, judges every step:
+none is valid that newton_step refuses (k <= 0, moved fields with no
+finite positive norm, a non-finite residual norm) or that takes k to or
+below the floor. A mixed proposal with no valid state is dropped together
+with the history, and that iteration takes the safeguarded damped step:
+tau halving, then at tau's floor the least-bad valid candidate, whose
+frequency step is damped by the same tau; with no valid candidate there
+the solve ends in DivergenceError. Above the threshold every step is the
+damped step.
 
 A solve stops at the first check where the residual norm is below
 tol_residual and |mu| is below tol_residual times k. Only lam = k^2 a
@@ -90,13 +94,14 @@ from .errors import (
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
+    ShapeError,
     StalledUpdateError,
     WrongBranchError,
     check_value,
 )
 from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
 from .io import SolverConfig
-from .model import SelfField, SpinorPair, _unit, density, potential, trial_functions
+from .model import SelfField, SpinorPair, _squares, _unit, potential, trial_functions
 
 __all__ = [
     "SolverConfig",
@@ -429,6 +434,22 @@ def _damped_step(state, psi_mu, psi1_mu, mu, tau):
     return tau * (mu * psi_mu - u), tau * (mu * psi1_mu - v)
 
 
+def _state(a, grid, pair, rho, k, **fields) -> IterationState:
+    """The state of the unit-norm pair at (a, k): the potential of its
+    density rho, then the residual norm. fields sets the rest (iteration,
+    last_mu, trace)."""
+    state = IterationState(
+        pair=pair,
+        k=float(k),
+        field=SelfField(phi0=potential(rho, grid), a=float(a)),
+        a=float(a),
+        residual_norm=float("nan"),
+        **fields,
+    )
+    state.residual_norm = residual_norm(state, grid)
+    return state
+
+
 def newton_step(
     state: IterationState, du, dv, mu: float, grid: Grid, tau_k: float = 1.0
 ) -> IterationState:
@@ -438,46 +459,40 @@ def newton_step(
     by tau_k times mu (the full step by default; the safeguard loop damps
     it when retrying a rejected step and when tau is already at its floor).
     The potential is recomputed from the new density, so the returned state
-    is ready for the next residual evaluation. Raises DivergenceError on
-    non-finite results, the residual norm included, and when the frequency
-    would leave the positive branch (k <= 0), so the safeguard loop and the
-    mixer reject such a step as they reject no state at all. It integrates
-    once, for the norm of the moved fields; the renormalized norm is not
-    integrated again.
+    is ready for the next residual evaluation.
+
+    Raises DivergenceError when the frequency would leave the positive
+    branch (k <= 0), when the moved fields have no finite positive norm
+    (a non-finite value, or squares that overflow, give norm inf or nan)
+    and when the new residual norm is not finite; _try_step takes each as
+    no valid state. Moved fields whose shape is not (n_nodes,) raise
+    ShapeError. The norm of the moved fields is the step's one integral
+    (model._squares); the renormalized norm is not integrated again.
     """
     u_new = state.pair.u + du
     v_new = state.pair.v + dv
     k_new = state.k + tau_k * mu
     if k_new <= 0.0:
         raise DivergenceError(f"step rejected: new k = {k_new!r} <= 0")
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise DivergenceError(
-            f"non-finite fields after update at iteration {state.iteration}"
+    if u_new.shape != (grid.n_nodes,) or v_new.shape != (grid.n_nodes,):
+        raise ShapeError(
+            f"newton_step: moved fields have shapes {u_new.shape} and "
+            f"{v_new.shape}, not ({grid.n_nodes},)"
         )
-    dens = density(SpinorPair(u_new, v_new), grid)
-    raw = dens.norm
-    if not (np.isfinite(raw) and raw > 0):
+    rho, raw = _squares(u_new, v_new, grid)
+    if not 0.0 < raw < np.inf:  # nan fails every comparison
         raise DivergenceError(f"update produced unnormalizable fields (norm {raw!r})")
     a_norm = float(1.0 / np.sqrt(raw))
     # u_new, v_new and rho are this step's own arrays: scaled in place, by
-    # the multiply a copy would take
+    # the multiply a copy would take; the renormalized pair's density is
+    # the raw one scaled by a_norm^2
     u_new *= a_norm
     v_new *= a_norm
-    pair = SpinorPair(u_new, v_new)
-    # the renormalized pair's density is the raw one scaled by a_norm^2
-    rho = dens.rho
     rho *= a_norm * a_norm
-    new = IterationState(
-        pair=pair,
-        k=float(k_new),
-        field=SelfField(phi0=potential(rho, grid), a=state.a),
-        a=state.a,
-        residual_norm=float("nan"),
-        iteration=state.iteration + 1,
-        last_mu=float(mu),
-        trace=state.trace,
+    new = _state(
+        state.a, grid, SpinorPair(u_new, v_new), rho, k_new,
+        iteration=state.iteration + 1, last_mu=float(mu), trace=state.trace,
     )
-    new.residual_norm = residual_norm(new, grid)
     # every comparison with nan is false: no reject test would see it
     if not np.isfinite(new.residual_norm):
         raise DivergenceError(
@@ -487,12 +502,18 @@ def newton_step(
     return new
 
 
-def _try_step(state, du, dv, mu, grid, tau_k=1.0):
-    """newton_step, or None when it raises DivergenceError."""
+def _try_step(state, du, dv, mu, grid, tau_k=1.0, k_floor=0.0):
+    """newton_step, or None for no valid state: the step raises
+    DivergenceError, or its k is at or below k_floor.
+
+    This is the one verdict on a step for the mixer and the safeguard
+    loop alike, and the one place where a step's k meets the floor.
+    """
     try:
-        return newton_step(state, du, dv, mu, grid, tau_k=tau_k)
+        new = newton_step(state, du, dv, mu, grid, tau_k=tau_k)
     except DivergenceError:
         return None
+    return new if new.k > k_floor else None
 
 
 class _AndersonMixer:
@@ -517,8 +538,8 @@ class _AndersonMixer:
     def step(self, state, psi_mu, psi1_mu, mu, tau, grid, k_floor):
         """Record the current (x, f) and return the mixed IterationState.
 
-        Returns None while there is no history yet, and when the proposal
-        is rejected (no valid state, or k at or below k_floor); a rejection
+        Returns None while there is no history yet, and when _try_step
+        finds no valid state (k at or below k_floor included); a rejection
         also clears the history.
         """
         x = np.concatenate((state.pair.u, state.pair.v))
@@ -542,8 +563,8 @@ class _AndersonMixer:
         step = f - gamma @ d_x - gamma @ d_f
         # the fields move by exactly the mixed step, k by the full mu
         n = grid.n_nodes
-        new = _try_step(state, step[:n], step[n:], mu, grid)
-        if new is None or new.k <= k_floor:
+        new = _try_step(state, step[:n], step[n:], mu, grid, k_floor=k_floor)
+        if new is None:
             self.clear()
             return None
         return new
@@ -591,15 +612,7 @@ def _fitted_start(state: IterationState, grid: Grid, tol: float) -> IterationSta
 def _initial_state(a, grid, pair, k0) -> IterationState:
     """The state at (a, k0) from pair brought to unit norm (model._unit)."""
     pair, dens = _unit(pair, grid)
-    state = IterationState(
-        pair=pair,
-        k=float(k0),
-        field=SelfField(phi0=potential(dens.rho, grid), a=float(a)),
-        a=float(a),
-        residual_norm=float("nan"),
-    )
-    state.residual_norm = residual_norm(state, grid)
-    return state
+    return _state(a, grid, pair, dens.rho, k0)
 
 
 def solve_fixed_a(
@@ -694,14 +707,10 @@ def solve_fixed_a(
         tau_k = tau if tau <= tau_floor else 1.0
         while accepted is None:
             du, dv = _damped_step(state, psi_mu, psi1_mu, mu, tau)
-            candidate = _try_step(state, du, dv, mu, grid, tau_k)
-            reject = (
-                candidate is None
-                or candidate.k <= k_floor
-                or (
-                    candidate.residual_norm > state.residual_norm + 10.0 * tol
-                    and state.residual_norm > 10.0 * tol
-                )
+            candidate = _try_step(state, du, dv, mu, grid, tau_k, k_floor)
+            reject = candidate is None or (
+                candidate.residual_norm > state.residual_norm + 10.0 * tol
+                and state.residual_norm > 10.0 * tol
             )
             if not reject:
                 accepted = candidate

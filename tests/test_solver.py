@@ -12,6 +12,7 @@ from solitonscf.errors import (
     DegenerateLinearizationError,
     DivergenceError,
     NonConvergenceError,
+    ShapeError,
     StalledUpdateError,
     WrongBranchError,
 )
@@ -448,28 +449,52 @@ def test_newton_step_rejects_nonpositive_frequency(grid):
 
 
 def test_newton_step_integrates_once(grid, monkeypatch):
-    # the raw norm of the moved fields is the step's one integral
+    # the raw norm of the moved fields is the step's one integral, taken
+    # by the norm helper and not by integrate
     state = _seed_state(grid)
     mu, (du, dv) = _damped(state, grid)
-    plain = integrate
-    calls = []
+    calls = {"_squares": [], "integrate": []}
 
-    def counted(values, g):
-        calls.append(1)
-        return plain(values, g)
+    def counted(name, plain):
+        def call(*args):
+            calls[name].append(1)
+            return plain(*args)
 
+        return call
+
+    monkeypatch.setattr(solver, "_squares", counted("_squares", model._squares))
     for module in (model, solver):
-        monkeypatch.setattr(module, "integrate", counted)
+        monkeypatch.setattr(module, "integrate", counted("integrate", integrate))
     newton_step(state, du, dv, mu, grid)
-    assert len(calls) == 1
+    assert len(calls["_squares"]) == 1
+    assert len(calls["integrate"]) == 0
 
 
-def test_newton_step_flags_nonfinite_fields(grid):
+@pytest.mark.parametrize("case", ["inf", "nan", "overflow", "column"])
+def test_newton_step_flags_nonfinite_fields(grid, case):
+    # a non-finite value, or squares that overflow, leave the moved fields
+    # no finite positive norm: DivergenceError, with no numpy warning, and
+    # no valid state for the safeguard's _try_step. Moved fields of the
+    # wrong shape are a ShapeError.
     state = _seed_state(grid)
     _, (du, dv) = _damped(state, grid)
-    du[10] = np.inf
-    with pytest.raises(DivergenceError):
-        newton_step(state, du, dv, 0.0, grid)
+    if case in ("inf", "nan"):
+        du[10] = float(case)
+    elif case == "overflow":
+        du = np.full(grid.n_nodes, 1e160)
+    else:
+        du = du[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case == "column":
+            with pytest.raises(ShapeError, match="moved fields have shapes"):
+                newton_step(state, du, dv, 0.0, grid)
+            return
+        with pytest.raises(DivergenceError) as info:
+            newton_step(state, du, dv, 0.0, grid)
+        assert solver._try_step(state, du, dv, 0.0, grid) is None
+    norm = "nan" if case == "nan" else "inf"
+    assert str(info.value) == f"update produced unnormalizable fields (norm {norm})"
 
 
 def test_newton_step_leaves_its_inputs_unmodified(grid):
@@ -511,6 +536,29 @@ def test_nan_candidate_residual_is_rejected_and_damped(grid, monkeypatch):
     (iteration, k1, residual, mu), = info.value.history
     assert iteration == 1 and np.isfinite(residual)
     assert k1 == 1.0 + 0.25 * mu
+
+
+def test_cold_solve_never_iterates_from_below_the_frequency_floor(monkeypatch):
+    # On 2 nodes the cold solve at -3.3 drives k down to the floor, 0.05
+    # times the starting k. A step at or below it is no valid state, for
+    # the least-bad candidate at tau's floor too, so the solve ends there
+    # instead of iterating from k = 0.0122 and failing one step later.
+    two = build_grid(np.log(1e-6), np.log(80.0), 2)
+    ks = []
+    plain = solver.solve_corrections
+
+    def recorded(state, g):
+        ks.append(state.k)
+        return plain(state, g)
+
+    monkeypatch.setattr(solver, "solve_corrections", recorded)
+    with pytest.raises(DivergenceError) as info:
+        solve_fixed_a(-3.3, two)
+    assert str(info.value) == (
+        "update produced no valid state at a=-3.3 even at tau=0.0078125"
+    )
+    assert ks[0] == 1.0 and len(ks) > 2
+    assert all(k > 0.05 for k in ks)
 
 
 def test_nan_residuals_down_to_the_floor_end_in_divergence(grid, monkeypatch):

@@ -76,6 +76,9 @@ def test_trial_eval_summary_bytes_match_numpy(tmp_path, capsys, b):
         (1.0, "theta_min = -800\ntheta_max = 1\n"),    # e^theta_min is 0
         (1.0, "theta_min = 1\ntheta_max = 710\n"),     # e^theta_max overflows
         (1.0, "n_nodes = 1\n"),
+        # every term of the seed's norm is finite, the largest 4.13e307,
+        # but their sum overflows: fsum raises, numpy's dot gives inf
+        (4e-155, "theta_min = 340\ntheta_max = 370\nn_nodes = 200\n"),
     ],
 )
 def test_trial_eval_refuses_as_the_numpy_path_does(tmp_path, capsys, b, config):
