@@ -1,35 +1,38 @@
-"""Command line front: the parser, the exit codes, dispersion, trial-eval
-and solve.
+"""Command line: the parser, the exit codes and the four commands, scan,
+solve, dispersion and trial-eval.
 
-The module needs only the standard library. ``solitonscf dispersion`` is
+The module imports only the standard library. ``solitonscf dispersion`` is
 closed-form scalar arithmetic, ``solitonscf trial-eval`` evaluates the
 seed family on lists of floats, and ``--help`` and usage errors compute
-nothing, so they run here without importing numpy. ``scan`` lives in
-``solitonscf.cli``, which this module imports only when it is asked for.
+nothing, so they run without importing numpy. ``scan``, and a ``solve``
+that is not certified here, import numpy and the solver stack (scan,
+solver, functional) inside the function that runs them.
 
-``solve`` runs here whole. ``_cmd_solve`` checks the configuration and the
-grid, reads a ``--warm-start`` snapshot once and fixes the coupling and
-the starting frequency (by the k^2 a invariance, a snapshot's state is
-the converged state at any coupling). A warm pair that solve_fixed_a's
-first convergence check certifies (``_certify``, on lists of floats) is
-the solved state; any other solve goes to ``cli._solve``, the numpy
-solver. Both return one record, whose energy report functional._report
-builds from the state's integrals (that import loads no numpy), and one
-summary and one state writer turn it into the artifacts; a certified
-pair's are the bytes the numpy solve would write.
+``_cmd_solve`` checks the configuration and the grid, reads a
+``--warm-start`` snapshot once and fixes the coupling and the starting
+frequency (by the k^2 a invariance, a snapshot's state is the converged
+state at any coupling). A warm pair that solve_fixed_a's first
+convergence check certifies (``_certify``, on lists of floats) is the
+solved state; any other solve goes to ``_solve``, the numpy solver. Both
+return one record, whose energy report functional._report builds from the
+state's integrals (that import loads no numpy), and one summary and one
+state writer turn it into the artifacts; a certified pair's are the bytes
+the numpy solve would write. ``scan`` writes its a0 state through the same
+state writer.
 
-These commands run on the node and weight buffers (array('d')) of
-grid.Grid, the grid of the numpy layers too, which makes its numpy views
-of them only when they are asked for. They repeat the arithmetic of the numpy layers element for
-element, but take each integral with math.fsum where numpy takes a dot
-product, so the two agree to about 1e-15 relative, well inside the
-summaries' 6 digits. The certificate takes grid's box-scheme coefficients
-and boundary rows, the functions the numpy solver calls, and checks the
-residual and sums I_mu in one forward sweep (_sweep). trial-eval costs
-about 3 us per node, and a certified solve about 16 us per node of
-command time (snapshot, grid, check and writes; the sweep is about 2 us of
-it), so above about 5e4 and 3e4 grid nodes respectively they are no
-faster than the numpy layers would be.
+trial-eval and the certificate run on the node and weight buffers
+(array('d')) of grid.Grid, the grid of the numpy layers too, which makes
+its numpy views of them only when they are asked for. They repeat the
+arithmetic of the numpy layers element for element, but take each
+integral with math.fsum where numpy takes a dot product, so the two agree
+to about 1e-15 relative, well inside the summaries' 6 digits. The
+certificate takes grid's box-scheme coefficients and boundary rows, the
+functions the numpy solver calls, and checks the residual and sums I_mu
+in one forward sweep (_sweep). trial-eval costs about 3 us per node, and
+a certified solve about 16 us per node of command time (snapshot, grid,
+check and writes; the sweep is about 2 us of it), so above about 5e4 and
+3e4 grid nodes respectively they are no faster than the numpy layers
+would be.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -245,6 +248,15 @@ def _cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
+def _fsum(terms) -> float:
+    """math.fsum, or inf where finite non-negative terms sum past the double
+    range and it raises OverflowError, as numpy's dot gives."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _integral(grid: Grid, f) -> float:
     """grid.integrate, which refuses non-finite values, with math.fsum."""
     if not all(map(math.isfinite, f)):
@@ -303,10 +315,8 @@ def _trial_summary(b, theta_min, theta_max, n_nodes) -> dict:
     decay = [math.exp(-b * xi) for xi in x]
     u = [A * xi * (1.0 + b * xi) * d for xi, d in zip(x, decay)]
     v = [B * xi * xi * d for xi, d in zip(x, decay)]
-    try:  # unchecked, as in trial_functions: a non-finite norm is refused
-        norm = math.fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(grid.ws, u, v))
-    except OverflowError:  # finite terms whose sum overflows: numpy gives inf
-        norm = math.inf
+    # unchecked, as in trial_functions: a non-finite norm is refused
+    norm = _fsum(wi * (ui * ui + vi * vi) for wi, ui, vi in zip(grid.ws, u, v))
     if not (math.isfinite(norm) and norm > 0.0):
         raise ConfigurationError(
             f"trial scale b = {b!r} gives no finite seed with a positive "
@@ -352,15 +362,6 @@ def _cmd_trial_eval(args) -> int:
         f"Pi = {summary['Pi']:.6g}, -T/Pi = {summary['a_extremum']:.6g}"
     )
     return EXIT_OK
-
-
-def _fsum(terms) -> float:
-    """math.fsum, or nan where finite terms sum past the double range and it
-    raises OverflowError."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.nan
 
 
 def _sweep(grid: Grid, u, v, phi, k, tol):
@@ -422,8 +423,8 @@ def _sweep(grid: Grid, u, v, phi, k, tol):
     return worst, sigma
 
 
-# a solved state, as _certify and cli's numpy solve return it: coupling,
-# frequency, fields, iterations, residual norm, iteration trace and its
+# a solved state, as _certify and _solve return it: coupling, frequency,
+# fields, iterations, residual norm, iteration trace and its
 # functional.EnergyReport
 _Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace report")
 
@@ -479,10 +480,30 @@ def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:
         io_mod.save_snapshot(snapshot_path, io_mod.Snapshot(*bounds, *solved[:4]))
 
 
+def _solved(state, report) -> _Solved:
+    """A solver state and its energy report as one record."""
+    return _Solved(
+        state.a, state.k, state.pair.u, state.pair.v, state.field.phi0,
+        state.iteration, state.residual_norm, state.trace, report,
+    )
+
+
+def _solve(cfg, grid, a, k0, snap) -> _Solved:
+    """_cmd_solve's numpy solve on its grid: solve_fixed_a at a from k0 and
+    the snapshot's pair, or from the seed when snap is None. The caller has
+    checked a against alpha0."""
+    from .functional import energy_report  # numpy and the solver stack
+    from .solver import solve_fixed_a
+
+    init = None if snap is None else snap.pair()
+    state = solve_fixed_a(a, grid, config=cfg, init=init, k0=k0)
+    return _solved(state, energy_report(state.pair, grid, state.a, alpha0=cfg.alpha0))
+
+
 def _cmd_solve(args) -> int:
     """solve: the settings, the grid and a --warm-start snapshot are read and
     checked once, here; a pair that _certify accepts is the solved state,
-    any other solve is cli's numpy solver's. One writer serves both."""
+    any other solve is _solve's. One writer serves both."""
     cfg = _run_config(args)
     grid = cfg.build_grid()
     a = cfg.a_start if args.a is None else args.a
@@ -510,9 +531,7 @@ def _cmd_solve(args) -> int:
     check_value("coupling a", a, high=0.0, open_high=True)
     solved = None if snap is None else _certify(cfg, grid, a, k0, snap)
     if solved is None:
-        from . import cli  # numpy and the solver stack
-
-        solved = cli._solve(cfg, grid, a, k0, snap)
+        solved = _solve(cfg, grid, a, k0, snap)
     if "json" in cfg.formats:
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), {
             **vars(solved.report), "k": solved.k,
@@ -524,6 +543,44 @@ def _cmd_solve(args) -> int:
     print(
         f"solve: a = {solved.a:.6g}, k = {solved.k:.6g}, "
         f"T = {solved.report.T:.6g}, iterations = {solved.iterations}"
+    )
+    return EXIT_OK
+
+
+def _cmd_scan(args) -> int:
+    cfg = _run_config(args)
+    grid = cfg.build_grid()
+    from .scan import find_a0, verify_extremum  # numpy and the solver stack
+
+    try:
+        result = find_a0(cfg, grid)
+    except ScanFailureError as exc:
+        if "csv" in cfg.formats and exc.k_history:
+            io_mod.write_history_csv(_out(cfg, "k_history.csv"), exc.k_history)
+        raise
+    mismatch = verify_extremum(result, grid)
+    report = result.report
+    summary = {
+        "a0": result.a0,
+        "T": report.T,
+        "Pi": report.Pi,
+        "E0_over_m0": report.E0_over_m0,
+        "e_times_e0": report.e_times_e0,
+        "extremum_mismatch": mismatch,
+        "evaluations": len(result.k_history),
+        "warnings": result.warnings,
+    }
+    if "json" in cfg.formats:
+        io_mod.write_summary_json(_out(cfg, "scan_summary.json"), summary)
+    if "csv" in cfg.formats:
+        io_mod.write_history_csv(_out(cfg, "k_history.csv"), result.k_history)
+    snapshot_path = args.snapshot or _out(cfg, "a0_state.json")
+    _write_state(cfg, grid, _solved(result.solution, report), snapshot_path)
+    print(
+        f"scan: a0 = {result.a0:.6g}, T = {report.T:.6g}, "
+        f"E0/m0 = {report.E0_over_m0:.6g}, "
+        f"extremum mismatch = {mismatch:.3g}, "
+        f"evaluations = {len(result.k_history)}"
     )
     return EXIT_OK
 
@@ -547,21 +604,16 @@ def run_command(command, args) -> int:
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
 
 
-# the commands that start on the standard library; solve may load cli
-COMMANDS = {"dispersion": _cmd_dispersion, "trial-eval": _cmd_trial_eval,
-            "solve": _cmd_solve}
+# every command, by its name on the command line
+COMMANDS = {"scan": _cmd_scan, "solve": _cmd_solve,
+            "dispersion": _cmd_dispersion, "trial-eval": _cmd_trial_eval}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse argv and run its command; scan, and solve unless certified
-    here, load cli."""
+    here, import numpy."""
     args = build_parser().parse_args(argv)
-    command = COMMANDS.get(args.command)
-    if command is None:
-        from . import cli  # numpy and the solver stack
-
-        command = cli.COMMANDS[args.command]
-    return run_command(command, args)
+    return run_command(COMMANDS[args.command], args)
 
 
 def main_entry() -> None:

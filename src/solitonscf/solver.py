@@ -465,20 +465,21 @@ def newton_step(
     branch (k <= 0), when the moved fields have no finite positive norm
     (a non-finite value, or squares that overflow, give norm inf or nan)
     and when the new residual norm is not finite; _try_step takes each as
-    no valid state. Moved fields whose shape is not (n_nodes,) raise
-    ShapeError. The norm of the moved fields is the step's one integral
-    (model._squares); the renormalized norm is not integrated again.
+    no valid state. Increments whose shape is not (n_nodes,) raise
+    ShapeError before they are added, so none broadcasts. The norm of the
+    moved fields is the step's one integral (model._squares); the
+    renormalized norm is not integrated again.
     """
+    if np.shape(du) != (grid.n_nodes,) or np.shape(dv) != (grid.n_nodes,):
+        raise ShapeError(
+            f"newton_step: increments have shapes {np.shape(du)} and "
+            f"{np.shape(dv)}, not ({grid.n_nodes},)"
+        )
     u_new = state.pair.u + du
     v_new = state.pair.v + dv
     k_new = state.k + tau_k * mu
     if k_new <= 0.0:
         raise DivergenceError(f"step rejected: new k = {k_new!r} <= 0")
-    if u_new.shape != (grid.n_nodes,) or v_new.shape != (grid.n_nodes,):
-        raise ShapeError(
-            f"newton_step: moved fields have shapes {u_new.shape} and "
-            f"{v_new.shape}, not ({grid.n_nodes},)"
-        )
     rho, raw = _squares(u_new, v_new, grid)
     if not 0.0 < raw < np.inf:  # nan fails every comparison
         raise DivergenceError(f"update produced unnormalizable fields (norm {raw!r})")

@@ -8,6 +8,7 @@ forward sweep must give the residual and I_mu of a two-pass block
 elimination, and a negative number after a float flag is its value.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -170,6 +171,23 @@ def test_import_cli_loads_every_layer():
     )
     proc = _run(["-c", code])
     assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_scan_through_the_front_does_not_load_cli(tmp_path):
+    # front runs every command itself; cli is only the in-process main
+    code = (
+        "import sys; from solitonscf.front import main; "
+        "code = main(['scan', '--format', 'json']); "
+        "print(code, 'solitonscf.cli' in sys.modules)"
+    )
+    proc = _run(["-c", code], tmp_path)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
+
+
+def test_commands_are_the_parsers_subcommands():
+    parser = front.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(front.COMMANDS) == set(sub.choices)
 
 
 def test_cli_exports_only_main():

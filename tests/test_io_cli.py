@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from solitonscf import cli as cli_mod
 from solitonscf import errors as errors_mod
 from solitonscf import front
 from solitonscf import grid as grid_mod
@@ -1422,13 +1421,13 @@ def test_cli_solve_refuses_a_coupling_beyond_alpha0_unsolved(
 ):
     # |a| < alpha0 is checked once a is known, so no solve is spent on it
     calls = []
-    real = cli_mod.solve_fixed_a
+    real = solver.solve_fixed_a
 
     def spy(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "solve_fixed_a", spy)
+    monkeypatch.setattr(solver, "solve_fixed_a", spy)
     cfg = tmp_path / "run.cfg"
     argv = ["solve", "--config", str(cfg), "--grid-nodes", "40"]
     if source == "flag":
@@ -1488,7 +1487,7 @@ def test_cli_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def internal(cfg, grid, a, k0, snap):
         raise ValueError("internal")
 
-    monkeypatch.setattr(cli_mod, "_solve", internal)
+    monkeypatch.setattr(front, "_solve", internal)
     with pytest.raises(ValueError, match="internal"):
         main(["solve", "--output-dir", str(tmp_path)])
 

@@ -474,8 +474,9 @@ def test_newton_step_integrates_once(grid, monkeypatch):
 def test_newton_step_flags_nonfinite_fields(grid, case):
     # a non-finite value, or squares that overflow, leave the moved fields
     # no finite positive norm: DivergenceError, with no numpy warning, and
-    # no valid state for the safeguard's _try_step. Moved fields of the
-    # wrong shape are a ShapeError.
+    # no valid state for the safeguard's _try_step. Increments of the
+    # wrong shape are a ShapeError, raised before they broadcast against
+    # the fields into an n x n array.
     state = _seed_state(grid)
     _, (du, dv) = _damped(state, grid)
     if case in ("inf", "nan"):
@@ -487,8 +488,15 @@ def test_newton_step_flags_nonfinite_fields(grid, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if case == "column":
-            with pytest.raises(ShapeError, match="moved fields have shapes"):
-                newton_step(state, du, dv, 0.0, grid)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ShapeError, match="increments have shapes") as info:
+                    newton_step(state, du, dv, 0.0, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert f"({grid.n_nodes}, 1)" in str(info.value)
+            assert peak < 2**20  # one n x n array of doubles is 8 n^2 bytes
             return
         with pytest.raises(DivergenceError) as info:
             newton_step(state, du, dv, 0.0, grid)

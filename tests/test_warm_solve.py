@@ -2,7 +2,7 @@
 
 front._certify runs solve_fixed_a's first convergence check on lists of
 floats. Where it certifies the pair, the command must write the artifacts
-and the line that the same command writes through cli._solve, the numpy
+and the line that the same command writes through front._solve, the numpy
 solver, when the certificate declines, byte for byte; where it does not,
 the command must end as that numpy path ends it: same exit code, same
 message, same files. The snapshot is read once either way.
@@ -61,7 +61,7 @@ def _outcome(run, argv, out):
 
 def _numpy_path(argv):
     """The command through front.main with the certificate declining, so
-    cli._solve solves it."""
+    front._solve solves it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(front, "_certify", lambda *args: None)
         return front.main(argv)
