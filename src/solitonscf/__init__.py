@@ -21,7 +21,7 @@ __version__ = "1.0.0"
 # the public names of each submodule, in the order of __all__
 _SUBMODULE_EXPORTS = {
     "grid": ("Grid", "build_grid", "integrate", "differentiate"),
-    "model": ("SpinorPair", "density", "potential", "trial_functions"),
+    "model": ("SpinorPair", "IterationState", "density", "potential", "trial_functions"),
     "functional": (
         "EnergyReport",
         "kinetic_T",
@@ -31,7 +31,6 @@ _SUBMODULE_EXPORTS = {
     ),
     "solver": (
         "SolverConfig",
-        "IterationState",
         "ode_residual",
         "solve_corrections",
         "mu_update",

@@ -14,11 +14,12 @@ frequency (by the k^2 a invariance, a snapshot's state is the converged
 state at any coupling). A warm pair that solve_fixed_a's first
 convergence check certifies (``_certify``, on lists of floats) is the
 solved state; any other solve goes to ``_solve``, the numpy solver. Both
-return one record, whose energy report functional._report builds from the
-state's integrals (that import loads no numpy), and one summary and one
-state writer turn it into the artifacts; a certified pair's are the bytes
-the numpy solve would write. ``scan`` writes its a0 state through the same
-state writer.
+return one record, a model.IterationState, and its energy report; the
+certificate builds the state on lists of floats and the report with
+functional._report from the state's integrals (neither import loads
+numpy). One summary and one state writer turn them into the artifacts; a
+certified pair's are the bytes the numpy solve would write. ``scan``
+writes its a0 state through the same state writer.
 
 trial-eval and the certificate run on the node and weight buffers
 (array('d')) of grid.Grid, the grid of the numpy layers too, which makes
@@ -43,7 +44,6 @@ import argparse
 import math
 import os
 import sys
-from collections import namedtuple
 from dataclasses import replace
 from itertools import accumulate
 from operator import mul, truediv
@@ -423,15 +423,10 @@ def _sweep(grid: Grid, u, v, phi, k, tol):
     return worst, sigma
 
 
-# a solved state, as _certify and _solve return it: coupling, frequency,
-# fields, iterations, residual norm, iteration trace and its
-# functional.EnergyReport
-_Solved = namedtuple("_Solved", "a k u v phi0 iterations residual trace report")
-
-
-def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
-    """The snapshot's pair as the state solved at (a, k), if solve_fixed_a's
-    first convergence check certifies it; else None.
+def _certify(cfg, grid: Grid, a, k, snap):
+    """The snapshot's pair as the state solved at (a, k) and its energy
+    report, if solve_fixed_a's first convergence check certifies it; else
+    None.
 
     That check on lists of floats: the residual, the potential and the
     artifacts' values are the numpy path's bit for bit, the integrals come
@@ -442,6 +437,10 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     its dot-product norm), u has no interior node, the tail row has a root
     and every pivot is finite and non-zero. The caller has checked
     -alpha0 < a < 0, and Grid that no h sqrt(x_j x_{j+1}) underflows.
+
+    The state is the one solve_fixed_a returns at its first check, at
+    iteration 0 with an empty trace, except that its fields are lists of
+    floats and its last_mu is norm / I_mu from the sweep's elimination.
     """
     u, v, tol = snap.u, snap.v, cfg.tol_residual
     rho = [ui * ui + vi * vi for ui, vi in zip(u, v)]
@@ -462,42 +461,37 @@ def _certify(cfg, grid: Grid, a, k, snap) -> Optional[_Solved]:
     if any((p < 0.0) != (q < 0.0) for p, q in zip(core, core[1:])):
         return None  # a node: solve_fixed_a refuses the state
     from .functional import _report  # no numpy: only solve loads it
+    from .model import IterationState, SelfField, SpinorPair
 
     T, Pi, radius = _energy(grid, u, v, rho, phi0)
-    report = _report(a, T, Pi, radius / norm, cfg.alpha0)
-    return _Solved(a, k, u, v, phi0, 0, residual, [], report)
+    pair, field = SpinorPair(u, v), SelfField(phi0, a)
+    state = IterationState(pair, k, field, a, residual, last_mu=norm / i_mu)
+    return state, _report(a, T, Pi, radius / norm, cfg.alpha0)
 
 
-def _write_state(cfg, grid, solved: _Solved, snapshot_path) -> None:
+def _write_state(cfg, grid, state, snapshot_path) -> None:
     """profiles.csv and the snapshot file of a solved state, for solve and
     scan."""
+    pair = state.pair
     if "csv" in cfg.formats:
         io_mod.write_profiles_csv(
-            _out(cfg, "profiles.csv"), grid, solved.u, solved.v, solved.phi0
+            _out(cfg, "profiles.csv"), grid, pair.u, pair.v, state.field.phi0
         )
     if snapshot_path:  # the grid's bounds, then the state's a, k, u and v
-        bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
-        io_mod.save_snapshot(snapshot_path, io_mod.Snapshot(*bounds, *solved[:4]))
+        head = (grid.theta_min, grid.theta_max, grid.n_nodes, state.a, state.k)
+        io_mod.save_snapshot(snapshot_path, io_mod.Snapshot(*head, pair.u, pair.v))
 
 
-def _solved(state, report) -> _Solved:
-    """A solver state and its energy report as one record."""
-    return _Solved(
-        state.a, state.k, state.pair.u, state.pair.v, state.field.phi0,
-        state.iteration, state.residual_norm, state.trace, report,
-    )
-
-
-def _solve(cfg, grid, a, k0, snap) -> _Solved:
+def _solve(cfg, grid, a, k0, snap):
     """_cmd_solve's numpy solve on its grid: solve_fixed_a at a from k0 and
-    the snapshot's pair, or from the seed when snap is None. The caller has
-    checked a against alpha0."""
+    the snapshot's pair, or from the seed when snap is None, and the
+    state's energy report. The caller has checked a against alpha0."""
     from .functional import energy_report  # numpy and the solver stack
     from .solver import solve_fixed_a
 
     init = None if snap is None else snap.pair()
     state = solve_fixed_a(a, grid, config=cfg, init=init, k0=k0)
-    return _solved(state, energy_report(state.pair, grid, state.a, alpha0=cfg.alpha0))
+    return state, energy_report(state.pair, grid, state.a, alpha0=cfg.alpha0)
 
 
 def _cmd_solve(args) -> int:
@@ -530,19 +524,18 @@ def _cmd_solve(args) -> int:
     check_coupling(a, cfg.alpha0)
     check_value("coupling a", a, high=0.0, open_high=True)
     solved = None if snap is None else _certify(cfg, grid, a, k0, snap)
-    if solved is None:
-        solved = _solve(cfg, grid, a, k0, snap)
+    state, report = solved or _solve(cfg, grid, a, k0, snap)
     if "json" in cfg.formats:
         io_mod.write_summary_json(_out(cfg, "solve_summary.json"), {
-            **vars(solved.report), "k": solved.k,
-            "iterations": solved.iterations, "residual": solved.residual,
+            **vars(report), "k": state.k,
+            "iterations": state.iteration, "residual": state.residual_norm,
         })
-    _write_state(cfg, grid, solved, args.snapshot)
+    _write_state(cfg, grid, state, args.snapshot)
     if args.trace and "csv" in cfg.formats:
-        io_mod.write_trace_csv(_out(cfg, "trace.csv"), solved.trace)
+        io_mod.write_trace_csv(_out(cfg, "trace.csv"), state.trace)
     print(
-        f"solve: a = {solved.a:.6g}, k = {solved.k:.6g}, "
-        f"T = {solved.report.T:.6g}, iterations = {solved.iterations}"
+        f"solve: a = {state.a:.6g}, k = {state.k:.6g}, "
+        f"T = {report.T:.6g}, iterations = {state.iteration}"
     )
     return EXIT_OK
 
@@ -575,7 +568,7 @@ def _cmd_scan(args) -> int:
     if "csv" in cfg.formats:
         io_mod.write_history_csv(_out(cfg, "k_history.csv"), result.k_history)
     snapshot_path = args.snapshot or _out(cfg, "a0_state.json")
-    _write_state(cfg, grid, _solved(result.solution, report), snapshot_path)
+    _write_state(cfg, grid, result.solution, snapshot_path)
     print(
         f"scan: a0 = {result.a0:.6g}, T = {report.T:.6g}, "
         f"E0/m0 = {report.E0_over_m0:.6g}, "

@@ -1,4 +1,5 @@
-"""Field types and model building blocks: spinor pair, density, self-potential.
+"""Field types and model building blocks: spinor pair, density, self-potential,
+and IterationState, the solved-state record of both solve routes.
 
 The bound state is described by two real radial amplitudes u(x), v(x) with
 density rho = u^2 + v^2 normalized to unit total charge. The state generates
@@ -16,10 +17,12 @@ int rho e^theta dtheta.
 
 Importing the module loads no numpy: the functions that build arrays,
 SpinorPair.normalized, potential and trial_functions, import it when called.
+So front's standard-library certificate builds an IterationState without
+loading numpy.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ConfigurationError, check_value
@@ -29,6 +32,7 @@ __all__ = [
     "SpinorPair",
     "Density",
     "SelfField",
+    "IterationState",
     "density",
     "potential",
     "trial_functions",
@@ -70,6 +74,33 @@ class SelfField:
     @property
     def phi(self) -> "np.ndarray":
         return self.a * self.phi0
+
+
+@dataclass
+class IterationState:
+    """Complete iterate: fields, frequency, frozen potential, diagnostics.
+
+    pair is at unit norm and field is the potential of its density at
+    coupling a. residual_norm is the max-norm of the midpoint residuals at
+    k with that potential frozen. last_mu is the frequency increment of
+    the step that made the state: nan on a starting state, and on a
+    converged one the increment of its last check. trace holds the solve's
+    (iteration, k, residual_norm, mu) rows so far.
+
+    Both solve routes return one: the numpy solver's states hold numpy
+    arrays, the standard-library certificate's (front._certify) lists of
+    floats. field.phi and any array arithmetic on the fields need the
+    arrays, so only the numpy path's states support them.
+    """
+
+    pair: SpinorPair
+    k: float
+    field: SelfField
+    a: float
+    residual_norm: float
+    iteration: int = 0
+    last_mu: float = float("nan")
+    trace: list = field(default_factory=list, repr=False)
 
 
 def density(pair: SpinorPair, grid: Grid) -> Density:

@@ -80,9 +80,14 @@ interleave as (u_0, v_0, u_1, v_1, ...), making the matrix pentadiagonal
 and, in blocks of two rows, block tridiagonal with 2x2 blocks. solve_banded
 solves it for the one k-derivative right-hand side by block cyclic
 reduction in numpy alone.
+
+Every iterate, and the solved state solve_fixed_a returns, is an
+IterationState. The class is defined in model, which imports no numpy, so
+that front's standard-library certificate returns the same record; this
+module re-exports it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -101,7 +106,9 @@ from .errors import (
 )
 from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
 from .io import SolverConfig
-from .model import SelfField, SpinorPair, _squares, _unit, potential, trial_functions
+from .model import (
+    IterationState, SelfField, SpinorPair, _squares, _unit, potential, trial_functions
+)
 
 __all__ = [
     "SolverConfig",
@@ -120,28 +127,6 @@ _MIX_DEPTH = 5          # Anderson history: differences kept
 _MIX_THRESHOLD = 0.1    # mix only at or below this residual norm
 _PIVOT_TOL = 1e-12      # |det| of a 2x2 pivot block relative to |p00 p11|
 _DENSE_BLOCKS = 32      # cyclic reduction leaves at most this many blocks
-
-
-@dataclass
-class IterationState:
-    """Complete iterate: fields, frequency, frozen potential, diagnostics.
-
-    pair is at unit norm and field is the potential of its density at
-    coupling a. residual_norm is the max-norm of the midpoint residuals at
-    k with that potential frozen. last_mu is the frequency increment of
-    the step that made the state: nan on a starting state, and on a
-    converged one the increment of its last check. trace holds the solve's
-    (iteration, k, residual_norm, mu) rows so far.
-    """
-
-    pair: SpinorPair
-    k: float
-    field: SelfField
-    a: float
-    residual_norm: float
-    iteration: int = 0
-    last_mu: float = float("nan")
-    trace: list = field(default_factory=list, repr=False)
 
 
 def solve_banded(l_and_u, ab, b):
@@ -571,13 +556,14 @@ class _AndersonMixer:
         return new
 
 
-def count_nodes(values: np.ndarray, threshold: float = NODE_TOL) -> int:
-    """Interior sign changes of a profile, ignoring sub-threshold noise."""
+def count_nodes(values: np.ndarray) -> int:
+    """Interior sign changes of a profile, ignoring the values whose size is
+    at most NODE_TOL times its largest."""
     z = np.asarray(values, dtype=float)
     scale = np.max(np.abs(z))
     if scale == 0.0:
         return 0
-    core = z[np.abs(z) > threshold * scale]
+    core = z[np.abs(z) > NODE_TOL * scale]
     return int(np.sum(np.diff(np.sign(core)) != 0))
 
 

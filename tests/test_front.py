@@ -26,6 +26,7 @@ import solitonscf
 from solitonscf import front
 from solitonscf import grid as grid_mod
 from solitonscf import io as io_mod
+from solitonscf import model, solver
 from solitonscf.errors import MU_DENOM_TOL, DegenerateLinearizationError
 from solitonscf.front import EXIT_OK, EXIT_USAGE, main
 from solitonscf.grid import _linspace
@@ -295,6 +296,18 @@ def test_building_a_grid_imports_no_numpy():
     assert proc.stdout.split() == ["False", "2000"], proc.stderr
 
 
+def test_iteration_state_imports_no_numpy():
+    # the certificate returns one without numpy, so its class lives in
+    # model, which solver re-exports, and so does the package
+    code = (
+        "import sys, solitonscf; from solitonscf.model import IterationState; "
+        "print('numpy' in sys.modules, solitonscf.IterationState is IterationState)"
+    )
+    proc = _run(["-c", code])
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
+    assert solver.IterationState is model.IterationState
+
+
 def test_a_warm_solve_near_zero_coupling_is_certified(tmp_path, a0_state):
     # only k^2 a enters, so the a0 state is converged at a = -1e-20 too, at
     # k = k_s sqrt(a_s / a) near 1.5e10; the certificate's tolerances scale
@@ -441,7 +454,7 @@ def test_one_sweep_certificate_matches_the_two_pass_elimination(a0_pair, a):
             solved = front._certify(cfg, grid, a, k, snap)
             assert (solved is not None) == expected, (k, tol)
             if solved is not None:
-                assert solved.residual == worst
+                assert solved[0].residual_norm == worst
             decisions.append(expected)
     assert True in decisions and False in decisions
 

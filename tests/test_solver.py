@@ -807,6 +807,27 @@ def test_converged_pair_at_its_own_frequency_is_not_refitted(state_m33, grid):
     assert solver._fitted_start(state, grid, SolverConfig().tol_residual) is state
 
 
+def test_a_pair_with_zero_midpoint_averages_is_not_refitted():
+    # u = v = +-1 alternating: every midpoint average is exactly 0, so the
+    # lam direction c vanishes and <c, c> = 0; the guard keeps k0 where
+    # the fit would divide 0 by 0 (a RuntimeWarning, an error here)
+    grid = build_grid(np.log(1e-6), np.log(80.0), 400)
+    signs = np.where(np.arange(grid.n_nodes) % 2 == 0, 1.0, -1.0)
+    pair = SpinorPair(signs, signs.copy())
+    tol = SolverConfig().tol_residual
+    state = solver._initial_state(-3.3, grid, pair, 1.0)
+    assert state.residual_norm > tol
+    assert solver._fitted_start(state, grid, tol) is state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as info:
+            solve_fixed_a(-3.3, grid, init=pair, k0=1.0)
+    assert str(info.value) == (
+        "update produced no valid state at a=-3.3 even at tau=0.0078125"
+    )
+    assert caught == []
+
+
 def test_warm_solve_at_its_first_check_allocates_no_mixing_history(state_m33, grid):
     # A solve that returns at its first check never mixes, so it must not
     # set aside the two (5, 2n) Anderson buffers, 160 B per node. Measured:

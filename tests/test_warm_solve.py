@@ -15,6 +15,7 @@ import math
 import os
 import shutil
 import tempfile
+from array import array
 from dataclasses import fields, replace
 
 import pytest
@@ -138,6 +139,36 @@ def test_solve_summary_is_the_energy_report_and_the_run(
         assert code == EXIT_OK
         assert json.loads(files["solve_summary.json"]).keys() == keys
     assert certified == [True]
+
+
+@pytest.mark.parametrize("a", [-4.1, -2.5])
+def test_the_certificate_returns_the_numpy_solves_record(scan_snapshots, a):
+    # the a0 pair at a transported k: both routes return an IterationState
+    # and its EnergyReport, equal but for the last bits of last_mu (the
+    # elimination orders differ) and of the radius (fsum against a dot)
+    cfg = io_mod.RunConfig()
+    grid = cfg.build_grid()
+    snap = io_mod._read_snapshot(scan_snapshots[1])
+    k = snap.k * math.sqrt(snap.a / a)
+    (cert, cert_report), (state, report) = (
+        solve(cfg, grid, a, k, snap) for solve in (front._certify, front._solve)
+    )
+    for name in ("a", "k", "iteration", "residual_norm", "trace"):
+        assert getattr(cert, name) == getattr(state, name), name
+    for got, expected in (
+        (cert.pair.u, state.pair.u),
+        (cert.pair.v, state.pair.v),
+        (cert.field.phi0, state.field.phi0),
+    ):
+        assert array("d", got).tobytes() == array("d", expected).tobytes()
+    assert cert.last_mu == pytest.approx(state.last_mu, rel=1e-4, abs=0.0)
+    for mu in (cert.last_mu, state.last_mu):
+        assert abs(mu) <= 0.5 * cfg.tol_residual * k
+    for name in ("T", "Pi", "E0_over_m0"):
+        assert getattr(cert_report, name) == getattr(report, name), name
+    assert cert_report.localization_radius == pytest.approx(
+        report.localization_radius, rel=1e-15, abs=0.0
+    )
 
 
 def _save(path, a, k, u, v):

@@ -17,11 +17,12 @@ k_history and energy report, and the exception class, text and history of
 every failure.
 
 A second line is a digest over the standard-library warm-start certificate,
-front._certify: its record (the solved state, then its report's T, Pi and
-localization radius) or None, for the a0 pair of the scan from -3.3 at
-WARM_COUPLINGS x WARM_TOLERANCES with the frequency k_s sqrt(a_s / a) that
-solve passes it, and for two pairs it does not certify (the a0 pair at a
-frequency 1e-6 off, and the normalized seed at b = 1).
+front._certify: its (IterationState, EnergyReport) pair, hashed as the
+state's a, k, u, v, phi0, iteration, residual norm and trace, then the
+report's T, Pi and localization radius, or None. It covers the a0 pair of
+the scan from -3.3 at WARM_COUPLINGS x WARM_TOLERANCES with the frequency
+k_s sqrt(a_s / a) that solve passes it, and two pairs it does not certify
+(the a0 pair at a frequency 1e-6 off, and the normalized seed at b = 1).
 
 Run it against a tree's sources:
 
@@ -134,7 +135,8 @@ def fingerprint(grid) -> str:
 
 
 def certificates(grid) -> list:
-    """((a, k, tol), front._certify's record or None) for each pair above."""
+    """((a, k, tol), front._certify's (state, report) or None) for each pair
+    above."""
     result = find_a0(ScanConfig(a_start=-3.3), grid)
     a_s, k_s = result.a0, result.solution.k
     bounds = (grid.theta_min, grid.theta_max, grid.n_nodes)
@@ -159,13 +161,17 @@ def certificates(grid) -> list:
 
 
 def certificate_digest(grid) -> str:
-    """The sha256 hex digest of every certificate above on grid: the state
-    fields of each record, then its report's T, Pi and localization radius."""
+    """The sha256 hex digest of every certificate above on grid: the state's
+    fields, then its report's T, Pi and localization radius."""
     h = hashlib.sha256()
     for case, record in certificates(grid):
         if record is not None:
-            report = record.report
-            record = (*record[:-1], report.T, report.Pi, report.localization_radius)
+            state, report = record
+            record = (
+                state.a, state.k, state.pair.u, state.pair.v, state.field.phi0,
+                state.iteration, state.residual_norm, state.trace,
+                report.T, report.Pi, report.localization_radius,
+            )
         _update(h, ("certify", case, record))
     return h.hexdigest()
 
