@@ -26,14 +26,16 @@ trial-eval and the certificate run on the node and weight buffers
 its numpy views of them only when they are asked for. They repeat the
 arithmetic of the numpy layers element for element, but take each
 integral with math.fsum where numpy takes a dot product, so the two agree
-to about 1e-15 relative, well inside the summaries' 6 digits. The
-certificate takes grid's box-scheme coefficients and boundary rows, the
-functions the numpy solver calls, and checks the residual and sums I_mu
-in one forward sweep (_sweep). trial-eval costs about 3 us per node, and
-a certified solve about 16 us per node of command time (snapshot, grid,
-check and writes; the sweep is about 2 us of it), so above about 5e4 and
-3e4 grid nodes respectively they are no faster than the numpy layers
-would be.
+to about 1e-15 relative, well inside the summaries' 6 digits. No model
+equation is written out here: the certificate takes grid's box-scheme
+coefficients, interval residuals, interval rows and boundary rows, and
+both commands take T's integrand from functional. These are the functions
+the numpy layers call on arrays, called here on floats once per interval
+or node. The certificate checks the residual and sums I_mu in one forward
+sweep (_sweep). trial-eval costs about 3 us per node, and a certified
+solve about 16 us per node of command time (snapshot, grid, check and
+writes; the sweep is about 2 us of it), so above about 5e4 and 3e4 grid
+nodes respectively they are no faster than the numpy layers would be.
 
 Exit codes are part of the contract: 0 success, 2 usage or configuration
 error, 3 inner solver did not converge, 4 coupling scan failed, 5 I/O or
@@ -65,7 +67,9 @@ from .errors import (
     check_coupling,
     check_value,
 )
-from .grid import Grid, _coefficients, _linspace, _origin_row, _tail_row
+from .grid import (
+    Grid, _coefficients, _linspace, _origin_row, _residuals, _rows, _tail_row
+)
 
 __all__ = ["build_parser", "run_command", "main", "main_entry"]
 
@@ -285,11 +289,10 @@ def _phi0(grid: Grid, rho) -> List[float]:
 
 def _energy(grid: Grid, u, v, rho, phi0):
     """T, Pi and the integral of x rho, as functional.energy_report takes them."""
+    from .functional import _kinetic_density  # no numpy
+
     du, dv = _d_dx(grid, u), _d_dx(grid, v)
-    kinetic = [
-        (dui * vi - dvi * ui) - 2.0 * ui * vi / xi + (ui * ui - vi * vi)
-        for dui, dvi, ui, vi, xi in zip(du, dv, u, v, grid.xs)
-    ]
+    kinetic = list(map(_kinetic_density, u, v, du, dv, grid.xs))
     shell, radial = list(map(mul, phi0, rho)), list(map(mul, grid.xs, rho))
     return tuple(_integral(grid, f) for f in (kinetic, shell, radial))
 
@@ -394,15 +397,14 @@ def _sweep(grid: Grid, u, v, phi, k, tol):
         if j < last:  # interval j: its first equation is row 1 of block j
             p, q, dp, dq = _coefficients(k, 0.5 * (phi[j + 1] + phi[j]))
             xm = math.sqrt(x[j + 1] * x[j])
-            hx = h * xm
-            um, vm = 0.5 * (u[j + 1] + u[j]), 0.5 * (v[j + 1] + v[j])
-            r_u = abs((u[j + 1] - u[j]) / hx - um / xm - p * vm)
-            r_v = abs((v[j + 1] - v[j]) / hx + vm / xm - q * um)
+            u0, u1, v0, v1 = u[j], u[j + 1], v[j], v[j + 1]
+            r_u, r_v = _residuals(h, xm, p, q, u0, u1, v0, v1)
+            r_u, r_v = abs(r_u), abs(r_v)
             if not (r_u < tol and r_v < tol):
                 return None
             worst = max(worst, r_u, r_v)
-            g_a, g_b = 0.5 * hx * p, 0.5 * hx * q
-            b10, b11, f1 = -1.0 - 0.5 * h, -g_a, hx * dp * vm
+            rows = _rows(h, xm, p, q, dp, dq, u0, u1, v0, v1)
+            (b10, b11, up_u, up_v), f1, (s0, s1, s2, s3), f_v = rows
         else:  # the outer Riccati row
             b10, b11, f1 = 1.0, -r_end, dr_end * v[-1]
         det = b00 * b11 - b01 * b10
@@ -416,10 +418,10 @@ def _sweep(grid: Grid, u, v, phi, k, tol):
         sigma += tau * (up0 * g0 + up1 * g1) + (wu * g0 + wv * g1)
         tau = -tau * (up0 * c0 + up1 * c1) - (wu * c0 + wv * c1)
         if j < last:  # interval j's second equation is row 0 of block j + 1
-            up0, up1 = 1.0 - 0.5 * h, -g_a
-            t = (-g_b * c0) + (-1.0 + 0.5 * h) * c1
-            b00, b01 = -g_b - t * up0, 1.0 + 0.5 * h - t * up1
-            f0 = hx * dq * um - ((-g_b * g0) + (-1.0 + 0.5 * h) * g1)
+            up0, up1 = up_u, up_v  # up_j: the update above read up_{j-1}
+            t = s0 * c0 + s1 * c1
+            b00, b01 = s2 - t * up0, s3 - t * up1
+            f0 = f_v - (s0 * g0 + s1 * g1)
     return worst, sigma
 
 

@@ -17,9 +17,11 @@ C = (alpha0 - a)/(alpha0 + a), tied by delta = (1 - C)/(1 + C).
 
 _report builds the EnergyReport from a, T, Pi and the localization radius
 alone, for energy_report here and for the standard-library warm-start
-certificate in front, which takes those integrals on lists of floats. Like
-model, the module loads no numpy until a function that integrates an array
-is called.
+certificate in front, which takes those integrals on lists of floats.
+_kinetic_density, T's integrand, serves both routes as well: _kinetic
+calls it on arrays, and front's trial-eval and certificate on each node's
+floats. Like model, the module loads no numpy until a function that
+integrates an array is called.
 """
 
 import math
@@ -71,11 +73,13 @@ def _kinetic(pair: SpinorPair, grid: Grid, dens, check_norm: bool = True) -> flo
     """kinetic_T, given the pair's density dens."""
     if check_norm and abs(dens.norm - 1.0) > NORM_TOL:
         raise UnnormalizedStateError(dens.norm, NORM_TOL)
-    u, v = pair.u, pair.v
-    du = differentiate(u, grid)
-    dv = differentiate(v, grid)
-    integrand = (du * v - dv * u) - 2.0 * u * v / grid.x + (u * u - v * v)
-    return integrate(integrand, grid)
+    du, dv = differentiate(pair.u, grid), differentiate(pair.v, grid)
+    return integrate(_kinetic_density(pair.u, pair.v, du, dv, grid.x), grid)
+
+
+def _kinetic_density(u, v, du, dv, x):
+    """T's integrand (u'v - v'u) - 2uv/x + (u^2 - v^2), on arrays or floats."""
+    return (du * v - dv * u) - 2.0 * u * v / x + (u * u - v * v)
 
 
 def potential_Pi(pair: SpinorPair, grid: Grid) -> float:

@@ -27,12 +27,13 @@ was checked. So building a grid, and _linspace, which also
 spaces the dispersion command's momenta, import no numpy; integrate and
 differentiate import it when called.
 
-The box scheme's interval coefficients and its two boundary rows (Keller
-1974) are defined here once, for solver.solve_corrections and the
-standard-library warm-start certificate in front alike. They are plain
-arithmetic: the solver calls them on arrays and numpy scalars and the
-certificate on floats, and both get the same IEEE operations in the same
-order.
+The box scheme (Keller 1974) is defined here once, for solver and the
+standard-library warm-start certificate in front alike: the coefficients
+P, Q and their k-derivatives, each interval's midpoint residuals and its
+two rows with their k-derivative drive, and the two boundary rows. They
+are plain arithmetic: the solver calls them on arrays and numpy scalars
+and the certificate on floats, once per interval, and both get the same
+IEEE operations in the same order.
 """
 
 import math
@@ -185,6 +186,34 @@ def _coefficients(k, phi):
     samples phi, an array or a float."""
     kk = k * k
     return 1.0 - kk * phi, 1.0 + kk * phi, -2.0 * k * phi, 2.0 * k * phi
+
+
+def _residuals(h, xm, p, q, u0, u1, v0, v1):
+    """Residuals r_u = du/dx - u/x - P v and r_v = dv/dx + v/x - Q u at the
+    midpoint x_m of the interval from (u0, v0) to (u1, v1), with P and Q
+    taken there."""
+    um, vm = 0.5 * (u1 + u0), 0.5 * (v1 + v0)
+    # d/dx = e^{-theta} d/dtheta, with the Jacobian taken at the midpoint
+    r_u = (u1 - u0) / (h * xm) - um / xm - p * vm
+    r_v = (v1 - v0) / (h * xm) + vm / xm - q * um
+    return r_u, r_v
+
+
+def _rows(h, xm, p, q, dp, dq, u0, u1, v0, v1):
+    """The interval's two box rows and their k-derivative drive.
+
+    first_row and second_row are the first and the second equation's
+    coefficients on (u0, v0, u1, v1), scaled by h x_m, so that applied to
+    the state they give h x_m times _residuals' r_u and r_v. f_u and f_v are
+    minus the rows' k-derivatives (dp, dq for P, Q) applied to the state.
+    """
+    hx = h * xm
+    # the first row's coefficient on both v nodes, the second's on both u
+    c_v, c_u = -0.5 * hx * p, -0.5 * hx * q
+    first_row = (-1.0 - 0.5 * h, c_v, 1.0 - 0.5 * h, c_v)
+    second_row = (c_u, -1.0 + 0.5 * h, c_u, 1.0 + 0.5 * h)
+    f_u, f_v = hx * dp * (0.5 * (v1 + v0)), hx * dq * (0.5 * (u1 + u0))
+    return first_row, f_u, second_row, f_v
 
 
 def _origin_row(k, phi_origin):

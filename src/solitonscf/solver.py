@@ -73,9 +73,11 @@ Discretization: midpoint (box) scheme on the uniform theta = ln x grid,
 coupling each interval's endpoints, plus one boundary row per end. At the
 origin the regular branch gives v = c0 x u with c0 = (1 + k^2 phi(0))/3; at
 the outer end u = r v with r the decaying root of the local Riccati equation
-Q r^2 - 2 r/x - P = 0, which absorbs the slow Coulomb tail of phi. P, Q
-and both boundary rows come from grid, which defines them once for this
-module and the standard-library certificate in front. Unknowns
+Q r^2 - 2 r/x - P = 0, which absorbs the slow Coulomb tail of phi. P, Q,
+the interval residuals (grid._residuals), the interval rows with their
+k-derivative drive (grid._rows) and both boundary rows come from grid,
+which defines them once for this module and the standard-library
+certificate in front; this module calls them on array slices. Unknowns
 interleave as (u_0, v_0, u_1, v_1, ...), making the matrix pentadiagonal
 and, in blocks of two rows, block tridiagonal with 2x2 blocks. solve_banded
 solves it for the one k-derivative right-hand side by block cyclic
@@ -104,7 +106,9 @@ from .errors import (
     WrongBranchError,
     check_value,
 )
-from .grid import Grid, _coefficients, _origin_row, _tail_row, integrate
+from .grid import (
+    Grid, _coefficients, _origin_row, _residuals, _rows, _tail_row, integrate
+)
 from .io import SolverConfig
 from .model import (
     IterationState, SelfField, SpinorPair, _squares, _unit, potential, trial_functions
@@ -287,21 +291,12 @@ def ode_residual(state: IterationState, grid: Grid):
     residual du/dx - u/x - P v and the second's dv/dx + v/x - Q u, evaluated
     at interval midpoints with the potential frozen at state.field.
     """
-    x = grid.x
-    h = grid.h
     u, v = state.pair.u, state.pair.v
     phi = state.field.phi
     p, q, _, _ = _coefficients(state.k, 0.5 * (phi[1:] + phi[:-1]))
     # Interval midpoints in theta; x there is the geometric mean of the nodes.
-    xm = np.sqrt(x[1:] * x[:-1])
-    um = 0.5 * (u[1:] + u[:-1])
-    vm = 0.5 * (v[1:] + v[:-1])
-    # d/dx = e^{-theta} d/dtheta, with the Jacobian taken at the midpoint
-    du = (u[1:] - u[:-1]) / (h * xm)
-    dv = (v[1:] - v[:-1]) / (h * xm)
-    r_u = du - um / xm - p * vm
-    r_v = dv + vm / xm - q * um
-    return r_u, r_v
+    xm = np.sqrt(grid.x[1:] * grid.x[:-1])
+    return _residuals(grid.h, xm, p, q, u[:-1], u[1:], v[:-1], v[1:])
 
 
 def residual_norm(state: IterationState, grid: Grid) -> float:
@@ -319,8 +314,9 @@ def solve_corrections(
     and current k) is solved against one right-hand side, the k-derivative
     of the operator applied to the state. The residual-driven correction
     needs no solve: J applied to (u, v) is exactly the scaled state residual
-    (both sides are the same box rows and boundary rows), so
-    J psi = -residual has the solution (psi, psi1) = (-u, -v).
+    (grid._rows applied to the state is h x_m times grid._residuals, and
+    the boundary rows are the same on both sides), so J psi = -residual has
+    the solution (psi, psi1) = (-u, -v).
     """
     ab, rhs = _band_system(state, grid)
     try:
@@ -338,34 +334,21 @@ def _band_system(state: IterationState, grid: Grid):
     """The band ab of J and the right-hand side -(dF/dk), in solve_banded's
     layout. Its coefficient arrays are freed on return, before the solve."""
     x = grid.x
-    h = grid.h
-    n = grid.n_nodes
-    m = 2 * n
+    m = 2 * grid.n_nodes
     u, v = state.pair.u, state.pair.v
     phi = state.field.phi
-    phi_m = 0.5 * (phi[1:] + phi[:-1])
-    p, q, dp, dq = _coefficients(state.k, phi_m)
-    xm = np.sqrt(x[1:] * x[:-1])
-    hx = h * xm
+    p, q, dp, dq = _coefficients(state.k, 0.5 * (phi[1:] + phi[:-1]))
+    first, f_u, second, f_v = _rows(
+        grid.h, np.sqrt(x[1:] * x[:-1]), p, q, dp, dq, u[:-1], u[1:], v[:-1], v[1:]
+    )
 
     # Box rows for interval i couple (u_i, v_i, u_{i+1}, v_{i+1}); unknowns
     # interleave as (u_0, v_0, u_1, v_1, ...), so the matrix is banded with
-    # two sub- and two superdiagonals.
-    g_a = 0.5 * hx * p
-    g_b = 0.5 * hx * q
+    # two sub- and two superdiagonals. The first equation is row 2i+1, the
+    # second row 2i+2.
     ab = np.zeros((5, m))
-    # first equation, row 2i+1: -(1 + h/2) u_i - g_a v_i + (1 - h/2) u_{i+1}
-    #                           - g_a v_{i+1}
-    ab[3, 0 : m - 3 : 2] = -1.0 - 0.5 * h
-    ab[2, 1 : m - 2 : 2] = -g_a
-    ab[1, 2 : m - 1 : 2] = 1.0 - 0.5 * h
-    ab[0, 3::2] = -g_a
-    # second equation, row 2i+2: -g_b u_i + (-1 + h/2) v_i - g_b u_{i+1}
-    #                            + (1 + h/2) v_{i+1}
-    ab[4, 0 : m - 3 : 2] = -g_b
-    ab[3, 1 : m - 2 : 2] = -1.0 + 0.5 * h
-    ab[2, 2 : m - 1 : 2] = -g_b
-    ab[1, 3::2] = 1.0 + 0.5 * h
+    ab[3, 0:m-3:2], ab[2, 1:m-2:2], ab[1, 2:m-1:2], ab[0, 3::2] = first
+    ab[4, 0:m-3:2], ab[3, 1:m-2:2], ab[2, 2:m-1:2], ab[1, 3::2] = second
 
     # Boundary rows: origin slope in row 0, outer Riccati ratio in row m-1.
     c0, dc0 = _origin_row(state.k, phi[0])
@@ -378,8 +361,7 @@ def _band_system(state: IterationState, grid: Grid):
     # k-derivative drive: the operator's k-derivative applied to the state,
     # with the sign such that psi_mu solves J psi_mu = -(dF/dk).
     rhs = np.empty(m)
-    rhs[1:-1:2] = hx * dp * (0.5 * (v[1:] + v[:-1]))
-    rhs[2:-1:2] = hx * dq * (0.5 * (u[1:] + u[:-1]))
+    rhs[1:-1:2], rhs[2:-1:2] = f_u, f_v
     rhs[0] = dc0 * x[0] * u[0]
     rhs[-1] = dr_end * v[-1]
     return ab, rhs

@@ -23,3 +23,19 @@ def test_the_certificate_digest_covers_certified_and_refused_pairs(coarse_grid):
     assert [r is None for r in records] == [False, True] * 3 + [True, True]
     digest = fingerprint.certificate_digest(coarse_grid)
     assert len(digest) == 64 and fingerprint.certificate_digest(coarse_grid) == digest
+
+
+def test_the_certificate_digest_sees_a_change_in_i_mu(coarse_grid, monkeypatch):
+    # an elimination that moves I_mu by 1e-12 relative certifies and refuses
+    # the same pairs; only last_mu = norm / I_mu carries the change
+    digest = fingerprint.certificate_digest(coarse_grid)
+    sweep = fingerprint.front._sweep
+
+    def nudged(*args):
+        swept = sweep(*args)
+        return None if swept is None else (swept[0], swept[1] * (1.0 + 1e-12))
+
+    monkeypatch.setattr(fingerprint.front, "_sweep", nudged)
+    records = [record for _, record in fingerprint.certificates(coarse_grid)]
+    assert [r is None for r in records] == [False, True] * 3 + [True, True]
+    assert fingerprint.certificate_digest(coarse_grid) != digest

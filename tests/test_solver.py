@@ -268,6 +268,32 @@ def test_band_boundary_rows_are_the_shared_rows(state_m33, grid):
     assert b[-1] == dr_end * v[-1]
 
 
+@pytest.mark.parametrize("case", ["converged", "seed"])
+def test_band_applied_to_the_state_is_the_scaled_residual(state_m33, grid, case):
+    # grid._rows and grid._residuals write one box scheme: the interval rows
+    # applied to (u, v) are h x_m times the midpoint residuals, which is why
+    # solve_corrections takes (-u, -v) as the residual-driven correction
+    if case == "converged":
+        state = state_m33
+    else:
+        seed = trial_functions(1.0, grid)
+        state = solver._initial_state(-3.3, grid, seed, 1.0)
+        assert state.residual_norm == pytest.approx(1.36, abs=0.01)
+    ab, _ = solver._band_system(state, grid)
+    z = np.empty(2 * grid.n_nodes)
+    z[0::2], z[1::2] = state.pair.u, state.pair.v
+    jz = ab[2] * z                       # A[i, j] = ab[2 + i - j, j]
+    jz[:-1] += ab[1, 1:] * z[1:]
+    jz[:-2] += ab[0, 2:] * z[2:]
+    jz[1:] += ab[3, :-1] * z[:-1]
+    jz[2:] += ab[4, :-2] * z[:-2]
+    r_u, r_v = ode_residual(state, grid)
+    hx = grid.h * np.sqrt(grid.x[1:] * grid.x[:-1])
+    tol = 1e-13 * np.max(np.abs(z))
+    assert np.max(np.abs(jz[1:-1:2] - hx * r_u)) <= tol
+    assert np.max(np.abs(jz[2:-1:2] - hx * r_v)) <= tol
+
+
 def test_zero_q_at_the_outer_node_is_refused(state_m33, grid, q_zero_coupling):
     # k^2 phi = -1 at the outer node: Q = 0 there and the tail row's root
     # formula is 0/0; the solver refuses the linearization

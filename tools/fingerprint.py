@@ -18,11 +18,14 @@ every failure.
 
 A second line is a digest over the standard-library warm-start certificate,
 front._certify: its (IterationState, EnergyReport) pair, hashed as the
-state's a, k, u, v, phi0, iteration, residual norm and trace, then the
-report's T, Pi and localization radius, or None. It covers the a0 pair of
-the scan from -3.3 at WARM_COUPLINGS x WARM_TOLERANCES with the frequency
-k_s sqrt(a_s / a) that solve passes it, and two pairs it does not certify
-(the a0 pair at a frequency 1e-6 off, and the normalized seed at b = 1).
+state's a, k, last_mu, u, v, phi0, iteration, residual norm and trace,
+then the report's T, Pi and localization radius, or None. last_mu is
+norm / I_mu from the certificate's block elimination, so a change to the
+elimination shows even where every accept or refuse decision stays the
+same. It covers the a0 pair of the scan from -3.3 at WARM_COUPLINGS x
+WARM_TOLERANCES with the frequency k_s sqrt(a_s / a) that solve passes
+it, and two pairs it does not certify (the a0 pair at a frequency 1e-6
+off, and the normalized seed at b = 1).
 
 Run it against a tree's sources:
 
@@ -162,14 +165,15 @@ def certificates(grid) -> list:
 
 def certificate_digest(grid) -> str:
     """The sha256 hex digest of every certificate above on grid: the state's
-    fields, then its report's T, Pi and localization radius."""
+    fields, last_mu among them, then its report's T, Pi and localization
+    radius."""
     h = hashlib.sha256()
     for case, record in certificates(grid):
         if record is not None:
             state, report = record
             record = (
-                state.a, state.k, state.pair.u, state.pair.v, state.field.phi0,
-                state.iteration, state.residual_norm, state.trace,
+                state.a, state.k, state.last_mu, state.pair.u, state.pair.v,
+                state.field.phi0, state.iteration, state.residual_norm, state.trace,
                 report.T, report.Pi, report.localization_radius,
             )
         _update(h, ("certify", case, record))
